@@ -16,7 +16,9 @@ ITU variant), fully vectorized:
 Bit-exactness is pinned by tests against CPython's ``audioop`` C
 implementation over all 65536 int16 inputs and all 256 code bytes
 (``tests/test_g711.py``), plus codebook idempotence
-(``encode(decode(code)) == code`` for every byte).
+(``encode(decode(code)) == code`` for every A-law byte and every mu-law
+byte but one: mu-law 0x7F, negative zero, re-encodes as positive zero
+0xFF, as in ``audioop``).
 
 Reference framing: gojsonschema validates documents byte-for-byte
 (/root/reference/validation.go); this module gives the audio axis the

@@ -290,11 +290,11 @@ def token_frequencies(ds, text_column: str, min_count: int = 1, n: int = 1,
     the exchange by distinct-grams-per-batch, not token count), then the
     SAME exchange as key-uniqueness (uniqueness.aggregate_key_counts).
     Returns a Dataset of (gram, n)."""
-    from ..stages.dedup import _next_pow2, _shuffle_parts
+    from ..stages.exchange import exchange_parts
     from ..stages.sketches import hash_arrow_array
     from ..stages.uniqueness import aggregate_key_counts
 
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = n_parts or exchange_parts()
 
     def partial(t: pa.Table) -> pa.Table:
         col = t[text_column]
@@ -1366,11 +1366,11 @@ def _dup_line_hash_counts(ds, text_column: str, delimiter: str,
     """(h, n) Dataset of segment-hash corpus counts with n >= min_count —
     per-batch explode + value_counts partials, then the engine's ONE coarse
     hash exchange (aggregate_key_counts)."""
-    from ..stages.dedup import _next_pow2, _shuffle_parts
+    from ..stages.exchange import exchange_parts
     from ..stages.sketches import hash_arrow_array
     from ..stages.uniqueness import aggregate_key_counts
 
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = n_parts or exchange_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         flat, _, _ = _explode_segments(batch, text_column, delimiter)
@@ -1598,10 +1598,11 @@ def _dup_window_hash_counts(ds, text_column: str, k: int,
     """(h, n) Dataset of char-k-window hash corpus counts with
     n >= min_count — per-batch vectorized window hashing + np.unique
     combiner partials, then ONE coarse hash exchange."""
-    from ..stages.dedup import _next_pow2, _shuffle_parts, gram_hashes_batch
+    from ..stages.dedup import gram_hashes_batch
+    from ..stages.exchange import exchange_parts
     from ..stages.uniqueness import aggregate_key_counts
 
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = n_parts or exchange_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         h, _ = gram_hashes_batch(batch[text_column].to_pylist(), k)

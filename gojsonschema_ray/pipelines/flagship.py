@@ -79,19 +79,6 @@ def schema_violations(ds, tree: CompiledSchema | None = None,
     return ds.map_batches(tv, batch_format="pyarrow")
 
 
-def audio_violations(ds, concurrency: int = 4, batch_size: int = 128,
-                     snr_db: float = 30.0, audio_cap_ms: int = 50):
-    """Stateful actor-pool PCM pass → violations Dataset."""
-    return ds.map_batches(
-        AudioInvariantChecker,
-        fn_constructor_kwargs={"snr_db": snr_db, "audio_cap_ms": audio_cap_ms},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, concurrency),
-        num_cpus=1,
-    )
-
-
 class CombinedClipChecker:
     """Fused actor-pool payload: vectorized schema predicates + PCM invariant
     checks in ONE pass over each batch.

@@ -97,11 +97,6 @@ def json_type_of(v) -> str:
     raise TypeError(f"not a JSON value: {type(v).__name__}")
 
 
-def type_matches(value_type: str, declared: str) -> bool:
-    """integer validates as number (validation.go:121-123)."""
-    return value_type == declared or (declared == TYPE_NUMBER and value_type == TYPE_INTEGER)
-
-
 def canonical(v):
     """Hashable canonical form implementing canonical-JSON equality
     (marshalWithoutNumber, utils.go:84-104): numbers compare mathematically,

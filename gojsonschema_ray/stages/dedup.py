@@ -400,14 +400,11 @@ def _pairs_from_groups(group: pd.DataFrame, id_column: str,
 
 def _shuffle_parts(target_per_cpu: int = 1) -> int:
     """Right-size shuffle fan-in: tiny-row datasets suffer when a groupby
-    sees hundreds of micro-blocks; ~1 block per CPU is the sweet spot."""
-    import ray
+    sees hundreds of micro-blocks; ~1 block per CPU is the sweet spot.
+    Floored at 8, unlike the key-count width (exchange.exchange_parts)."""
+    from .exchange import exchange_parts
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001 — sizing heuristic only
-        cpus = 8
-    return max(8, cpus * target_per_cpu)
+    return max(8, exchange_parts() * target_per_cpu)
 
 
 def _next_pow2(x: int) -> int:
@@ -1555,18 +1552,20 @@ def jaccard_token_join(ds, text_column: str, id_column: str, *,
     import ray.data as rd
 
     from ..util import collect_rows
+    from .exchange import exchange_parts
     from .uniqueness import aggregate_key_counts
 
     if not 0.0 < threshold <= 1.0:
         raise ValueError(
             f"jaccard_token_join: threshold={threshold} not in (0, 1]")
+    P = exchange_parts()
 
     def df_partial(t: pa.Table) -> pa.Table:
         h, _ = _doc_token_hashes(t[text_column])
         uh, cnt = np.unique(h, return_counts=True)
         return pa.table({"h": pa.array(uh.view(np.int64)),
                          "cnt": pa.array(cnt.astype(np.int64)),
-                         "part": pa.array((uh % np.uint64(32))
+                         "part": pa.array((uh % np.uint64(P))
                                           .astype(np.int32))})
 
     df_rows = collect_rows(aggregate_key_counts(

@@ -34,7 +34,11 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
     table (duplicate edges, loops, and direction are normalized away).
     Returns (n_triangles:int, n_edges:int). Oriented wedges: each vertex
     emits pairs among its HIGHER-numbered neighbors only, so every
-    triangle is generated exactly once (at its minimum vertex)."""
+    triangle is generated exactly once (at its minimum vertex).
+    `max_degree` caps that ORIENTED degree (the count of higher-numbered
+    neighbors, whose C(d, 2) wedges are the blowup being bounded), not the
+    full vertex degree: a hub whose neighbors are mostly lower-numbered
+    passes far above it."""
     import pandas as pd
 
     from ..util import collect_rows
@@ -71,8 +75,9 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
                 continue
             if d > max_degree:
                 raise ValueError(
-                    f"triangle_count: vertex degree {d} > max_degree="
-                    f"{max_degree} — salt or sample hub vertices upstream")
+                    f"triangle_count: oriented (higher-neighbor) degree {d} "
+                    f"> max_degree={max_degree} — salt or sample hub "
+                    "vertices upstream")
             iu = np.triu_indices(d, k=1)
             outs_b.append(nb[iu[0]])
             outs_c.append(nb[iu[1]])

@@ -816,7 +816,12 @@ def join_size_profile(left, right, *, left_on: str, right_on: str,
 
     def counts(on: str, side: int):
         def f(t: pa.Table) -> pa.Table:
-            g = t.select([on]).group_by([on]).aggregate([([], "count_all")])
+            k = t[on]
+            if pa.types.is_floating(k.type):  # SQL: NaN joins NaN, any sign
+                k = pc.if_else(pc.is_nan(k), pa.scalar(float("nan"), k.type),
+                               k)
+            g = pa.table({on: k}).group_by([on]) \
+                .aggregate([([], "count_all")])
             g = g.rename_columns(["key", "c"])
             g = g.filter(pc.is_valid(g["key"]))  # SQL: NULL never joins
             part = (hash_arrow_array(g["key"]) % np.uint64(P)) \
@@ -830,9 +835,11 @@ def join_size_profile(left, right, *, left_on: str, right_on: str,
         .union(right.map_batches(counts(right_on, 1),
                                  batch_format="pyarrow"))
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["key", "side"], sort=False)["c"].sum().unstack(
-            "side", fill_value=0)
+    def per_part(df: pd.DataFrame) -> pa.Table:
+        # nulls were dropped in counts(), so a missing key here is NaN — a
+        # real key; the partition total rides a row flagged `is_total`
+        g = df.groupby(["key", "side"], sort=False, dropna=False)["c"] \
+            .sum().unstack("side", fill_value=0)
         a = g[0] if 0 in g.columns else pd.Series(0, index=g.index)
         b = g[1] if 1 in g.columns else pd.Series(0, index=g.index)
         pairs = (a * b).astype("int64")
@@ -840,20 +847,25 @@ def join_size_profile(left, right, *, left_on: str, right_on: str,
             "key": g.index.to_numpy(),
             "n_left": a.to_numpy(dtype="int64"),
             "n_right": b.to_numpy(dtype="int64"),
-            "pairs": pairs.to_numpy()})
+            "pairs": pairs.to_numpy(),
+            "is_total": False})
+        tot = out.head(1).assign(n_left=0, n_right=0,
+                                 pairs=int(pairs.sum()), is_total=True)
         out = out[out["pairs"] > 0]
-        tot = pd.DataFrame({"key": [None], "n_left": [0], "n_right": [0],
-                            "pairs": [int(pairs.sum())]})
-        return pd.concat([
+        res = pd.concat([
             out.sort_values(["pairs", "key"], ascending=[False, True],
                             kind="stable").head(top),
             tot], ignore_index=True)
+        # Arrow from pandas dtypes: Ray would type an all-NaN key as null
+        return pa.Table.from_pandas(res, preserve_index=False) \
+            .replace_schema_metadata()
 
     parts = both.repartition(P).materialize()
     cand = collect_table(parts.groupby("part").map_groups(
         per_part, batch_format="pandas")).to_pandas()
-    total = int(cand.loc[cand["key"].isna(), "pairs"].sum())
-    outs = cand[cand["key"].notna()].sort_values(
+    is_total = cand["is_total"].to_numpy(dtype=bool)
+    total = int(cand.loc[is_total, "pairs"].sum())
+    outs = cand[~is_total].drop(columns="is_total").sort_values(
         ["pairs", "key"], ascending=[False, True], kind="stable") \
         .head(top).reset_index(drop=True)
     for c in ("n_left", "n_right", "pairs"):

@@ -2092,8 +2092,9 @@ def discretize_quantile(ds, column: str, k: int, *,
     batch (bucket = #cutpoints <= v, so ties at a cutpoint land in the
     upper bin, matching the SQL ``count(*) WHERE c <= v`` idiom
     bit-for-bit since both sides share identical cutpoint doubles).
-    NULL/NaN rows pass through with a NULL bucket. Streams — the
-    labeled Dataset is returned lazily."""
+    NULL/NaN rows pass through with a NULL bucket; -inf/+inf bucket to
+    0 / k-1 like any value, as in SQL. Streams — the labeled Dataset is
+    returned lazily."""
     if k < 2:
         raise ValueError(f"discretize_quantile: k={k}")
     if out_column == column:
@@ -2106,11 +2107,12 @@ def discretize_quantile(ds, column: str, k: int, *,
                          "is empty")
 
     def assign(t: pa.Table) -> pa.Table:
-        v = np.asarray(t[column].to_numpy(zero_copy_only=False),
-                       dtype=np.float64)
+        col = t[column]
+        v = np.asarray(col.to_numpy(zero_copy_only=False), dtype=np.float64)
         b = np.searchsorted(cuts, v, side="right").astype(np.int32)
-        mask = np.isfinite(v)
-        arr = pa.array(b, mask=~mask)
+        missing = np.isnan(v) | ~np.asarray(
+            pc.is_valid(col).to_numpy(zero_copy_only=False), dtype=bool)
+        arr = pa.array(b, mask=missing)
         return t.append_column(out_column, arr)
 
     return ds.map_batches(assign, batch_format="pyarrow")

@@ -22,18 +22,21 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_rows
+from .exchange import exchange_parts
+from .validate import VIOLATION_SCHEMA
 
 
 class KeyCountStage:
     """map_batches payload: batch → (key, cnt, part) partial counts.
 
-    `part` is a deterministic hash partition of the key (coarse — ~#CPUs
-    buckets) so the downstream exchange groups on a tiny int domain instead
-    of paying Ray's sort-based groupby over every distinct key."""
+    `part` is a deterministic hash partition of the key (coarse — one
+    bucket per cluster CPU by default, see exchange.exchange_parts) so the
+    downstream exchange groups on a tiny int domain instead of paying Ray's
+    sort-based groupby over every distinct key."""
 
-    def __init__(self, key: str, n_parts: int = 32):
+    def __init__(self, key: str, n_parts: int | None = None):
         self.key = key
-        self.n_parts = n_parts
+        self.n_parts = n_parts or exchange_parts()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .sketches import hash_arrow_array
@@ -44,27 +47,40 @@ class KeyCountStage:
         return g.append_column("part", pa.array(part))
 
 
-def aggregate_key_counts(partials, key: str, min_count: int = 2):
+def aggregate_key_counts(partials, key: str, min_count: int = 2,
+                         finish=None):
     """(key, n) totals with n >= min_count, from (key, cnt, part) partials.
 
-    ONE exchange keyed on the coarse `part` column (~#CPUs distinct values —
-    trivially sortable), then a vectorized pandas groupby per partition.
-    Skew-proof: partials are already collapsed per block, so even a key
-    holding 50% of all rows contributes ≤ one row per block to its bucket."""
+    ONE exchange keyed on the coarse `part` column (one value per cluster
+    CPU by default — trivially sortable), then a vectorized pandas groupby
+    per partition. Skew-proof: partials are already collapsed per block, so
+    even a key holding 50% of all rows contributes ≤ one row per block to
+    its bucket. The result does not depend on the exchange width or on the
+    width the partials were tagged with: each partition groups on the key.
+
+    `finish` maps each partition's (key, n) frame to the output block
+    inside the reducer. A map_batches after the exchange would never see
+    a partition with no qualifying key (Ray skips UDFs on empty blocks),
+    so its output would lose its columns."""
     import pandas as pd
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
+    def per_part(df: pd.DataFrame):
         g = df.groupby(key, as_index=False, sort=False, dropna=True)["cnt"].sum()
-        g = g[g["cnt"] >= min_count]
-        return g.rename(columns={"cnt": "n"})
+        g = g[g["cnt"] >= min_count].rename(columns={"cnt": "n"})
+        return finish(g) if finish else g
 
     # consolidate + materialize the fixed-width partials before the exchange:
     # Ray's sort-based groupby cost is driven by input block COUNT (hundreds
     # of micro-blocks -> ~10x slower than ~#CPUs consolidated blocks) and it
     # re-executes a lazy upstream while sampling sort boundaries; repartition
     # itself samples nothing, so one materialize after it is enough
-    parts = partials.repartition(32).materialize()
+    parts = partials.repartition(exchange_parts()).materialize()
     return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+
+
+def _key_counts(ds, key: str, finish):
+    partials = ds.map_batches(KeyCountStage(key), batch_format="pyarrow")
+    return aggregate_key_counts(partials, key, min_count=2, finish=finish)
 
 
 def duplicate_keys(ds, key: str):
@@ -72,30 +88,26 @@ def duplicate_keys(ds, key: str):
 
     NULL keys are ignored (absent property, matching the engine's
     null-as-absent mapping)."""
-    partials = ds.map_batches(KeyCountStage(key), batch_format="pyarrow")
-    dups = aggregate_key_counts(partials, key, min_count=2)
-    return dups.map_batches(
-        lambda t: t.filter(pc.is_valid(t[key])).rename_columns([key, "n_rows"]),
-        batch_format="pyarrow",
-    )
+    return _key_counts(ds, key, lambda g: pa.table(
+        {key: pa.array(g[key]), "n_rows": pa.array(g["n"])}))
 
 
 def uniqueness_violations(ds, key: str):
     """Violation rows (key, keyword='unique', path, expected, actual) for
-    duplicated keys — same shape as the per-row violation table (F4)."""
-    dups = duplicate_keys(ds, key)
+    duplicated keys — same shape as the per-row violation table (F4),
+    typed as VIOLATION_SCHEMA even for a partition with no duplicates."""
 
-    def to_violations(t: pa.Table) -> pa.Table:
-        n = t.num_rows
+    def to_violations(g) -> pa.Table:
+        n = len(g)
         return pa.table({
-            "key": pc.cast(t[key], pa.string()),
-            "keyword": pa.array(["unique"] * n),
-            "path": pa.array([f"(root).{key}"] * n),
-            "expected": pa.array([f"unique {key}"] * n),
-            "actual": pc.cast(t["n_rows"], pa.string()),
-        })
+            "key": pc.cast(pa.array(g[key]), pa.string()),
+            "keyword": pa.array(["unique"] * n, pa.string()),
+            "path": pa.array([f"(root).{key}"] * n, pa.string()),
+            "expected": pa.array([f"unique {key}"] * n, pa.string()),
+            "actual": pc.cast(pa.array(g["n"]), pa.string()),
+        }, schema=VIOLATION_SCHEMA)
 
-    return dups.map_batches(to_violations, batch_format="pyarrow")
+    return _key_counts(ds, key, to_violations)
 
 
 def add_salted_key(batch: pa.Table, key: str, hot_keys: set, salt_buckets: int,

@@ -26,11 +26,46 @@ ray.shutdown()
 
 
 def _spawn(repo, inp, out):
+    # own session: the driver's Ray processes share its process group, so
+    # _kill_driver can reap what a SIGKILLed driver leaves behind
     return subprocess.Popen(
         [sys.executable, "-c", SCRIPT.format(repo=repo, inp=inp, out=out)],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        env={**os.environ, "PYTHONPATH": repo},
+        env={**os.environ, "PYTHONPATH": repo}, start_new_session=True,
     )
+
+
+def _live_group_members(pgid):
+    """PIDs in process group `pgid` that are not zombies (a zombie is
+    already dead; it waits only for its parent, possibly init, to reap it)."""
+    pids = []
+    for d in os.listdir("/proc"):
+        if not d.isdigit():
+            continue
+        try:
+            with open(f"/proc/{d}/stat") as f:
+                stat = f.read()
+        except OSError:  # exited while scanning
+            continue
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if state != "Z" and int(pgrp) == pgid:
+            pids.append(int(d))
+    return pids
+
+
+def _kill_driver(p, timeout_s=30):
+    """SIGKILL the driver alone (the crash under test), then kill the rest
+    of its process group — Ray's helpers outlive a SIGKILLed driver,
+    reparented to init — and wait, best effort, until none is alive."""
+    p.send_signal(signal.SIGKILL)
+    p.wait()
+    deadline = time.time() + timeout_s
+    while _live_group_members(p.pid) and time.time() < deadline:
+        try:
+            os.killpg(p.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            return
+        time.sleep(0.1)
 
 
 # flagship over the FAKE Lance seam (fragment-id partitions, injected
@@ -86,7 +121,7 @@ def _spawn_lance(repo, root, out):
         [sys.executable, "-c",
          LANCE_SCRIPT.format(repo=repo, root=root, out=out)],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        env={**os.environ, "PYTHONPATH": repo},
+        env={**os.environ, "PYTHONPATH": repo}, start_new_session=True,
     )
 
 
@@ -132,8 +167,7 @@ def test_kill_resume(tmp_path):
             break
         time.sleep(0.1)
     assert first_commit is not None, "no partition committed before timeout"
-    p.send_signal(signal.SIGKILL)
-    p.wait()
+    _kill_driver(p)
 
     committed_after_kill = [
         json.loads(ln) for ln in open(manifest).read().splitlines() if ln.strip()
@@ -250,16 +284,14 @@ def test_lance_multi_kill_resume(tmp_path):
     p = _spawn_lance(repo, root, out)
     lines1 = _wait_for_commits(manifest, p, 1)
     assert lines1 is not None, "no partition committed before timeout"
-    p.send_signal(signal.SIGKILL)
-    p.wait()
+    _kill_driver(p)
     after1 = [ln for ln in open(manifest).read().splitlines() if ln.strip()]
 
     # run 2 (first resume): SIGKILL again after at least one MORE commit
     p2 = _spawn_lance(repo, root, out)
     lines2 = _wait_for_commits(manifest, p2, len(after1) + 1)
     assert lines2 is not None, "resume made no progress before timeout"
-    p2.send_signal(signal.SIGKILL)
-    p2.wait()
+    _kill_driver(p2)
     after2 = [ln for ln in open(manifest).read().splitlines() if ln.strip()]
     assert after2[:len(after1)] == after1  # committed prefix untouched
 

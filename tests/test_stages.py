@@ -270,6 +270,79 @@ def test_uniqueness_skewed_hot_key(ray_session):
     assert len(cold_buckets) == 1     # cold key stays on one bucket
 
 
+def test_uniqueness_width_independent(ray_session, monkeypatch):
+    """duplicate_keys / uniqueness_violations return the same rows at any
+    exchange width — the reducer groups on the key within whatever `part`
+    values arrive — over NULL keys, a hot key and ordinary duplicates; a
+    duplicate-free input yields an empty result typed VIOLATION_SCHEMA."""
+    from collections import Counter
+
+    import ray.data as rd
+
+    from gojsonschema_ray.stages import uniqueness
+    from gojsonschema_ray.stages.uniqueness import (
+        duplicate_keys, uniqueness_violations,
+    )
+    from gojsonschema_ray.stages.validate import VIOLATION_SCHEMA
+    from gojsonschema_ray.util import collect_rows
+
+    n = 6000
+    keys = [None if i % 11 == 0 else "hot" if i % 3 == 0
+            else f"u{i}" if i % 7 == 0 else f"k{i % 1500}" for i in range(n)]
+    ds = rd.from_arrow(pa.table({"clip_id": keys})).repartition(6)
+    expected = {k: c for k, c in Counter(keys).items()
+                if k is not None and c >= 2}
+    assert expected["hot"] > 1000 and len(expected) > 100
+    exp_viol = sorted((k, "unique", "(root).clip_id", "unique clip_id", str(c))
+                      for k, c in expected.items())
+    default_parts = uniqueness.exchange_parts
+
+    def at_width(width):
+        monkeypatch.setattr(uniqueness, "exchange_parts",
+                            default_parts if width is None else lambda: width)
+        assert uniqueness.KeyCountStage("clip_id").n_parts == \
+            (width or default_parts())
+
+    for width in (None, 1, 3, 32):
+        at_width(width)
+        dups = {r["clip_id"]: r["n_rows"]
+                for r in collect_rows(duplicate_keys(ds, "clip_id"))}
+        assert dups == expected, width
+        viol = uniqueness_violations(ds, "clip_id").materialize()
+        assert viol.schema().base_schema == VIOLATION_SCHEMA, width
+        got = sorted(tuple(r[c] for c in VIOLATION_SCHEMA.names)
+                     for r in collect_rows(viol))
+        assert got == exp_viol, width
+
+    clean = rd.from_arrow(pa.table(
+        {"clip_id": [f"u{i}" for i in range(2000)] + [None] * 3})) \
+        .repartition(4)
+    for width in (None, 1, 3, 32):
+        at_width(width)
+        viol = uniqueness_violations(clean, "clip_id").materialize()
+        assert viol.count() == 0, width
+        assert viol.schema().base_schema == VIOLATION_SCHEMA, width
+
+
+def test_exchange_parts_one_per_cpu(ray_session, monkeypatch):
+    """The key-count exchange is one partition per cluster CPU: 4 on the
+    4-CPU test session (no floor of 8), 64 on a 64-CPU cluster (no cap at
+    32), and 8 only when Ray is not running."""
+    import ray
+
+    from gojsonschema_ray.stages.exchange import exchange_parts
+    from gojsonschema_ray.stages.uniqueness import KeyCountStage
+
+    assert int(ray.cluster_resources()["CPU"]) == 4
+    assert exchange_parts() == 4
+    assert KeyCountStage("k").n_parts == 4
+    assert KeyCountStage("k", 3).n_parts == 3
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 64.0})
+    assert exchange_parts() == 64
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    assert exchange_parts() == 8
+
+
 def test_jsonl_source_validation(ray_session, tmp_path):
     """JSONL corpus → read_json (typed path) AND string-column generic path
     (reference loader family, jsonLoader.go:97-313)."""
@@ -4472,6 +4545,33 @@ def test_join_size_profile(ray_session):
     assert t0 == 0 and len(e0) == 0
 
 
+def test_join_size_profile_nan_keys(ray_session):
+    """NaN keys (any sign bit) join each other as in SQL: their pairs count
+    once in the total and rank among the hot keys — the per-partition
+    total row is flagged, never confused with a NaN key."""
+    import duckdb
+    import ray.data as rd
+
+    from gojsonschema_ray.stages.joins import join_size_profile
+
+    nan, neg_nan = float("nan"), -float("nan")
+    a = pa.table({"k": pa.array([nan] * 30 + [neg_nan] * 10 + [1.0] * 5
+                                + [2.0] * 3 + [None] * 4, pa.float64())})
+    b = pa.table({"kk": pa.array([nan] * 2 + [1.0] * 4 + [3.0] * 7,
+                                 pa.float64())})
+    total, top = join_size_profile(rd.from_arrow(a).repartition(3),
+                                   rd.from_arrow(b).repartition(2),
+                                   left_on="k", right_on="kk", top=5)
+    exp_total = duckdb.sql(
+        "SELECT count(*) FROM a JOIN b ON a.k = b.kk").fetchone()[0]
+    assert exp_total == 40 * 2 + 5 * 4
+    assert total == exp_total
+    assert top["pairs"].tolist() == [80, 20]
+    assert np.isnan(top["key"].iloc[0]) and top["key"].iloc[1] == 1.0
+    assert top["n_left"].tolist() == [40, 5]
+    assert top["n_right"].tolist() == [2, 4]
+
+
 def test_union_by_name(ray_session):
     """Differing column sets/orders/types union by name with null fill
     and type promotion, matching duckdb's UNION ALL BY NAME; strict mode
@@ -4596,6 +4696,39 @@ def test_discretize_quantile(ray_session):
     assert len(counts) == 8 and counts.max() - counts.min() < 100
     with pytest.raises(ValueError, match="k="):
         discretize_quantile(rd.from_pandas(df), "v", 1)
+
+
+def test_discretize_quantile_infinities(ray_session):
+    """-inf/+inf bucket like any value (0 / k-1), as the SQL #cutpoints<=v
+    idiom does over the same cutpoints; only NULL and NaN rows get a NULL
+    bucket."""
+    import duckdb
+    import ray.data as rd
+
+    from gojsonschema_ray.stages.sketches import (
+        discretize_quantile, exact_global_quantiles,
+    )
+    from gojsonschema_ray.util import collect_table
+
+    inf = float("inf")
+    vals = [float(i) for i in range(40)] + [inf, -inf, inf, float("nan"),
+                                            None]
+    t = pa.table({"id": pa.array(range(len(vals)), pa.int64()),
+                  "v": pa.array(vals, pa.float64())})
+    got = collect_table(discretize_quantile(
+        rd.from_arrow(t).repartition(3), "v", 4)).to_pandas() \
+        .sort_values("id").reset_index(drop=True)
+    b = got["bucket"]
+    assert b.iloc[40] == 3 and b.iloc[42] == 3 and b.iloc[41] == 0
+    assert b.iloc[43:].isna().all() and b.iloc[:43].notna().all()
+    cuts = exact_global_quantiles(rd.from_arrow(t), "v", [0.25, 0.5, 0.75])
+    cuts = pa.table({"c": cuts["value"].to_numpy(dtype=np.float64)})
+    exp = duckdb.sql(
+        "SELECT id, CASE WHEN v IS NULL OR isnan(v) THEN NULL ELSE "
+        "(SELECT count(*) FROM cuts WHERE c <= v) END AS bucket "
+        "FROM t ORDER BY id").df()
+    assert b.fillna(-1).astype("int64").tolist() == \
+        exp["bucket"].fillna(-1).astype("int64").tolist()
 
 
 def test_onset_detection_and_tempo(ray_session):
