@@ -1827,8 +1827,8 @@ def q_embeddings_quantize(sf_dir: str) -> pd.DataFrame:
 
 def q_events_props_json(sf_dir: str) -> pd.DataFrame:
     """Dynamic JSON column validated on the FAST path (polars struct-decode
-    + vectorized evaluator, sources/jsonl.py JsonStructValidator; malformed
-    batches fall back per-row to the exact generic engine). Bad rows are
+    + vectorized evaluator, sources/jsonl.py JsonStructValidator; only the
+    malformed rows of a batch go to the exact generic engine). Bad rows are
     counted as DISTINCT violating keys inside the same stage — keys are
     batch-local row indices, so the count must not cross batch fusion."""
     from gojsonschema_ray.schema import compile_schema

@@ -38,11 +38,17 @@ JSON_TYPES = frozenset(
 _NUMBER_TYPES = (int, float, Fraction)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def parse_json(text: str):
-    """Parse JSON preserving exact decimal numerics (UseNumber analog)."""
+    """Parse JSON preserving exact decimal numerics (UseNumber analog).
+    ``NaN`` and ``±Infinity`` are rejected, as Go's encoding/json does."""
     import json
 
-    return json.loads(text, parse_float=Fraction, parse_int=int)
+    return json.loads(text, parse_float=Fraction, parse_int=int,
+                      parse_constant=_reject_constant)
 
 
 def is_number(v) -> bool:

@@ -84,11 +84,24 @@ class JsonStructValidator:
     run the VECTORIZED evaluator on the struct. ~50-100x the per-row generic
     path.
 
+    When the batch does not decode, only the rows that ``parse_json``
+    rejects go to the generic engine (JsonColumnValidator: `invalid_json`
+    plus the exception name); every other row is decoded and validated
+    once on the fast path. If no row is rejected, or the rest still does
+    not decode (JSON polars cannot type, e.g. an array or string document
+    next to objects), the whole batch goes to the generic engine. Keys of
+    a key-less call are positions in the batch.
+
     Semantics caveat vs the generic path (documented, deliberate): numbers
     decode to int64/float64, so `multipleOf`/`enum` use float equality, not
-    exact rationals; rows that fail to decode (malformed JSON) are emitted
-    as `invalid_json` violations and skipped. Use JsonColumnValidator when
-    exact big.Rat parity or heterogeneous rows matter."""
+    exact rationals. Polars widens a field whose values mix kinds (a number
+    next to a string, or an integer beyond 64 bits) to String, so a numeric
+    field of such a batch reports `invalid_type` on every row: schema
+    ``{"properties": {"k": {"type": "integer", "minimum": 0}}}`` over
+    ``{"k": 3}``, ``{"k": 123456789012345678901234567890}``, ``{"k": -1}``
+    gives 3 `invalid_type` rows where the generic engine gives one
+    `number_gte` on the third. Use JsonColumnValidator when exact big.Rat
+    parity or heterogeneous rows matter."""
 
     def __init__(self, tree, column: str, key_column: str | None = None):
         self.tree = tree
@@ -96,24 +109,64 @@ class JsonStructValidator:
         self.key_column = key_column
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        try:
+            arr = self._decode(batch)
+        except Exception:  # noqa: BLE001 — malformed rows somewhere in batch
+            return self._split_fallback(batch)
+        return self._evaluate(batch, arr, self.key_column)
+
+    def _split_fallback(self, batch: pa.Table) -> pa.Table:
         import numpy as np
+
+        from ..schema import parse_json
+
+        generic = JsonColumnValidator(self.tree, self.column, self.key_column)
+        n = batch.num_rows
+        ok = np.ones(n, dtype=bool)
+        for i, s in enumerate(batch[self.column].to_pylist()):
+            if s is None:
+                continue
+            try:
+                parse_json(s)
+            except Exception:  # noqa: BLE001 — the generic engine reports it
+                ok[i] = False
+        if ok.all() or not ok.any():
+            return generic(batch)
+        if self.key_column and self.key_column in batch.column_names:
+            key = self.key_column
+            keyed = batch.select([self.column, key])
+        else:  # both halves key their rows by position in this batch
+            key = self.column + "#pos"
+            keyed = pa.table({self.column: batch[self.column],
+                              key: pa.array(np.arange(n))})
+        good = keyed.filter(pa.array(ok))
+        try:
+            arr = self._decode(good)
+        except Exception:  # noqa: BLE001 — valid JSON polars cannot decode
+            return generic(batch)
+        bad = keyed.filter(pa.array(~ok))
+        return pa.concat_tables([
+            self._evaluate(good, arr, key),
+            JsonColumnValidator(self.tree, self.column, key)(bad)])
+
+    def _decode(self, batch: pa.Table) -> pa.Array:
         import polars as pl
+
+        arr = pl.from_arrow(batch[self.column]).str.json_decode().to_arrow()
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
+        return arr
+
+    def _evaluate(self, batch: pa.Table, arr: pa.Array,
+                  key_column: str | None) -> pa.Table:
+        import numpy as np
         import pyarrow.compute as pc
 
         from ..stages.validate import (
-            VIOLATION_SCHEMA, TableValidator, VectorEvaluator, _Emit,
-            _mask_to_np,
+            VIOLATION_SCHEMA, VectorEvaluator, _Emit, _mask_to_np,
+            violations_table,
         )
 
-        try:
-            decoded = pl.from_arrow(batch[self.column]).str.json_decode()
-        except Exception:  # noqa: BLE001 — malformed rows somewhere in batch
-            # exact per-row fallback (emits invalid_json for the bad rows)
-            return JsonColumnValidator(self.tree, self.column,
-                                       self.key_column)(batch)
-        arr = decoded.to_arrow()
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
         n = batch.num_rows
         ev = VectorEvaluator(emit_violations=True)
         res = ev.eval_column(self.tree, arr, "(root)")
@@ -125,9 +178,7 @@ class JsonStructValidator:
                                f"document in {self.column}", None))
         if not emits:
             return VIOLATION_SCHEMA.empty_table()
-        from ..stages.validate import violations_table
-
-        return violations_table(batch, emits, self.key_column)
+        return violations_table(batch, emits, key_column)
 
 
 def validate_jsonl_column_fast(ds, tree, column: str,

@@ -128,8 +128,8 @@ def drift_from_digests(digest_a, digest_b, bins: int = 64,
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo == hi:
         return {"ks": 0.0, "psi": 0.0, "drifted": False}
     edges = np.linspace(lo, hi, bins + 1)
-    ca = np.array([digest_a.cdf(x) for x in edges])
-    cb = np.array([digest_b.cdf(x) for x in edges])
+    ca = digest_a.cdf(edges)
+    cb = digest_b.cdf(edges)
     ks = float(np.abs(ca - cb).max())
     pa_ = np.clip(np.diff(ca), 1e-6, None)
     pb_ = np.clip(np.diff(cb), 1e-6, None)

@@ -114,8 +114,14 @@ class TDigest:
         s = math.sin(k * 2 * math.pi / self.compression)
         return (s + 1) / 2
 
+    def _flush(self):
+        """Fold buffered values in; an unbuffered digest is already
+        compressed."""
+        if self._buf_m:
+            self._compress()
+
     def quantile(self, q: float) -> float:
-        self._compress()
+        self._flush()
         if len(self.means) == 0:
             return math.nan
         if len(self.means) == 1:
@@ -125,20 +131,20 @@ class TDigest:
         return float(np.interp(target, cum, self.means,
                                left=self.min, right=self.max))
 
-    def cdf(self, x: float) -> float:
-        self._compress()
+    def cdf(self, x):
+        """CDF at `x`: a float, or an array of points with one
+        interpolation for all of them."""
+        self._flush()
+        x = np.asarray(x, dtype=np.float64)
         if len(self.means) == 0:
-            return math.nan
+            return np.full(x.shape, math.nan)[()]
         cum = np.cumsum(self.weights) - self.weights / 2
-        total = self.weights.sum()
-        if x <= self.min:
-            return 0.0
-        if x >= self.max:
-            return 1.0
-        return float(np.interp(x, self.means, cum / total))
+        inner = np.interp(x, self.means, cum / self.weights.sum())
+        return np.where(x <= self.min, 0.0,
+                        np.where(x >= self.max, 1.0, inner))[()]
 
     def to_bytes(self) -> bytes:
-        self._compress()
+        self._flush()
         return pickle.dumps((self.compression, self.means, self.weights,
                              self.n, self.min, self.max))
 

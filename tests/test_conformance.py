@@ -94,7 +94,19 @@ def _collect_cases():
     return cases
 
 
-@pytest.mark.parametrize("draft,path,group_index", _collect_cases())
+_CASES = _collect_cases()
+
+
+def test_corpus_present():
+    """Without the corpus the parametrized cases vanish from the run; say
+    so instead of passing silently."""
+    if not CORPUS.is_dir():
+        pytest.skip(f"conformance corpus missing at {CORPUS}: "
+                    "0 of its ~537 cases collected")
+    assert _CASES, f"no corpus cases collected under {CORPUS}"
+
+
+@pytest.mark.parametrize("draft,path,group_index", _CASES)
 def test_corpus_group(draft, path, group_index):
     group = _load(path)[group_index]
     compiler = Compiler(registry=_registry_copy(), draft=draft,

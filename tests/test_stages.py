@@ -208,6 +208,60 @@ def test_tdigest_quantiles():
     assert abs(d2.quantile(0.5) - 50_000) < 1500
 
 
+def _drift_per_edge(digest_a, digest_b, bins=64):
+    """drift_from_digests as a per-edge loop of scalar CDFs, each one
+    re-compressing its digest first."""
+    def cdf(d, x):
+        d._compress()
+        cum = np.cumsum(d.weights) - d.weights / 2
+        if x <= d.min:
+            return 0.0
+        if x >= d.max:
+            return 1.0
+        return float(np.interp(x, d.means, cum / d.weights.sum()))
+
+    edges = np.linspace(min(digest_a.min, digest_b.min),
+                        max(digest_a.max, digest_b.max), bins + 1)
+    ca = np.array([cdf(digest_a, x) for x in edges])
+    cb = np.array([cdf(digest_b, x) for x in edges])
+    pa_ = np.clip(np.diff(ca), 1e-6, None)
+    pb_ = np.clip(np.diff(cb), 1e-6, None)
+    return float(np.abs(ca - cb).max()), \
+        float(np.sum((pa_ - pb_) * np.log(pa_ / pb_)))
+
+
+def test_drift_from_digests_matches_per_edge_loop():
+    """The vectorized edge CDFs give bit-identical KS/PSI to the per-edge
+    loop, on seeded digests with point masses on bin edges."""
+    import copy
+
+    from gojsonschema_ray.stages.drift import drift_from_digests
+
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        digests = []
+        for side in range(2):
+            d = TDigest()
+            for _ in range(int(rng.integers(1, 6))):
+                v = rng.normal(32 + 4 * side, 8, int(rng.integers(50, 3000)))
+                # point masses on integers, which are the bin edges
+                # once both sides span [0, 64]
+                v[rng.random(len(v)) < 0.3] = float(rng.integers(0, 65))
+                v[:2] = 0.0, 64.0
+                part = TDigest()
+                part.add_array(np.clip(np.round(v, int(rng.integers(0, 3))),
+                                       0, 64))
+                d.merge(part)
+            digests.append(d)
+        digests.append(TDigest())
+        digests[-1].add_array(np.full(100, 16.0))   # one point mass only
+        for a, b in ((0, 1), (1, 0), (0, 2), (2, 1)):
+            da, db = digests[a], digests[b]
+            want = _drift_per_edge(copy.deepcopy(da), copy.deepcopy(db))
+            got = drift_from_digests(da, db)
+            assert (got["ks"], got["psi"]) == want, (seed, a, b)
+
+
 def test_hll_cardinality():
     h = HyperLogLog()
     arr = pa.array([f"key-{i}" for i in range(200_000)])
@@ -384,8 +438,7 @@ def test_jsonl_source_validation(ray_session, tmp_path):
 
 def test_jsonl_fast_struct_path(ray_session):
     """Vectorized JSON struct-decode path agrees with the per-row generic
-    path on homogeneous docs, and falls back (emitting invalid_json) when a
-    batch contains malformed rows."""
+    path on homogeneous docs, and emits invalid_json for a malformed row."""
     import json
 
     import ray.data as rd
@@ -412,10 +465,146 @@ def test_jsonl_fast_struct_path(ray_session):
            {(r["key"], r["keyword"]) for r in slow}
     assert len(fast) == len(slow)
 
-    # malformed rows -> per-batch fallback, invalid_json emitted
+    # malformed row -> generic engine for that row, invalid_json emitted
     bad = rd.from_items(docs[:20] + [{"doc_id": 99, "body": "{nope"}])
     out = collect_rows(validate_jsonl_column_fast(bad, tree, "body", "doc_id"))
     assert ("99", "invalid_json") in {(r["key"], r["keyword"]) for r in out}
+
+
+_FAST_TREE = {"type": "object", "required": ["k"],
+              "properties": {"k": {"minimum": 0, "maximum": 50}}}
+
+
+def _json_batch(docs, key=True):
+    cols = {"body": pa.array(docs, pa.string())}
+    if key:
+        cols = {"doc_id": pa.array([f"d{i}" for i in range(len(docs))]),
+                **cols}
+    return pa.table(cols)
+
+
+def _vkeys(t):
+    from collections import Counter
+
+    return Counter(zip(t["key"].to_pylist(), t["keyword"].to_pylist(),
+                       t["path"].to_pylist()))
+
+
+def test_jsonl_fast_malformed_rows_only(monkeypatch):
+    """A batch mixing truncated documents with schema faults gives the
+    generic engine's (key, keyword, path) multiset, keyed and key-less,
+    and only the truncated rows reach the generic engine."""
+    import json
+
+    from gojsonschema_ray.sources import jsonl
+
+    tree = compile_schema(_FAST_TREE)
+    docs = [json.dumps({"k": (i * 7) % 80}) for i in range(300)]
+    for i in (3, 150, 299):
+        docs[i] = docs[i][:-1]                 # truncated
+    docs[40] = json.dumps({"j": 1})            # missing k
+    docs[41] = None                            # null document
+    seen = []
+    real = jsonl.JsonColumnValidator.__call__
+
+    def spy(self, batch):
+        seen.append(batch.num_rows)
+        return real(self, batch)
+
+    monkeypatch.setattr(jsonl.JsonColumnValidator, "__call__", spy)
+    for key in ("doc_id", None):
+        batch = _json_batch(docs)
+        want = real(jsonl.JsonColumnValidator(tree, "body", key), batch)
+        seen.clear()
+        got = jsonl.JsonStructValidator(tree, "body", key)(batch)
+        assert seen == [3]
+        assert _vkeys(got) == _vkeys(want)
+        assert sum(kw == "invalid_json" for kw in got["keyword"].to_pylist()) == 3
+
+
+def test_jsonl_fast_keyless_positions():
+    """Without a key column, both halves report positions in the original
+    batch: the malformed row 7 is key "7", the bad-k row 12 is key "12"."""
+    import json
+
+    from gojsonschema_ray.sources.jsonl import JsonStructValidator
+
+    docs = [json.dumps({"k": 1}) for _ in range(20)]
+    docs[7] = '{"k": 1'
+    docs[12] = json.dumps({"k": 99})
+    out = JsonStructValidator(compile_schema(_FAST_TREE), "body")(
+        _json_batch(docs, key=False))
+    assert sorted(zip(out["key"].to_pylist(), out["keyword"].to_pylist())) \
+        == [("12", "number_lte"), ("7", "invalid_json")]
+
+
+def test_jsonl_fast_null_and_malformed():
+    """A null document and a malformed one in the same batch: `required`
+    and `invalid_json` once each, nothing else."""
+    import json
+
+    from gojsonschema_ray.sources.jsonl import JsonStructValidator
+
+    docs = [json.dumps({"k": 2}), None, "{nope", json.dumps({"k": 3})]
+    out = JsonStructValidator(compile_schema(_FAST_TREE), "body", "doc_id")(
+        _json_batch(docs))
+    assert sorted(zip(out["key"].to_pylist(), out["keyword"].to_pylist())) \
+        == [("d1", "required"), ("d2", "invalid_json")]
+
+
+@pytest.mark.parametrize("odd", ["[1,2]", '"s"'])
+def test_jsonl_fast_undecodable_valid_json(odd):
+    """A batch whose only undecodable row is valid JSON polars cannot type
+    goes to the generic engine whole, with or without a malformed row."""
+    import json
+
+    from gojsonschema_ray.sources.jsonl import (JsonColumnValidator,
+                                                JsonStructValidator)
+
+    tree = compile_schema(_FAST_TREE)
+    docs = [json.dumps({"k": i * 11}) for i in range(8)]
+    docs[2] = odd
+    for extra in ([], ['{"k": 1']):
+        batch = _json_batch(docs + extra)
+        want = JsonColumnValidator(tree, "body", "doc_id")(batch)
+        assert JsonStructValidator(tree, "body", "doc_id")(batch).equals(want)
+
+
+def test_jsonl_nan_is_invalid_json():
+    """NaN and ±Infinity are not JSON (Go's encoding/json rejects them):
+    both engines report `invalid_json` for those rows only."""
+    import json
+
+    from gojsonschema_ray.schema import parse_json
+    from gojsonschema_ray.sources.jsonl import (JsonColumnValidator,
+                                                JsonStructValidator)
+
+    for text in ("NaN", '{"k": Infinity}', "[-Infinity]"):
+        with pytest.raises(ValueError):
+            parse_json(text)
+    tree = compile_schema(_FAST_TREE)
+    docs = [json.dumps({"k": i * 11}) for i in range(8)]
+    docs[2], docs[5] = '{"k": NaN}', '{"k": -Infinity}'
+    batch = _json_batch(docs)
+    got = JsonStructValidator(tree, "body", "doc_id")(batch)
+    assert _vkeys(got) == _vkeys(JsonColumnValidator(tree, "body",
+                                                     "doc_id")(batch))
+    assert {("d2", "invalid_json", "(root)"),
+            ("d5", "invalid_json", "(root)")} <= set(_vkeys(got))
+
+
+def test_jsonl_fast_all_rows_malformed():
+    """No row decodes: the generic engine's output, unchanged."""
+    from gojsonschema_ray.sources.jsonl import (JsonColumnValidator,
+                                                JsonStructValidator)
+
+    tree = compile_schema(_FAST_TREE)
+    for key in (True, False):
+        batch = _json_batch(['{"k": 1', "{", "nope", '{"k": }'], key=key)
+        key_column = "doc_id" if key else None
+        out = JsonStructValidator(tree, "body", key_column)(batch)
+        assert out.equals(JsonColumnValidator(tree, "body", key_column)(batch))
+        assert out["keyword"].to_pylist() == ["invalid_json"] * 4
 
 
 def test_tumbling_window_aggregate(ray_session):
