@@ -20,6 +20,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.exchange import (
+    exchange, exchange_parts, hash_part, shuffle_width,
+)
+
 _WS = re.compile(r"\s+")
 # BPE-ish subword segmentation: words, numbers, punctuation runs
 BPE_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]")
@@ -272,8 +276,7 @@ class TextStatsStage:
 
 
 def token_frequencies(ds, text_column: str, min_count: int = 1, n: int = 1,
-                      lowercase: bool = True, distinct_per_doc: bool = False,
-                      n_parts: int | None = None):
+                      lowercase: bool = True, distinct_per_doc: bool = False):
     """Corpus vocabulary: (gram, n) counts of word n-grams at or above
     `min_count` — the vocabulary-building pass of a training-data pipeline.
     `distinct_per_doc=True` counts each gram at most once per document
@@ -290,11 +293,9 @@ def token_frequencies(ds, text_column: str, min_count: int = 1, n: int = 1,
     the exchange by distinct-grams-per-batch, not token count), then the
     SAME exchange as key-uniqueness (uniqueness.aggregate_key_counts).
     Returns a Dataset of (gram, n)."""
-    from ..stages.exchange import exchange_parts
-    from ..stages.sketches import hash_arrow_array
     from ..stages.uniqueness import aggregate_key_counts
 
-    P = n_parts or exchange_parts()
+    P = exchange_parts()
 
     def partial(t: pa.Table) -> pa.Table:
         col = t[text_column]
@@ -335,11 +336,10 @@ def token_frequencies(ds, text_column: str, min_count: int = 1, n: int = 1,
             grams = pa.array(dd["g"], pa.string())
         vc = pc.value_counts(grams)
         gram_col = vc.field(0)
-        h = hash_arrow_array(gram_col)
         return pa.table({
             "gram": gram_col,
             "cnt": pc.cast(vc.field(1), pa.int64()),
-            "part": pa.array((h % np.uint64(P)).astype(np.int32)),
+            "part": hash_part(gram_col, P),
         })
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
@@ -439,7 +439,7 @@ def explode_tokens(ds, text_column: str, id_column: str,
 
 
 def tfidf_top_terms(ds, text_column: str, id_column: str, *, k: int = 3,
-                    lowercase: bool = True, n_parts: int | None = None):
+                    lowercase: bool = True):
     """Per-document top-k TF-IDF terms — the keyword-extraction pass of a
     corpus pipeline, composed entirely from the engine's distributed
     operators:
@@ -504,13 +504,12 @@ def tfidf_top_terms(ds, text_column: str, id_column: str, *, k: int = 3,
 
     tf_ds = ds.map_batches(tf_partial, batch_format="pyarrow")
     df_ds = token_frequencies(ds, text_column, n=1, min_count=1,
-                              lowercase=lowercase, distinct_per_doc=True,
-                              n_parts=n_parts) \
+                              lowercase=lowercase, distinct_per_doc=True) \
         .map_batches(lambda t: t.rename_columns(["token", "df"]),
                      batch_format="pyarrow")
     joined = hash_join_shuffle(tf_ds, df_ds, on="token",
                                left_columns=[id_column, "tf"],
-                               right_columns=["df"], n_parts=n_parts)
+                               right_columns=["df"])
 
     def score(sdf: pd.DataFrame) -> pd.DataFrame:
         idf = np.log((1.0 + n_docs) / (1.0 + sdf["df"].to_numpy())) + 1.0
@@ -519,7 +518,7 @@ def tfidf_top_terms(ds, text_column: str, id_column: str, *, k: int = 3,
     scored = joined.map_batches(score, batch_format="pandas")
     return grouped_top_k(scored, id_column,
                          [("score", "descending"), ("token", "ascending")],
-                         k, n_parts=n_parts)
+                         k)
 
 
 def _repetition_kernel(batch: pa.Table, text_column: str, id_column: str,
@@ -741,8 +740,7 @@ def ngram_repetition_stats(ds, text_column: str, id_column: str, *,
 
 
 def unigram_logprob(ds, text_column: str, id_column: str, *,
-                    lowercase: bool = True, min_count: int = 1,
-                    n_parts: int | None = None):
+                    lowercase: bool = True, min_count: int = 1):
     """Per-document mean unigram log-probability — the KenLM-style fluency /
     quality score of a corpus pipeline (CCNet, Wenzek et al. 2020, filters
     on LM perplexity; with no LM in the container the corpus's own unigram
@@ -773,8 +771,7 @@ def unigram_logprob(ds, text_column: str, id_column: str, *,
     from ..util import collect_rows
 
     freq_rows = collect_rows(token_frequencies(
-        ds, text_column, n=1, min_count=min_count, lowercase=lowercase,
-        n_parts=n_parts))
+        ds, text_column, n=1, min_count=min_count, lowercase=lowercase))
     toks = pd.Series([r["gram"] for r in freq_rows], dtype="object")
     cnts = np.array([r["n"] for r in freq_rows], dtype=np.float64)
     total = float(cnts.sum())
@@ -1362,15 +1359,14 @@ def within_doc_dup_line_stats(ds, text_column: str, id_column: str, *,
 
 
 def _dup_line_hash_counts(ds, text_column: str, delimiter: str,
-                          min_count: int, n_parts: int | None):
+                          min_count: int):
     """(h, n) Dataset of segment-hash corpus counts with n >= min_count —
     per-batch explode + value_counts partials, then the engine's ONE coarse
     hash exchange (aggregate_key_counts)."""
-    from ..stages.exchange import exchange_parts
     from ..stages.sketches import hash_arrow_array
     from ..stages.uniqueness import aggregate_key_counts
 
-    P = n_parts or exchange_parts()
+    P = exchange_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         flat, _, _ = _explode_segments(batch, text_column, delimiter)
@@ -1389,7 +1385,7 @@ def _dup_line_hash_counts(ds, text_column: str, delimiter: str,
 
 def dup_line_stats(ds, text_column: str, id_column: str, *,
                    delimiter: str = "\n", min_count: int = 2,
-                   strategy: str = "broadcast", n_parts: int | None = None):
+                   strategy: str = "broadcast"):
     """Per-document CORPUS-WIDE duplicate-line fractions — the
     cross-document half of Gopher's repetition filtering (Rae et al. 2021
     §A1.1 dup-line / dup-line-char fractions; `repetition_stats` covers the
@@ -1422,13 +1418,12 @@ def dup_line_stats(ds, text_column: str, id_column: str, *,
     hash-green at test scale)."""
     import ray
 
-    from ..stages.dedup import _next_pow2, _shuffle_parts
     from ..stages.sketches import hash_arrow_array
     from ..util import collect_table
 
     if strategy == "broadcast":
         counts = _dup_line_hash_counts(ds, text_column, delimiter,
-                                       min_count, n_parts)
+                                       min_count)
         dup_t = collect_table(counts)
         dup = np.sort(np.asarray(dup_t["h"].to_numpy(zero_copy_only=False),
                                  dtype=np.uint64))
@@ -1441,7 +1436,7 @@ def dup_line_stats(ds, text_column: str, id_column: str, *,
         raise ValueError(f"dup_line_stats: strategy={strategy!r} — "
                          "pass 'broadcast' or 'shuffle'")
 
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def partial(batch: pa.Table) -> pa.Table:
         flat, did, _ = _explode_segments(batch, text_column, delimiter)
@@ -1478,8 +1473,7 @@ def dup_line_stats(ds, text_column: str, id_column: str, *,
             "nl": cnt, "nd": np.where(dup, cnt, 0),
             "nc": ch, "ndc": np.where(dup, ch, 0),
         }).groupby(id_column, sort=False, as_index=False).sum()
-        dh = hash_arrow_array(agg[id_column])
-        agg["part"] = (dh % np.uint64(P)).astype(np.int32)
+        agg["part"] = hash_part(agg[id_column], P)
         return agg
 
     def per_doc_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -1493,13 +1487,9 @@ def dup_line_stats(ds, text_column: str, id_column: str, *,
             "dup_char_frac": agg["ndc"].to_numpy() / agg["nc"].to_numpy(),
         })
 
-    partials = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(32).materialize()
-    doc_partials = partials.groupby("part").map_groups(
-        per_hash_part, batch_format="pandas")
-    doc_partials = doc_partials.repartition(32).materialize()
-    return doc_partials.groupby("part").map_groups(
-        per_doc_part, batch_format="pandas")
+    doc_partials = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                            per_hash_part, P)
+    return exchange(doc_partials, per_doc_part, P)
 
 
 class _DropDupLineStage:
@@ -1551,8 +1541,7 @@ class _DropDupLineStage:
 
 
 def drop_duplicate_lines(ds, text_column: str, id_column: str, *,
-                         delimiter: str = "\n", min_count: int = 2,
-                         n_parts: int | None = None):
+                         delimiter: str = "\n", min_count: int = 2):
     """Remove corpus-wide duplicated lines from every document — the
     filtering counterpart of `dup_line_stats` (CCNet, Wenzek et al. 2020,
     discards duplicated paragraphs the same way). EVERY occurrence of a
@@ -1570,8 +1559,7 @@ def drop_duplicate_lines(ds, text_column: str, id_column: str, *,
 
     from ..util import collect_table
 
-    counts = _dup_line_hash_counts(ds, text_column, delimiter,
-                                   min_count, n_parts)
+    counts = _dup_line_hash_counts(ds, text_column, delimiter, min_count)
     dup_t = collect_table(counts)
     dup = np.sort(np.asarray(dup_t["h"].to_numpy(zero_copy_only=False),
                              dtype=np.uint64))
@@ -1593,16 +1581,14 @@ def drop_duplicate_lines(ds, text_column: str, id_column: str, *,
 # (collisions ~n²/2⁶⁴ — negligible; the SQL oracle counts exact substrings
 # and stays hash-green at test scale).
 # ---------------------------------------------------------------------------
-def _dup_window_hash_counts(ds, text_column: str, k: int,
-                            min_count: int, n_parts: int | None):
+def _dup_window_hash_counts(ds, text_column: str, k: int, min_count: int):
     """(h, n) Dataset of char-k-window hash corpus counts with
     n >= min_count — per-batch vectorized window hashing + np.unique
     combiner partials, then ONE coarse hash exchange."""
     from ..stages.dedup import gram_hashes_batch
-    from ..stages.exchange import exchange_parts
     from ..stages.uniqueness import aggregate_key_counts
 
-    P = n_parts or exchange_parts()
+    P = exchange_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         h, _ = gram_hashes_batch(batch[text_column].to_pylist(), k)
@@ -1696,8 +1682,7 @@ class _DupSpanScoreStage:
 
 
 def dup_span_stats(ds, text_column: str, id_column: str, *, k: int = 30,
-                   min_count: int = 2, strategy: str = "broadcast",
-                   n_parts: int | None = None):
+                   min_count: int = 2, strategy: str = "broadcast"):
     """Per-document CORPUS-WIDE duplicated-substring statistics — the
     exact-substring dedup signal of Lee et al. 2022 (`dup_line_stats` is
     the line-level variant; this one catches near-verbatim reuse that
@@ -1725,13 +1710,11 @@ def dup_span_stats(ds, text_column: str, id_column: str, *, k: int = 30,
         content-bounded rows only after the first."""
     import ray
 
-    from ..stages.dedup import _next_pow2, _shuffle_parts, gram_hashes_batch
-    from ..stages.sketches import hash_arrow_array
+    from ..stages.dedup import gram_hashes_batch
     from ..util import collect_table
 
     if strategy == "broadcast":
-        counts = _dup_window_hash_counts(ds, text_column, k,
-                                         min_count, n_parts)
+        counts = _dup_window_hash_counts(ds, text_column, k, min_count)
         dup_t = collect_table(counts)
         dup = np.sort(np.asarray(dup_t["h"].to_numpy(zero_copy_only=False),
                                  dtype=np.uint64))
@@ -1744,7 +1727,7 @@ def dup_span_stats(ds, text_column: str, id_column: str, *, k: int = 30,
         raise ValueError(f"dup_span_stats: strategy={strategy!r} — "
                          "pass 'broadcast' or 'shuffle'")
 
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def partial(batch: pa.Table) -> pa.Table:
         ids = batch[id_column]
@@ -1784,8 +1767,7 @@ def dup_span_stats(ds, text_column: str, id_column: str, *, k: int = 30,
         cnt["rel"] = np.int64(-1)
         out = pd.concat([dup_rows, cnt[[id_column, "rel", "nw", "len"]]],
                         ignore_index=True)
-        dh = hash_arrow_array(out[id_column])
-        out["part"] = (dh % np.uint64(P)).astype(np.int32)
+        out["part"] = hash_part(out[id_column], P)
         return out
 
     def per_doc_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -1808,13 +1790,9 @@ def dup_span_stats(ds, text_column: str, id_column: str, *, k: int = 30,
             "covered_frac": covered / lens,
         })
 
-    partials = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(32).materialize()
-    doc_partials = partials.groupby("part").map_groups(
-        per_hash_part, batch_format="pandas")
-    doc_partials = doc_partials.repartition(32).materialize()
-    return doc_partials.groupby("part").map_groups(
-        per_doc_part, batch_format="pandas")
+    doc_partials = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                            per_hash_part, P)
+    return exchange(doc_partials, per_doc_part, P)
 
 
 class _DropDupSpanStage:
@@ -1883,8 +1861,7 @@ class _DropDupSpanStage:
 
 
 def drop_duplicate_spans(ds, text_column: str, id_column: str, *,
-                         k: int = 30, min_count: int = 2,
-                         n_parts: int | None = None):
+                         k: int = 30, min_count: int = 2):
     """Cut corpus-wide duplicated substrings out of every document — the
     ExactSubstr removal step of Lee et al. 2022: every char covered by a
     k-window whose corpus count reaches `min_count` is removed (every
@@ -1900,7 +1877,7 @@ def drop_duplicate_spans(ds, text_column: str, id_column: str, *,
 
     from ..util import collect_table
 
-    counts = _dup_window_hash_counts(ds, text_column, k, min_count, n_parts)
+    counts = _dup_window_hash_counts(ds, text_column, k, min_count)
     dup_t = collect_table(counts)
     dup = np.sort(np.asarray(dup_t["h"].to_numpy(zero_copy_only=False),
                              dtype=np.uint64))
@@ -1912,7 +1889,7 @@ def drop_duplicate_spans(ds, text_column: str, id_column: str, *,
 
 def bigram_logprob(ds, text_column: str, id_column: str, *,
                    alpha: float = 1.0, lowercase: bool = True,
-                   min_count: int = 1, n_parts: int | None = None):
+                   min_count: int = 1):
     """Per-document mean BIGRAM log-probability — the KenLM-style fluency
     score one order up from `unigram_logprob` (CCNet filters on n-gram LM
     perplexity; the corpus's own counts are the model). Token scores:
@@ -1944,8 +1921,7 @@ def bigram_logprob(ds, text_column: str, id_column: str, *,
 
     def _count_arrays(n: int):
         rows = collect_rows(token_frequencies(
-            ds, text_column, n=n, min_count=min_count, lowercase=lowercase,
-            n_parts=n_parts))
+            ds, text_column, n=n, min_count=min_count, lowercase=lowercase))
         g = pd.Series([r["gram"] for r in rows], dtype="object")
         c = np.array([r["n"] for r in rows], dtype=np.float64)
         h = hash_arrow_array(g)

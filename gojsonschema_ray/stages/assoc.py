@@ -27,33 +27,30 @@ import logging
 
 import numpy as np
 
+from .exchange import exchange, hash_part, shuffle_width
+
 logger = logging.getLogger(__name__)
 
 
 def cooccurrence_pairs(ds, key_column: str, value_column: str, *,
                        min_count: int = 1,
-                       max_values_per_key: int | None = None,
-                       n_parts: int | None = None):
+                       max_values_per_key: int | None = None):
     """Dataset of (v1, v2, n): for how many distinct keys do both values
     occur — v1 < v2 lexicographically, n >= min_count (support). Nulls in
     either column are dropped. Keys with more than `max_values_per_key`
     distinct values are skipped with a logged count (None = no cap)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     reserved = {"part", "part2", "v1", "v2", "cnt", "n"} & \
         {key_column, value_column}
     if reserved:  # synthetic exchange/output columns
         raise ValueError(f"cooccurrence_pairs: column names "
                          f"{sorted(reserved)} are reserved")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df[[key_column, value_column]].dropna().drop_duplicates()
-        h = hash_arrow_array(d[key_column])
-        return d.assign(part=(h % np.uint64(P)).astype("int32"))
+        return d.assign(part=hash_part(d[key_column], P))
 
     def per_key_pairs(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates([key_column, value_column]) \
@@ -86,9 +83,9 @@ def cooccurrence_pairs(ds, key_column: str, value_column: str, *,
         g = pairs.groupby(["v1", "v2"], sort=False).size() \
             .reset_index(name="cnt")
         g["cnt"] = g["cnt"].astype("int64")
-        h = hash_arrow_array(g["v1"].astype(str) + "\x1f"
-                             + g["v2"].astype(str))
-        return g.assign(part2=(h % np.uint64(P)).astype("int32"))
+        return g.assign(
+            part2=hash_part(g["v1"].astype(str) + "\x1f"
+                            + g["v2"].astype(str), P))
 
     def per_pair(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["v1", "v2"], sort=False, as_index=False)["cnt"] \
@@ -96,18 +93,14 @@ def cooccurrence_pairs(ds, key_column: str, value_column: str, *,
         g = g[g["cnt"] >= min_count]
         return g.rename(columns={"cnt": "n"})
 
-    partials = ds.map_batches(partial, batch_format="pandas")
-    by_key = partials.repartition(P).materialize() \
-        .groupby("part").map_groups(per_key_pairs, batch_format="pandas")
-    by_pair = by_key.repartition(P).materialize() \
-        .groupby("part2").map_groups(per_pair, batch_format="pandas")
-    return by_pair
+    by_key = exchange(ds.map_batches(partial, batch_format="pandas"),
+                      per_key_pairs, P)
+    return exchange(by_key, per_pair, P, by="part2")
 
 
 def association_support(ds, key_column: str, value_column: str, *,
                         min_count: int = 1,
-                        max_values_per_key: int | None = None,
-                        n_parts: int | None = None):
+                        max_values_per_key: int | None = None):
     """Association-rule support table: (v1, v2, n_pair, n1, n2) — pair
     support plus each value's own distinct-key support, the exact integer
     numerators/denominators of confidence (n_pair/n1) and lift
@@ -126,10 +119,9 @@ def association_support(ds, key_column: str, value_column: str, *,
 
     pairs = collect_rows(cooccurrence_pairs(
         ds, key_column, value_column, min_count=min_count,
-        max_values_per_key=max_values_per_key, n_parts=n_parts))
+        max_values_per_key=max_values_per_key))
     support = {r[value_column]: int(r["n_distinct"]) for r in
-               collect_rows(grouped_nunique(ds, value_column, key_column,
-                                            n_parts=n_parts))}
+               collect_rows(grouped_nunique(ds, value_column, key_column))}
     rows = [{"v1": r["v1"], "v2": r["v2"], "n_pair": int(r["n"]),
              "n1": support[r["v1"]], "n2": support[r["v2"]]}
             for r in pairs]

@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import list_column_to_matrix
+from .exchange import exchange, exchange_parts, hash_part, shuffle_width
 
 _LOG = logging.getLogger(__name__)
 
@@ -137,32 +138,28 @@ def exact_duplicate_groups(ds, column: str, by_hash: bool = False):
     return aggregate_key_counts(partials, key, min_count=2)
 
 
-def dedup_exact(ds, column: str, id_column: str, n_parts: int = 32):
+def dedup_exact(ds, column: str, id_column: str):
     """Keep-first exact dedup: one representative id per distinct value.
 
     Same coarse-partition exchange as the count paths: per-batch min-id
     partials (associative), one part-keyed shuffle, vectorized per-partition
     min; returns the surviving (column, id) Dataset."""
-    import pandas as pd
-
-    from .sketches import hash_arrow_array
+    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         g = t.select([column, id_column]).group_by(column) \
             .aggregate([(id_column, "min")]) \
             .rename_columns([column, id_column])
-        part = (hash_arrow_array(g[column]) % np.uint64(n_parts)).astype(np.int32)
-        return g.append_column("part", pa.array(part))
+        return g.append_column("part", hash_part(g[column], P))
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(column, as_index=False, sort=False)[id_column].min()
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(n_parts).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
-def dedup_exact_rows(ds, column: str, id_column: str, n_parts: int | None = None,
+def dedup_exact_rows(ds, column: str, id_column: str,
                      salt_buckets: int = 8, hot_keys: set | None = None):
     """Keep-first exact dedup returning the FULL surviving rows (payload
     rides the shuffle, co-located by value) — the skew-aware payload variant
@@ -177,7 +174,7 @@ def dedup_exact_rows(ds, column: str, id_column: str, n_parts: int | None = None
     from .uniqueness import add_salted_key, top_hot_keys
 
     hot = top_hot_keys(ds, column) if hot_keys is None else set(hot_keys)
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         t2 = add_salted_key(t, column, hot, salt_buckets)
@@ -191,10 +188,8 @@ def dedup_exact_rows(ds, column: str, id_column: str, n_parts: int | None = None
         idx = df.groupby(column, sort=False, dropna=False)[id_column].idxmin()
         return df.loc[idx].drop(columns=["part"])
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    survivors = parts.groupby("part") \
-        .map_groups(per_part, batch_format="pandas")
+    survivors = exchange(ds.map_batches(project, batch_format="pyarrow"),
+                         per_part, P)
     if not hot:
         return survivors
     survivors = survivors.materialize()  # consumed twice below
@@ -398,36 +393,20 @@ def _pairs_from_groups(group: pd.DataFrame, id_column: str,
                              np.full(len(a), capped), dtype="bool")})
 
 
-def _shuffle_parts(target_per_cpu: int = 1) -> int:
-    """Right-size shuffle fan-in: tiny-row datasets suffer when a groupby
-    sees hundreds of micro-blocks; ~1 block per CPU is the sweet spot.
-    Floored at 8, unlike the key-count width (exchange.exchange_parts)."""
-    from .exchange import exchange_parts
-
-    return max(8, exchange_parts() * target_per_cpu)
-
-
-def _next_pow2(x: int) -> int:
-    p = 1
-    while p < x:
-        p <<= 1
-    return p
-
-
-def pairs_by_partition(sig_ds, bucket_fn, n_parts: int | None = None):
-    """ONE keyed shuffle into `n_parts` coarse partitions (part = key & mask),
-    then a per-partition pandas groupby('key') applies `bucket_fn` to each
-    bucket with ≥2 rows.
+def pairs_by_partition(sig_ds, bucket_fn):
+    """ONE keyed shuffle into shuffle_width() coarse partitions (part = key
+    & mask), then a per-partition pandas groupby('key') applies `bucket_fn`
+    to each bucket with ≥2 rows.
 
     This is the scale shape for bucket-local pair generation: the shuffle
     moves every (fixed-width) signature row exactly once, and Python/Ray
     per-group overhead is paid once per PARTITION (≈ #CPUs), not once per
     bucket (≈ #docs). `bucket_fn(empty_df)` must return a typed empty frame
     so partitions with no pairs keep the schema."""
-    n_parts = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def add_part(t: pa.Table) -> pa.Table:
-        part = pc.bit_wise_and(t["key"], n_parts - 1)
+        part = pc.bit_wise_and(t["key"], P - 1)
         return t.append_column("part", pc.cast(part, pa.int32()))
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
@@ -440,15 +419,8 @@ def pairs_by_partition(sig_ds, bucket_fn, n_parts: int | None = None):
         return pd.concat(outs, ignore_index=True) if outs \
             else bucket_fn(df.iloc[:0])
 
-    # Consolidate + materialize the fixed-width signature rows before the
-    # all-to-all: Ray's sort-based groupby re-executes a lazy upstream several
-    # times (boundary sampling + exchange, ~8x cost), and its fixed cost is
-    # driven by input block COUNT (hundreds of micro-blocks -> ~10x slower
-    # than ~#CPUs consolidated blocks). Repartition samples nothing, so one
-    # materialize after it suffices; blocks spill if needed.
-    parts = sig_ds.map_batches(add_part, batch_format="pyarrow") \
-        .repartition(n_parts).materialize()
-    return parts.groupby("part").map_groups(per_partition, batch_format="pandas")
+    return exchange(sig_ds.map_batches(add_part, batch_format="pyarrow"),
+                    per_partition, P)
 
 
 def _pair_hash(t: pa.Table) -> np.ndarray:
@@ -459,7 +431,20 @@ def _pair_hash(t: pa.Table) -> np.ndarray:
         ^ hash_arrow_array(t["id_b"])
 
 
-def unique_pairs(pairs_ds, n_parts: int | None = None):
+def _verify_pairs(sided, verify):
+    """ONE hash(pair) exchange of _pair_texts' side rows: both sides of a
+    pair, and every copy found in another band, meet in one `verify` call."""
+    P = shuffle_width()
+
+    def pair_part(t: pa.Table) -> pa.Table:
+        part = (_pair_hash(t) % np.uint64(P)).astype(np.int32)
+        return t.append_column("ppart", pa.array(part))
+
+    return exchange(sided.map_batches(pair_part, batch_format="pyarrow"),
+                    verify, P, by="ppart")
+
+
+def unique_pairs(pairs_ds):
     """Deduplicate (id_a, id_b) pair rows found in several bands/tables.
 
     Ray's sort-based groupby has a high fixed cost over many distinct keys
@@ -473,7 +458,7 @@ def unique_pairs(pairs_ds, n_parts: int | None = None):
     star-fallback bucket and an uncapped bucket): it's resolved as
     any(capped) by keeping the capped row first, so coverage detection is
     deterministic."""
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def add_part(t: pa.Table) -> pa.Table:
         part = (_pair_hash(t) % np.uint64(P)).astype(np.int32)
@@ -487,29 +472,24 @@ def unique_pairs(pairs_ds, n_parts: int | None = None):
         return df.drop_duplicates(subset=["id_a", "id_b"]) \
             .drop(columns=["part"])
 
-    parts = pairs_ds.map_batches(add_part, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(pairs_ds.map_batches(add_part, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def hot_bucket_keys(sig_ds, key: str = "key") -> pa.Array:
     """Keys of buckets with ≥2 members — the pigeonhole prefilter.
 
-    Pre-aggregated (per-batch partial counts before the keyed shuffle) and
-    collected to the driver for broadcast: near-duplicates are SPARSE in a
-    real corpus, so the hot-key set is orders of magnitude smaller than the
-    corpus (documented partitioning assumption; for a degenerate corpus where
-    most buckets collide, skip the prefilter and map_groups everything)."""
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.select([key]).group_by(key).aggregate([(key, "count")])
-        return g.rename_columns([key, "cnt"])
+    Counted on the key-count exchange (uniqueness.KeyCountStage partials,
+    aggregate_key_counts) and collected to the driver for broadcast:
+    near-duplicates are SPARSE in a real corpus, so the hot-key set is
+    orders of magnitude smaller than the corpus (documented partitioning
+    assumption; for a degenerate corpus where most buckets collide, skip the
+    prefilter and map_groups everything)."""
+    from .uniqueness import KeyCountStage, aggregate_key_counts
 
-    counts = sig_ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(_shuffle_parts()).groupby(key).sum("cnt")
-    hot = counts.map_batches(
-        lambda t: t.filter(pc.greater(t["sum(cnt)"], 1)).select([key]),
-        batch_format="pyarrow",
-    )
+    hot = aggregate_key_counts(
+        sig_ds.map_batches(KeyCountStage(key), batch_format="pyarrow"),
+        key, min_count=2)
     chunks = [b[key] for b in hot.iter_batches(batch_format="pyarrow")]
     return pa.concat_arrays([c.combine_chunks() if isinstance(c, pa.ChunkedArray)
                              else c for c in chunks]) if chunks \
@@ -586,8 +566,7 @@ def _candidate_id_bloom(pairs_ds, n_pairs: int, fp_rate: float = 1e-3):
     return bloom
 
 
-def _pair_texts(ds, pairs_ds, text_column: str, id_column: str,
-                n_parts: int | None = None):
+def _pair_texts(ds, pairs_ds, text_column: str, id_column: str):
     """Distributed text fetch for candidate pairs — NO driver text/pair
     materialization (the round-1 `id2text` driver dict was the 100 TB
     blocker).
@@ -604,7 +583,7 @@ def _pair_texts(ds, pairs_ds, text_column: str, id_column: str,
 
     from .sketches import hash_arrow_array
 
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     n_pairs = pairs_ds.count()
     bloom_ref = ray.put(_candidate_id_bloom(pairs_ds, n_pairs))
 
@@ -614,12 +593,11 @@ def _pair_texts(ds, pairs_ds, text_column: str, id_column: str,
         keep = np.nonzero(bloom.contains_hashes(hash_arrow_array(ids)))[0]
         idx = pa.array(keep, type=pa.int64())
         ids_k = ids.take(idx)
-        part = (hash_arrow_array(ids_k) % np.uint64(P)).astype(np.int32)
         # kind=0 text row: id_a/id_b carry jid so every column stays non-null
         # (nullable int ids would round-trip through pandas as float64 and
         # lose precision above 2^53)
         return pa.table({
-            "part": pa.array(part),
+            "part": hash_part(ids_k, P),
             "kind": pa.array(np.zeros(len(keep), dtype=np.int8)),
             "jid": ids_k,
             "id_a": ids_k,
@@ -635,9 +613,8 @@ def _pair_texts(ds, pairs_ds, text_column: str, id_column: str,
         idx = pa.array(np.concatenate([np.arange(n)] * 2), type=pa.int64())
         id_a = t["id_a"].take(idx)
         id_b = t["id_b"].take(idx)
-        part = (hash_arrow_array(jid) % np.uint64(P)).astype(np.int32)
         return pa.table({
-            "part": pa.array(part),
+            "part": hash_part(jid, P),
             "kind": pa.array(np.ones(2 * n, dtype=np.int8)),
             "jid": jid,
             "id_a": id_a,
@@ -659,8 +636,7 @@ def _pair_texts(ds, pairs_ds, text_column: str, id_column: str,
             "text": pd.Series(s["jid"].map(lookup).to_numpy(), dtype="object"),
         })
 
-    u = texts.union(sides).repartition(P).materialize()
-    return u.groupby("part").map_groups(attach, batch_format="pandas")
+    return exchange(texts.union(sides), attach, P)
 
 
 def minhash_near_duplicates(ds, text_column: str, id_column: str, *,
@@ -713,13 +689,6 @@ def minhash_near_duplicates(ds, text_column: str, id_column: str, *,
         return rd.from_pandas(_empty())
     sided = _pair_texts(ds, pairs, text_column, id_column)
 
-    P = _next_pow2(_shuffle_parts())
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        h = _pair_hash(t)  # same pair hash as unique_pairs — one invariant
-        return t.append_column(
-            "ppart", pa.array((h % np.uint64(P)).astype(np.int32)))
-
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b, out_j = [], [], []
         for (ia, ib), g in df.groupby(["id_a", "id_b"], sort=False):
@@ -736,9 +705,7 @@ def minhash_near_duplicates(ds, text_column: str, id_column: str, *,
                              "id_b": pd.Series(out_b, dtype=id_dtype),
                              "jaccard": pd.Series(out_j, dtype="float64")})
 
-    keyed = sided.map_batches(pair_part, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return keyed.groupby("ppart").map_groups(verify, batch_format="pandas")
+    return _verify_pairs(sided, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1098,7 +1065,6 @@ def _cc_labels(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def near_dup_clusters(pairs_ds, id_a: str = "id_a", id_b: str = "id_b", *,
-                      n_parts: int | None = None,
                       driver_cap: int = 5_000_000):
     """Connected components over verified near-dup pairs: the canonical
     "keep one document per duplicate cluster" step after minhash / simhash /
@@ -1125,9 +1091,8 @@ def near_dup_clusters(pairs_ds, id_a: str = "id_a", id_b: str = "id_b", *,
     import ray.data as rd
 
     from ..util import collect_rows
-    from .sketches import hash_arrow_array
 
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def edge_part(t: pa.Table) -> pa.Table:
         part = (_pair_hash(t.select([id_a, id_b]).rename_columns(
@@ -1138,17 +1103,11 @@ def near_dup_clusters(pairs_ds, id_a: str = "id_a", id_b: str = "id_b", *,
         nodes, roots = _cc_labels(df["u"].to_numpy(), df["v"].to_numpy())
         return pd.DataFrame({"node": nodes, "root": roots})
 
-    edges = pairs_ds.map_batches(edge_part, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    if edges.count() == 0:
-        empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                              "cluster_id": pd.Series([], dtype="int64")})
-        return rd.from_pandas(empty)
-    mapping = edges.groupby("part").map_groups(local_cc, batch_format="pandas")
+    mapping = exchange(pairs_ds.map_batches(edge_part, batch_format="pyarrow"),
+                       local_cc, P)
 
     def node_part(t: pa.Table) -> pa.Table:
-        part = (hash_arrow_array(t["node"]) % np.uint64(P)).astype(np.int32)
-        return t.append_column("npart", pa.array(part))
+        return t.append_column("npart", hash_part(t["node"], P))
 
     def per_node(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates(["node", "root"])
@@ -1165,10 +1124,13 @@ def near_dup_clusters(pairs_ds, id_a: str = "id_a", id_b: str = "id_b", *,
                                  eq["root"].to_numpy()]),
         })
 
-    grouped = mapping.map_batches(node_part, batch_format="pyarrow") \
-        .repartition(P).materialize() \
-        .groupby("npart").map_groups(per_node, batch_format="pandas") \
+    grouped = exchange(mapping.map_batches(node_part, batch_format="pyarrow"),
+                       per_node, P, by="npart") \
         .materialize()  # consumed twice: equivalence edges + label pass
+    if grouped.count() == 0:
+        empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
+                              "cluster_id": pd.Series([], dtype="int64")})
+        return rd.from_pandas(empty)
 
     eq_rows = collect_rows(grouped.map_batches(
         lambda t: t.filter(pc.equal(t["kind"], 1)).select(["a", "b"]),
@@ -1410,12 +1372,6 @@ def fuzzy_pairs_ed1(ds, text_column: str, id_column: str, *,
     if pairs.count() == 0:
         return rd.from_pandas(_empty())
     sided = _pair_texts(ds, pairs, text_column, id_column)
-    P = _next_pow2(_shuffle_parts())
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        h = _pair_hash(t)
-        return t.append_column(
-            "ppart", pa.array((h % np.uint64(P)).astype(np.int32)))
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         # Vectorized pair collation — NO per-pair pandas groupby (its fixed
@@ -1443,9 +1399,7 @@ def fuzzy_pairs_ed1(ds, text_column: str, id_column: str, *,
                              "dist": pd.Series(dists[dists >= 0],
                                                dtype="int64")})
 
-    keyed = sided.map_batches(pair_part, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return keyed.groupby("ppart").map_groups(verify, batch_format="pandas")
+    return _verify_pairs(sided, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1552,7 +1506,6 @@ def jaccard_token_join(ds, text_column: str, id_column: str, *,
     import ray.data as rd
 
     from ..util import collect_rows
-    from .exchange import exchange_parts
     from .uniqueness import aggregate_key_counts
 
     if not 0.0 < threshold <= 1.0:
@@ -1603,12 +1556,6 @@ def jaccard_token_join(ds, text_column: str, id_column: str, *,
     if pairs.count() == 0:
         return rd.from_pandas(_empty())
     sided = _pair_texts(ds, pairs, text_column, id_column)
-    P = _next_pow2(_shuffle_parts())
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        h = _pair_hash(t)
-        return t.append_column(
-            "ppart", pa.array((h % np.uint64(P)).astype(np.int32)))
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         # same vectorized pair collation as fuzzy_pairs_ed1.verify
@@ -1639,9 +1586,7 @@ def jaccard_token_join(ds, text_column: str, id_column: str, *,
                              "jaccard": pd.Series(out_j[keep],
                                                   dtype="float64")})
 
-    keyed = sided.map_batches(pair_part, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return keyed.groupby("ppart").map_groups(verify, batch_format="pandas")
+    return _verify_pairs(sided, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1824,12 +1769,6 @@ class MinHashIndex:
             lambda t: t.select([id_col, text_col]),
             batch_format="pyarrow"))
         sided = _pair_texts(combined, pairs, text_col, id_col)
-        P = _next_pow2(_shuffle_parts())
-
-        def pair_part(t: pa.Table) -> pa.Table:
-            h = _pair_hash(t)
-            return t.append_column(
-                "ppart", pa.array((h % np.uint64(P)).astype(np.int32)))
 
         thr, k = self.threshold, self.shingle_k
 
@@ -1850,7 +1789,4 @@ class MinHashIndex:
                 "id_b": pd.Series(out_b, dtype="int64"),
                 "jaccard": pd.Series(out_j, dtype="float64")})
 
-        keyed = sided.map_batches(pair_part, batch_format="pyarrow") \
-            .repartition(P).materialize()
-        return keyed.groupby("ppart").map_groups(verify,
-                                                 batch_format="pandas")
+        return _verify_pairs(sided, verify)

@@ -1,22 +1,34 @@
-"""Sizing of the engine's coarse hash exchange.
+"""The engine's coarse hash exchange — the one place that sizes, tags and
+runs it.
 
 Combiner-first operators collapse each batch to small (key, partial) rows
-tagged with ``part = hash(key) % P``, then run ONE ``repartition(P)`` →
-``groupby("part").map_groups`` exchange. P is one partition per cluster
-CPU, read here once for every key-count exchange.
+tagged with ``part = hash(key) % P`` (:func:`hash_part`), then run ONE
+:func:`exchange`: ``repartition(P)`` → ``materialize`` →
+``groupby("part").map_groups(reduce)``. Results never depend on P —
+reducers group on the key inside whatever `part` values arrive — so P is
+purely a performance choice, made by one of two width policies:
+
+- :func:`exchange_parts` — one partition per cluster CPU, no floor. Used by
+  the key-count exchange (``uniqueness.KeyCountStage`` /
+  ``aggregate_key_counts`` and every producer of their `part` column) and
+  the n-gram / line-hash counts of ``functions.text``.
+- :func:`shuffle_width` — the same CPU count floored at 8 and rounded up to
+  a power of two (callers that tag with a ``bit_wise_and`` mask need the
+  power of two). Used by every other exchange.
 
 Measured on a 4-CPU host: over the 60k partial rows of a uniqueness check
 the reducers are trivial and the cost is per-task overhead — the exchange
 took 1.19 s at P=32 and 0.32 s at P=4. Callers with high-cardinality keys
 (n-gram and hash counts) give each reducer more rows as P shrinks: 1.92M
 distinct bigrams ran faster at P=4 than at P=8, but the largest worker's
-peak RSS rose by about a third.
-
-Results never depend on P — reducers group on the key inside whatever
-`part` values arrive — so P is purely a performance choice.
+peak RSS rose by about a third. Merging the two policies has not been
+measured.
 """
 
 from __future__ import annotations
+
+import numpy as np
+import pyarrow as pa
 
 
 def exchange_parts() -> int:
@@ -28,3 +40,41 @@ def exchange_parts() -> int:
     if not ray.is_initialized():
         return 8
     return max(1, int(ray.cluster_resources().get("CPU", 8)))
+
+
+def _next_pow2(x: int) -> int:
+    p = 1
+    while p < x:
+        p <<= 1
+    return p
+
+
+def shuffle_width() -> int:
+    """Width of every exchange outside the key-count path: about one block
+    per CPU (a groupby over hundreds of micro-blocks is ~10x slower), floored
+    at 8 and rounded up to a power of two."""
+    return _next_pow2(max(8, exchange_parts()))
+
+
+def hash_part(values, P: int) -> pa.Array:
+    """int32 partition tag ``hash_arrow_array(values) % P`` of an Arrow
+    array or pandas Series (nulls hash like any other value)."""
+    from .sketches import hash_arrow_array
+
+    return pa.array((hash_arrow_array(values) % np.uint64(P))
+                    .astype(np.int32))
+
+
+def exchange(partials, reduce, P: int, *, by: str = "part",
+             batch_format: str = "pandas"):
+    """Run ``reduce`` once per distinct `by` value of the `by`-tagged
+    ``partials`` Dataset, over ``P`` blocks.
+
+    The partials are consolidated into P blocks and materialized BEFORE the
+    groupby: Ray's sort-based groupby cost is driven by input block COUNT
+    (hundreds of micro-blocks -> ~10x slower than ~#CPUs consolidated
+    blocks) and it re-executes a lazy upstream while sampling sort
+    boundaries (~8x cost). Repartition itself samples nothing, so one
+    materialize after it is enough; blocks spill if needed."""
+    return partials.repartition(P).materialize().groupby(by) \
+        .map_groups(reduce, batch_format=batch_format)

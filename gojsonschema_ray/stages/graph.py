@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import exchange, hash_part, shuffle_width
+
 
 def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
     """EXACT triangle count of the undirected graph given by an edge
@@ -42,10 +44,9 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
     import pandas as pd
 
     from ..util import collect_rows
-    from .dedup import _next_pow2, _shuffle_parts
     from .sketches import hash_arrow_array
 
-    P = _next_pow2(_shuffle_parts())
+    P = shuffle_width()
 
     def canon(t: pa.Table) -> pa.Table:
         u = t[src].cast(pa.int64())
@@ -57,17 +58,14 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
         hi = pc.max_element_wise(u, v)
         g = pa.table({"a": lo, "b": hi}).group_by(["a", "b"]) \
             .aggregate([])                          # batch-local distinct
-        part = (hash_arrow_array(g["a"]) % np.uint64(P)).astype(np.int32)
-        return g.append_column("part", pa.array(part))
+        return g.append_column("part", hash_part(g["a"], P))
 
-    # exchange 1+2 fused: edges co-partitioned by a; per-partition
-    # distinct + wedge generation
-    edges = ds.map_batches(canon, batch_format="pyarrow") \
-        .repartition(P).materialize()
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
+    # exchange 1+2 fused: edges co-partitioned by a; each partition emits
+    # its distinct edges (w=0) and their wedges (w=1)
+    def edges_and_wedges(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates(subset=["a", "b"])
-        outs_b, outs_c = [], []
+        outs_b = [df["a"].to_numpy(dtype=np.int64)]
+        outs_c = [df["b"].to_numpy(dtype=np.int64)]
         for _, grp in df.groupby("a", sort=False):
             nb = np.sort(grp["b"].to_numpy(dtype=np.int64))
             d = len(nb)
@@ -81,21 +79,12 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
             iu = np.triu_indices(d, k=1)
             outs_b.append(nb[iu[0]])
             outs_c.append(nb[iu[1]])
-        if not outs_b:
-            return pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                 "b": pd.Series([], dtype="int64"),
-                                 "w": pd.Series([], dtype="int8")})
+        n_wedges = sum(len(x) for x in outs_b) - len(df)
         return pd.DataFrame({
             "a": np.concatenate(outs_b),
             "b": np.concatenate(outs_c),
-            "w": np.ones(sum(len(x) for x in outs_b), dtype=np.int8)})
-
-    wedge_ds = edges.groupby("part").map_groups(wedges,
-                                                batch_format="pandas")
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"a": t["a"], "b": t["b"],
-                         "w": pa.array(np.zeros(t.num_rows, np.int8))})
+            "w": np.concatenate([np.zeros(len(df), np.int8),
+                                 np.ones(n_wedges, np.int8)])})
 
     def pair_part(t: pa.Table) -> pa.Table:
         h = hash_arrow_array(t["a"]) * np.uint64(0x9E3779B97F4A7C15) \
@@ -103,10 +92,9 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
         return t.append_column(
             "ppart", pa.array((h % np.uint64(P)).astype(np.int32)))
 
-    both = edges.map_batches(tag_edges, batch_format="pyarrow") \
-        .union(wedge_ds) \
-        .map_batches(pair_part, batch_format="pyarrow") \
-        .repartition(P).materialize()
+    both = exchange(ds.map_batches(canon, batch_format="pyarrow"),
+                    edges_and_wedges, P) \
+        .map_batches(pair_part, batch_format="pyarrow")
 
     def close(df: pd.DataFrame) -> pd.DataFrame:
         e = df[df["w"] == 0][["a", "b"]].drop_duplicates()
@@ -116,7 +104,6 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
         return pd.DataFrame({"tri": pd.Series([n], dtype="int64"),
                              "edges": pd.Series([ne], dtype="int64")})
 
-    parts = collect_rows(both.groupby("ppart").map_groups(
-        close, batch_format="pandas"))
+    parts = collect_rows(exchange(both, close, P, by="ppart"))
     return (int(sum(r["tri"] for r in parts)),
             int(sum(r["edges"] for r in parts)))

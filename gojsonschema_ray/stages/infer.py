@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_rows
+from .exchange import exchange, shuffle_width
 
 PARTIAL_SCHEMA = pa.schema([
     ("column", pa.string()),
@@ -216,7 +217,6 @@ def discover_fds(ds, columns: list[str], *, cap: int = 500_000):
     import pandas as pd
 
     from ..util import collect_table
-    from .dedup import _next_pow2, _shuffle_parts
     from .sketches import hash_arrow_array
 
     if len(columns) < 2:
@@ -225,7 +225,7 @@ def discover_fds(ds, columns: list[str], *, cap: int = 500_000):
         raise ValueError("discover_fds: duplicate columns")
     pairs = [(i, j) for i in range(len(columns))
              for j in range(len(columns)) if i != j]
-    P = _next_pow2(_shuffle_parts())
+    P = shuffle_width()
     sent = chr(0)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -260,10 +260,8 @@ def discover_fds(ds, columns: list[str], *, cap: int = 500_000):
             n_det=("a", "nunique"), n_pairs=("a", "size")).reset_index()
         return g
 
-    parts = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    agg = collect_table(parts.groupby("part").map_groups(
-        per_part, batch_format="pandas")).to_pandas()
+    partials = ds.map_batches(partial, batch_format="pyarrow")
+    agg = collect_table(exchange(partials, per_part, P)).to_pandas()
     agg = agg.groupby("pid").sum().reindex(range(len(pairs)),
                                            fill_value=0)
     out = pd.DataFrame({

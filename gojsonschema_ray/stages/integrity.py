@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import exchange, hash_part, shuffle_width
+
 
 class BloomFilter:
     """Simple double-hashing Bloom filter over uint64 hashes."""
@@ -148,8 +150,7 @@ def referential_violations(ds, fk: str, ref_ds, pk: str, ref_name: str = "ref"):
                           batch_format="pyarrow")
 
 
-def snapshot_diff(ds_a, ds_b, key_column: str, compare_columns: list,
-                  n_parts: int | None = None):
+def snapshot_diff(ds_a, ds_b, key_column: str, compare_columns: list):
     """Row-level diff between two snapshots of a table keyed by a PRIMARY
     KEY: one row per key with status `added` (only in B), `removed` (only
     in A), `changed` (in both, any compare column differs — NULL-safe:
@@ -165,10 +166,7 @@ def snapshot_diff(ds_a, ds_b, key_column: str, compare_columns: list,
     multiplying rows)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     reserved = {"part", "side", "status", "_merge"} \
         & {key_column, *compare_columns}
     if reserved:
@@ -179,9 +177,7 @@ def snapshot_diff(ds_a, ds_b, key_column: str, compare_columns: list,
         def fn(t: pa.Table) -> pa.Table:
             cols = {c: t[c] for c in [key_column, *compare_columns]}
             cols["side"] = pa.array([side] * t.num_rows, pa.string())
-            part = (hash_arrow_array(t[key_column]) % np.uint64(P)) \
-                .astype(np.int32)
-            cols["part"] = pa.array(part)
+            cols["part"] = hash_part(t[key_column], P)
             return pa.table(cols)
         return fn
 
@@ -210,12 +206,10 @@ def snapshot_diff(ds_a, ds_b, key_column: str, compare_columns: list,
 
     both = ds_a.map_batches(project("a"), batch_format="pyarrow") \
         .union(ds_b.map_batches(project("b"), batch_format="pyarrow"))
-    parts = both.repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(both, per_part, P)
 
 
-def fd_violations(ds, determinant: str, dependent: str,
-                  n_parts: int | None = None):
+def fd_violations(ds, determinant: str, dependent: str):
     """Functional-dependency violation detection — the table-level
     constraint "determinant → dependent" (each determinant value maps to
     exactly one dependent value), the multi-row generalization of the
@@ -236,22 +230,18 @@ def fd_violations(ds, determinant: str, dependent: str,
     nothing)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     reserved = {"part", "n_distinct", "v_min", "v_max"} & \
         {determinant, dependent}
     if reserved:  # synthetic exchange/output columns — a silent overwrite
         raise ValueError(  # would corrupt routing or the report
             f"fd_violations: column names {sorted(reserved)} are reserved")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df[[determinant, dependent]]
         d = d[d[dependent].notna() & d[determinant].notna()]
         d = d.drop_duplicates()
-        h = hash_arrow_array(d[determinant])
-        return d.assign(part=(h % np.uint64(P)).astype("int32"))
+        return d.assign(part=hash_part(d[determinant], P))
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates([determinant, dependent])
@@ -264,5 +254,4 @@ def fd_violations(ds, determinant: str, dependent: str,
         return g
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    parts = partials.repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(partials, per_part, P)

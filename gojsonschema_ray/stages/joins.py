@@ -35,6 +35,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_table
+from .exchange import exchange, hash_part, shuffle_width
+from .sketches import hash_arrow_array
 
 _LOG = logging.getLogger(__name__)
 
@@ -203,8 +205,7 @@ def _key_col(t: pa.Table, by: str | None) -> pa.Array:
 def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
                        value_columns: list[str], left_keep: list[str],
                        by: str | None = None, bucket_s: float = 86400.0,
-                       tolerance_s: float | None = None,
-                       n_parts: int | None = None):
+                       tolerance_s: float | None = None):
     """Backward as-of join for a right side too large to broadcast.
 
     Both sides co-partition on hash(key, bucket) where
@@ -224,11 +225,8 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
     """
     import ray
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     W = int(bucket_s * 1_000_000)
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     tol = int(tolerance_s * 1_000_000) if tolerance_s is not None else None
 
     # ---- pass 1: per-(key, bucket) tails ---------------------------------
@@ -255,10 +253,9 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
         idx = df.groupby(["k", "b"], sort=False)["ts"].idxmax()
         return df.loc[idx].drop(columns=["part"])
 
-    tails_ds = right.map_batches(tail_partial, batch_format="pyarrow") \
-        .repartition(P).materialize() \
-        .groupby("part").map_groups(tail_reduce, batch_format="pandas")
-    tt = collect_table(tails_ds)
+    tt = collect_table(exchange(
+        right.map_batches(tail_partial, batch_format="pyarrow"),
+        tail_reduce, P))
     # per-key ts-sorted tail arrays for the carry lookup
     tails: dict = {}
     t_keys = tt["k"].to_pylist() if tt.num_rows else []
@@ -381,9 +378,8 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
         return pa.table(cols)
 
     u = left.map_batches(left_rows, batch_format="pyarrow").union(
-        right.map_batches(right_rows, batch_format="pyarrow")) \
-        .repartition(P).materialize()
-    return u.groupby("part").map_groups(per_part, batch_format="pyarrow")
+        right.map_batches(right_rows, batch_format="pyarrow"))
+    return exchange(u, per_part, P, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +463,6 @@ def hash_join_broadcast(left, right, *, on: str, how: str = "inner",
 def hash_join_shuffle(left, right, *, on: str, how: str = "inner",
                       left_columns: list[str] | None = None,
                       right_columns: list[str] | None = None,
-                      n_parts: int | None = None,
                       salt_buckets: int = 8,
                       hot_keys: set | str | None = None):
     """Equi-join of two LARGE sides: each side projected + tagged in one
@@ -504,8 +499,6 @@ def hash_join_shuffle(left, right, *, on: str, how: str = "inner",
     a name on both sides (rename upstream)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
     from .uniqueness import top_hot_keys
 
     if how not in ("inner", "left", "right", "full", "semi", "anti"):
@@ -522,7 +515,7 @@ def hash_join_shuffle(left, right, *, on: str, how: str = "inner",
         raise ValueError(
             f"hash_join_shuffle: hot_keys={hot_keys!r} — pass 'auto' or a "
             "set of key values")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     S = np.uint64(max(1, salt_buckets))
     _GOLD = np.uint64(0x9E3779B97F4A7C15)
     lcols = left_columns or [c for c in left.schema().names if c != on]
@@ -560,12 +553,10 @@ def hash_join_shuffle(left, right, *, on: str, how: str = "inner",
         # OUTER semantics preserved).
         lj = hash_join_shuffle(
             left, right, on=on, how="left", left_columns=lcols,
-            right_columns=rcols, n_parts=n_parts,
-            salt_buckets=salt_buckets, hot_keys=hot_keys)
+            right_columns=rcols, salt_buckets=salt_buckets, hot_keys=hot_keys)
         ar = hash_join_shuffle(
             right, left, on=on, how="anti", left_columns=rcols,
-            right_columns=[], n_parts=n_parts,
-            salt_buckets=salt_buckets, hot_keys=hot_keys)
+            right_columns=[], salt_buckets=salt_buckets, hot_keys=hot_keys)
 
         def _null_left(df: pd.DataFrame) -> pd.DataFrame:
             out = pd.DataFrame(index=df.index)
@@ -692,9 +683,8 @@ def hash_join_shuffle(left, right, *, on: str, how: str = "inner",
         return out.drop(columns=["_salt"])
 
     u = left.map_batches(left_rows, batch_format="pyarrow").union(
-        right.map_batches(right_rows, batch_format="pyarrow")) \
-        .repartition(P).materialize()
-    return u.groupby("part").map_groups(per_part, batch_format="pandas")
+        right.map_batches(right_rows, batch_format="pyarrow"))
+    return exchange(u, per_part, P)
 
 
 def _as_arrow_type(t):
@@ -710,8 +700,7 @@ def _as_arrow_type(t):
 def range_join_bucketed(points, intervals, *, on: str, lo: str, hi: str,
                         bucket_width: float,
                         interval_columns: list,
-                        max_fanout: int = 1024,
-                        n_parts: int | None = None):
+                        max_fanout: int = 1024):
     """Interval containment join for a BIG interval side — the shuffle
     complement of range_join_broadcast (which collects the intervals on
     the driver), the same upgrade asof_join_bucketed gives the as-of
@@ -729,9 +718,6 @@ def range_join_bucketed(points, intervals, *, on: str, lo: str, hi: str,
     replicate it everywhere). Null points/bounds are dropped."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     if bucket_width <= 0:
         raise ValueError("range_join_bucketed: bucket_width must be > 0")
     pnames = list(points.schema().names)
@@ -745,15 +731,14 @@ def range_join_bucketed(points, intervals, *, on: str, lo: str, hi: str,
         raise ValueError(f"range_join_bucketed: columns {sorted(overlap)} "
                          "appear on both sides — project or rename")
     all_cols = [*pnames, *inames, "_bucket", "part", "_side"]
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     w = float(bucket_width)
 
     def point_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df[on].notna()].copy()
         d["_bucket"] = np.floor(
             d[on].to_numpy(dtype=np.float64) / w).astype(np.int64)
-        d["part"] = (hash_arrow_array(d["_bucket"])
-                     % np.uint64(P)).astype("int32")
+        d["part"] = hash_part(d["_bucket"], P)
         d["_side"] = np.int8(0)
         return d.reindex(columns=all_cols)
 
@@ -772,8 +757,7 @@ def range_join_bucketed(points, intervals, *, on: str, lo: str, hi: str,
             else np.empty(0, np.int64)
         out = d.iloc[idx].copy()
         out["_bucket"] = np.repeat(b0, span) + offs
-        out["part"] = (hash_arrow_array(out["_bucket"])
-                       % np.uint64(P)).astype("int32")
+        out["part"] = hash_part(out["_bucket"], P)
         out["_side"] = np.int8(1)
         return out.reindex(columns=all_cols)
 
@@ -786,9 +770,7 @@ def range_join_bucketed(points, intervals, *, on: str, lo: str, hi: str,
 
     both = points.map_batches(point_part, batch_format="pandas") \
         .union(intervals.map_batches(interval_part, batch_format="pandas"))
-    parts = both.repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part,
-                                            batch_format="pandas")
+    return exchange(both, per_part, P)
 
 
 def join_size_profile(left, right, *, left_on: str, right_on: str,
@@ -808,11 +790,7 @@ def join_size_profile(left, right, *, left_on: str, right_on: str,
     pairs desc, key asc)."""
     import pandas as pd
 
-    from ..util import collect_rows, collect_table
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
-    P = _next_pow2(_shuffle_parts())
+    P = shuffle_width()
 
     def counts(on: str, side: int):
         def f(t: pa.Table) -> pa.Table:
@@ -824,9 +802,7 @@ def join_size_profile(left, right, *, left_on: str, right_on: str,
                 .aggregate([([], "count_all")])
             g = g.rename_columns(["key", "c"])
             g = g.filter(pc.is_valid(g["key"]))  # SQL: NULL never joins
-            part = (hash_arrow_array(g["key"]) % np.uint64(P)) \
-                .astype(np.int32)
-            return g.append_column("part", pa.array(part)) \
+            return g.append_column("part", hash_part(g["key"], P)) \
                 .append_column("side", pa.array(
                     np.full(g.num_rows, side, np.int8)))
         return f
@@ -860,9 +836,7 @@ def join_size_profile(left, right, *, left_on: str, right_on: str,
         return pa.Table.from_pandas(res, preserve_index=False) \
             .replace_schema_metadata()
 
-    parts = both.repartition(P).materialize()
-    cand = collect_table(parts.groupby("part").map_groups(
-        per_part, batch_format="pandas")).to_pandas()
+    cand = collect_table(exchange(both, per_part, P)).to_pandas()
     is_total = cand["is_total"].to_numpy(dtype=bool)
     total = int(cand.loc[is_total, "pairs"].sum())
     outs = cand[~is_total].drop(columns="is_total").sort_values(

@@ -37,6 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_table
+from .exchange import exchange, shuffle_width
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 
@@ -60,7 +61,7 @@ def _weights(t: pa.Table, weight_column: str) -> np.ndarray:
 
 
 def running_offsets(ds, *, order_column: str, weight_column: str,
-                    bucket_width: int = 4096, n_parts: int | None = None,
+                    bucket_width: int = 4096,
                     keep_columns: list[str] | None = None):
     """Exclusive prefix sum of `weight_column` in `order_column` order —
     the distributed scan behind pack_sequences (two passes, one exchange;
@@ -68,9 +69,7 @@ def running_offsets(ds, *, order_column: str, weight_column: str,
     (order, weight, offset) rows."""
     import ray
 
-    from .dedup import _next_pow2, _shuffle_parts
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     keep = keep_columns or []
     reserved = {"part", "_w", "_b", "offset", "weight"} \
         & {order_column, weight_column, *keep}
@@ -129,14 +128,12 @@ def running_offsets(ds, *, order_column: str, weight_column: str,
         return out.rename(columns={"_w": "weight"}) \
             .drop(columns=["part", "_b"])
 
-    parts = ds.map_batches(add_part, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(add_part, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def materialize_packs(packed_ds, *, order_column: str, text_column: str,
-                      pack_column: str = "pack_id", sep: str = " ",
-                      n_parts: int | None = None):
+                      pack_column: str = "pack_id", sep: str = " "):
     """Concatenate each pack's documents (in scan order) into ONE training
     sequence row — the final step of sequence packing. Input is
     `pack_sequences(..., keep_columns=[text_column])` output; returns a
@@ -149,9 +146,7 @@ def materialize_packs(packed_ds, *, order_column: str, text_column: str,
     falls in (spill-forward chunking keeps this single-membership)."""
     import ray  # noqa: F401 — parity with sibling operators' lazy import
 
-    from .dedup import _next_pow2, _shuffle_parts
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def add_part(t: pa.Table) -> pa.Table:
         pk = np.asarray(t[pack_column].to_numpy(zero_copy_only=False)) \
@@ -175,14 +170,12 @@ def materialize_packs(packed_ds, *, order_column: str, text_column: str,
             "text": texts.to_numpy(),
         })
 
-    parts = packed_ds.map_batches(add_part, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(packed_ds.map_batches(add_part, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def pack_sequences(ds, *, order_column: str, weight_column: str,
                    capacity: int, bucket_width: int = 4096,
-                   n_parts: int | None = None,
                    keep_columns: list[str] | None = None):
     """Fixed-capacity sequence packing: `pack_id = offset // capacity`
     over the distributed running offsets (module docstring). Returns
@@ -191,7 +184,7 @@ def pack_sequences(ds, *, order_column: str, weight_column: str,
         raise ValueError(f"pack_sequences: capacity={capacity}")
     offs = running_offsets(ds, order_column=order_column,
                            weight_column=weight_column,
-                           bucket_width=bucket_width, n_parts=n_parts,
+                           bucket_width=bucket_width,
                            keep_columns=keep_columns)
 
     def finish(t: pa.Table) -> pa.Table:

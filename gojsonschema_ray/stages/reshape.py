@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exchange import exchange, hash_part, shuffle_width
+
 _AGGS = ("count", "sum")
 
 
@@ -57,7 +59,7 @@ def distinct_small(ds, column: str, *, cap: int) -> list:
 def pivot_wide(ds, key_column: str, pivot_column: str,
                value_column: str | None = None, agg: str = "count", *,
                pivot_values: list | None = None, max_categories: int = 256,
-               fill_value: float | int = 0, n_parts: int | None = None):
+               fill_value: float | int = 0):
     """Wide table: one row per key, one column per category of
     `pivot_column`, cells = count(*) (agg='count') or sum(value_column)
     (agg='sum') over the matching rows, `fill_value` where a (key,
@@ -69,9 +71,6 @@ def pivot_wide(ds, key_column: str, pivot_column: str,
     at 100 TB pass it explicitly so the discovery pass is skipped and
     every partition agrees on the schema without coordination."""
     import pandas as pd
-
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
 
     if agg not in _AGGS:
         raise ValueError(f"pivot_wide: agg must be one of {_AGGS}")
@@ -95,7 +94,7 @@ def pivot_wide(ds, key_column: str, pivot_column: str,
             f"pivot_wide: category {key_column!r} collides with the key "
             "column in the output schema")
     keep = set(pivot_values)
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cols = [key_column, pivot_column] + (
@@ -112,8 +111,7 @@ def pivot_wide(ds, key_column: str, pivot_column: str,
                 .rename(columns={value_column: "_v"})
         g = g.rename(columns={pivot_column: "_pv"})
         g["_pv"] = g["_pv"].astype(str)
-        h = hash_arrow_array(g[key_column])
-        return g.assign(part=(h % np.uint64(P)).astype("int32"))
+        return g.assign(part=hash_part(g[key_column], P))
 
     def widen(df: pd.DataFrame) -> pd.DataFrame:
         w = df.pivot_table(index=key_column, columns="_pv", values="_v",
@@ -123,9 +121,8 @@ def pivot_wide(ds, key_column: str, pivot_column: str,
         w.columns.name = None
         return w[[key_column] + cats]
 
-    partials = ds.map_batches(partial, batch_format="pandas")
-    return partials.repartition(P).materialize() \
-        .groupby("part").map_groups(widen, batch_format="pandas")
+    return exchange(ds.map_batches(partial, batch_format="pandas"),
+                    widen, P)
 
 
 def melt(ds, id_columns: list[str], value_columns: list[str], *,

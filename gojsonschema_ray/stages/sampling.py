@@ -113,8 +113,7 @@ def hash_split(ds, column: str, fractions: list[float], *, salt: int = 0):
 
 
 def stratified_sample(ds, group_column: str, key_column: str,
-                      n_per_group: int, *, salt: int = 0,
-                      n_parts: int | None = None):
+                      n_per_group: int, *, salt: int = 0):
     """Deterministic n-per-group sample: each group keeps the `n_per_group`
     rows whose keys hash LOWEST — per-group membership is a pure function of
     the key (same guarantees as hash_sample: run-, order- and
@@ -144,7 +143,7 @@ def stratified_sample(ds, group_column: str, key_column: str,
     return grouped_top_k(with_h, group_column,
                          [("sample_h", "ascending"),
                           (key_column, "ascending")],
-                         n_per_group, n_parts=n_parts)
+                         n_per_group)
 
 
 def group_counts(ds, group_column: str) -> dict:

@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_rows
+from .exchange import exchange, hash_part, shuffle_width
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +485,7 @@ def heavy_hitters(ds, column: str, min_count: int,
 
 
 def grouped_quantiles(ds, key_column: str, value_column: str,
-                      qs: tuple = (0.5,), n_parts: int | None = None):
+                      qs: tuple = (0.5,)):
     """EXACT per-key quantiles (linear interpolation — SQL quantile_cont
     parity) for the many-small-groups regime: ONE hash(key) co-partition
     exchange, then vectorized pandas groupby.quantile per partition.
@@ -495,15 +496,12 @@ def grouped_quantiles(ds, key_column: str, value_column: str,
     (key, q<percent> per requested quantile)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     names = [f"q{int(round(q * 100))}" for q in qs]
 
     def project(t: pa.Table) -> pa.Table:
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)).astype(np.int32)
         return pa.table({key_column: t[key_column], "v": t[value_column],
-                         "part": pa.array(part)})
+                         "part": hash_part(t[key_column], P)})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(key_column, sort=False, dropna=False)["v"]
@@ -511,9 +509,8 @@ def grouped_quantiles(ds, key_column: str, value_column: str,
                   for q, name in zip(qs, names)}
         return pd.DataFrame(frames).reset_index()
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def normalize_by_group(ds, key_column: str, value_column: str,
@@ -586,15 +583,14 @@ def normalize_by_group(ds, key_column: str, value_column: str,
 
 
 def global_rank(ds, value_column: str, id_column: str, *,
-                n_buckets: int | None = None, sample_per_block: int = 64,
-                pct_column: str = "pct"):
+                sample_per_block: int = 64, pct_column: str = "pct"):
     """EXACT global rank + percent_rank of a numeric column — SQL `rank()
     OVER (ORDER BY v)` / `percent_rank()` — WITHOUT a global sort: the
     distributed sample-sort rank pattern.
 
     1. boundary sampling: each batch contributes ≤ `sample_per_block`
        sorted values (tiny fixed-width partials); the driver derives
-       `n_buckets`-quantile boundaries. Boundaries only balance the
+       shuffle_width()-quantile boundaries. Boundaries only balance the
        exchange — ranks are exact for ANY boundaries because bucketing is
        a pure function of the value (ties can never split across buckets).
     2. counting pass: per-batch fixed-width bucket histograms, summed
@@ -615,9 +611,8 @@ def global_rank(ds, value_column: str, id_column: str, *,
     import ray
 
     from ..util import collect_rows
-    from .dedup import _next_pow2, _shuffle_parts
 
-    P = _next_pow2(n_buckets or _shuffle_parts())
+    P = shuffle_width()
 
     def sample(t: pa.Table) -> pa.Table:
         v = np.asarray(pc.drop_null(t[value_column]).to_numpy(
@@ -680,13 +675,12 @@ def global_rank(ds, value_column: str, id_column: str, *,
             id_column: df[id_column], "rnk": pd.Series([], dtype="int64"),
             pct_column: pd.Series([], dtype="float64")})
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(int(P)).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def outliers_by_group(ds, key_column: str, value_column: str,
-                      k: float = 1.5, n_parts: int | None = None):
+                      k: float = 1.5):
     """Per-group Tukey-fence outlier detection — flag values outside
     [q1 - k·IQR, q3 + k·IQR] within their own group, the distribution
     sanity check a per-segment pipeline runs before trusting aggregates.
@@ -701,21 +695,17 @@ def outliers_by_group(ds, key_column: str, value_column: str,
     the same pass (values never move twice). Null values are ignored."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-
     reserved = {"v", "part", "n_rows", "n_low", "n_high", "lo", "hi"} & \
         {key_column}
     if reserved:  # the key survives into the projection and the output;
         raise ValueError(  # the value column is renamed into "v" safely
             f"outliers_by_group: key column name {sorted(reserved)} is "
             "reserved")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
-        part = (hash_arrow_array(t[key_column])
-                % np.uint64(P)).astype(np.int32)
         return pa.table({key_column: t[key_column], "v": t[value_column],
-                         "part": pa.array(part)})
+                         "part": hash_part(t[key_column], P)})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df["v"].notna()]
@@ -739,13 +729,11 @@ def outliers_by_group(ds, key_column: str, value_column: str,
         }).reset_index(drop=True)
         return out
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
-def mad_by_group(ds, key_column: str, value_column: str,
-                 n_parts: int | None = None):
+def mad_by_group(ds, key_column: str, value_column: str):
     """Per-group median absolute deviation — the robust dispersion measure
     (insensitive to the heavy tails that wreck stddev on web-scale
     distributions): med = median(v), mad = median(|v - med|), both with
@@ -760,20 +748,16 @@ def mad_by_group(ds, key_column: str, value_column: str,
     (key, med, mad, n_rows)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-
     reserved = {"v", "part", "med", "mad", "n_rows"} & {key_column}
     if reserved:  # the key survives into the projection and the output;
         raise ValueError(  # the value column is renamed into "v" safely
             f"mad_by_group: key column name {sorted(reserved)} is "
             "reserved")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
-        part = (hash_arrow_array(t[key_column])
-                % np.uint64(P)).astype(np.int32)
         return pa.table({key_column: t[key_column], "v": t[value_column],
-                         "part": pa.array(part)})
+                         "part": hash_part(t[key_column], P)})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df["v"].notna()]
@@ -788,9 +772,8 @@ def mad_by_group(ds, key_column: str, value_column: str,
                              "n_rows": n.reindex(med.index)
                              .astype("int64").values})
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def column_correlations(ds, columns: list):
@@ -1010,7 +993,6 @@ def ntile_global(ds, value_column: str, id_column: str, n_tiles: int, *,
     import ray
 
     from ..util import collect_rows
-    from .dedup import _next_pow2, _shuffle_parts
 
     if n_tiles < 1:
         raise ValueError(f"ntile_global: n_tiles={n_tiles} must be >= 1")
@@ -1019,7 +1001,7 @@ def ntile_global(ds, value_column: str, id_column: str, n_tiles: int, *,
         # an ID named like a synthetic/output column can collide
         raise ValueError(f"ntile_global: column names {sorted(reserved)} "
                          "are reserved")
-    P = _next_pow2(_shuffle_parts())
+    P = shuffle_width()
 
     def sample(t: pa.Table) -> pa.Table:
         v = np.asarray(pc.drop_null(t[value_column]).to_numpy(
@@ -1082,9 +1064,8 @@ def ntile_global(ds, value_column: str, id_column: str, n_tiles: int, *,
             id_column: df[id_column],
             tile_column: pd.Series([], dtype="int64")})
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(int(P)).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def chi_square_independence(ds, col_a: str, col_b: str):
@@ -1144,22 +1125,18 @@ def distribution_by_group(ds, key_column: str, value_column: str):
     oracles or filter upstream)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-
     reserved = {"c", "part"} & {key_column, value_column}
     if reserved:  # synthetic exchange columns
         raise ValueError(f"distribution_by_group: column names "
                          f"{sorted(reserved)} are reserved")
-    P = _next_pow2(_shuffle_parts())
+    P = shuffle_width()
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select([key_column, value_column]) \
             .group_by([key_column, value_column]) \
             .aggregate([([], "count_all")])
         g = g.rename_columns([key_column, value_column, "c"])
-        part = (hash_arrow_array(g[key_column]) % np.uint64(P)) \
-            .astype(np.int32)
-        return g.append_column("part", pa.array(part))
+        return g.append_column("part", hash_part(g[key_column], P))
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         cnt = df.groupby([key_column, value_column], sort=False)["c"].sum()
@@ -1178,9 +1155,8 @@ def distribution_by_group(ds, key_column: str, value_column: str):
             .astype(np.int64),
             "n": n.to_numpy().astype(np.int64)})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def rollup_counts(ds, columns: list):
@@ -1199,23 +1175,19 @@ def rollup_counts(ds, columns: list):
     assumption, same as pivot)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-
     if not columns:
         raise ValueError("rollup_counts: need at least one column")
     if "n" in columns or "level" in columns or "part" in columns:
         raise ValueError("rollup_counts: column names "
                          "{'n','level','part'} are reserved")
-    P = _next_pow2(_shuffle_parts())
+    P = shuffle_width()
     k = len(columns)
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select(columns).group_by(columns) \
             .aggregate([([], "count_all")])
         g = g.rename_columns([*columns, "n"])
-        part = (hash_arrow_array(g[columns[0]]) % np.uint64(P)) \
-            .astype(np.int32)
-        return g.append_column("part", pa.array(part))
+        return g.append_column("part", hash_part(g[columns[0]], P))
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -1233,10 +1205,8 @@ def rollup_counts(ds, columns: list):
         out["n"] = out["n"].astype("int64")
         return out
 
-    parts = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    levels = parts.groupby("part").map_groups(per_part,
-                                              batch_format="pandas")
+    levels = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                      per_part, P)
     rows = [b for b in levels.iter_batches(batch_format="pandas")]
     out = pd.concat(rows, ignore_index=True) if rows else pd.DataFrame(
         {**{c: pd.Series([], dtype="object") for c in columns},
@@ -1270,8 +1240,6 @@ def cube_counts(ds, columns: list):
     as rollup/pivot; k > 6 is rejected). Returns a pandas DataFrame."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-
     if not columns:
         raise ValueError("cube_counts: need at least one column")
     if {"n", "grouping_id", "part"} & set(columns):
@@ -1281,15 +1249,13 @@ def cube_counts(ds, columns: list):
     if k > 6:
         raise ValueError(f"cube_counts: {k} columns = {2**k} grouping "
                          "sets; at most 6 supported")
-    P = _next_pow2(_shuffle_parts())
+    P = shuffle_width()
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select(columns).group_by(columns) \
             .aggregate([([], "count_all")])
         g = g.rename_columns([*columns, "n"])
-        part = (hash_arrow_array(g[columns[0]]) % np.uint64(P)) \
-            .astype(np.int32)
-        return g.append_column("part", pa.array(part))
+        return g.append_column("part", hash_part(g[columns[0]], P))
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -1311,9 +1277,8 @@ def cube_counts(ds, columns: list):
         out["n"] = out["n"].astype("int64")
         return out
 
-    parts = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    cube = parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    cube = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    per_part, P)
     rows = [b for b in cube.iter_batches(batch_format="pandas")]
     if not rows:  # empty input: SQL CUBE still emits the () set, count 0
         return pd.DataFrame(
@@ -1968,8 +1933,7 @@ def moments_by_group(ds, key_column: str, value_column: str):
     return pd.DataFrame(rows)
 
 
-def gini_by_group(ds, key_column: str, value_column: str,
-                  n_parts: int | None = None):
+def gini_by_group(ds, key_column: str, value_column: str):
     """Per-group Gini coefficient of a non-negative value — the
     concentration/inequality audit (is spend dominated by a few rows per
     segment?). Exact rank formula on the ascending-sorted values:
@@ -1983,18 +1947,14 @@ def gini_by_group(ds, key_column: str, value_column: str,
     undefined); zero-sum groups emit null."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         if pc.any(pc.less(t[value_column], 0)).as_py():
             raise ValueError(
                 f"gini_by_group: negative {value_column} values")
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)) \
-            .astype(np.int32)
         return pa.table({key_column: t[key_column], "v": t[value_column],
-                         "part": pa.array(part)})
+                         "part": hash_part(t[key_column], P)})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         df = df.dropna(subset=[key_column, "v"])
@@ -2016,9 +1976,8 @@ def gini_by_group(ds, key_column: str, value_column: str,
                              "n": agg["n"].to_numpy(dtype=np.int64),
                              "gini": gini})
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def autocorr_by_key(ds, key_column: str, order_columns: tuple,
@@ -2036,18 +1995,14 @@ def autocorr_by_key(ds, key_column: str, order_columns: tuple,
     (SQL corr semantics). Returns (key, n_pairs, autocorr)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-
     if lag < 1:
         raise ValueError(f"autocorr_by_key: lag={lag}")
-    P = _next_pow2(_shuffle_parts())
+    P = shuffle_width()
     order = list(order_columns)
 
     def project(t: pa.Table) -> pa.Table:
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)) \
-            .astype(np.int32)
         cols = {key_column: t[key_column], "v": t[value_column],
-                "part": pa.array(part)}
+                "part": hash_part(t[key_column], P)}
         for c in order:
             cols[c] = t[c]
         return pa.table(cols)
@@ -2083,9 +2038,8 @@ def autocorr_by_key(ds, key_column: str, order_columns: tuple,
             "n_pairs": agg["n"].to_numpy(dtype=np.int64),
             "autocorr": r})
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def discretize_quantile(ds, column: str, k: int, *,

@@ -42,6 +42,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import exchange, hash_part, shuffle_width
+
 _LOG = logging.getLogger(__name__)
 
 _EMPTY_PAIRS = {
@@ -99,8 +101,6 @@ class InvertedTextIndex:
         twice (postings, corpus stats) — the MinHashIndex build shape;
         `write_blocks` bounds hive file explosion (one file per
         (block, partition-value) pair)."""
-        from .sketches import hash_arrow_array
-
         text_col, id_col, lc, mods = \
             self.text_column, self.id_column, self.lowercase, self.mods
 
@@ -124,14 +124,12 @@ class InvertedTextIndex:
             keys, tf = np.unique(did * n_terms + tcodes, return_counts=True)
             pdoc, pterm = keys // n_terms, keys % n_terms
             term_arr = terms.dictionary.take(pa.array(pterm))
-            tmod = (hash_arrow_array(term_arr) % np.uint64(mods)) \
-                .astype(np.int32)
             return pa.table({
                 id_col: ids.take(pa.array(pdoc)),
                 "term": term_arr,
                 "tf": pa.array(tf.astype(np.int64)),
                 "dl": pa.array(lens[pdoc].astype(np.int64)),
-                "tmod": pa.array(tmod),
+                "tmod": hash_part(term_arr, mods),
             })
 
         ds.map_batches(postings, batch_format="pyarrow") \
@@ -256,20 +254,16 @@ class InvertedTextIndex:
         import pandas as pd
 
         from ..util import collect_table
-        from .dedup import _next_pow2, _shuffle_parts
-        from .sketches import hash_arrow_array
 
         if mode not in ("or", "and"):
             raise ValueError(f"InvertedTextIndex.search: mode={mode!r}")
         q = sorted(set(query_terms))
         pairs = self.search_pairs(q, index_dir)
-        P = _next_pow2(_shuffle_parts())
+        P = shuffle_width()
         id_col, need = self.id_column, len(q)
 
         def add_part(t: pa.Table) -> pa.Table:
-            part = (hash_arrow_array(t[id_col]) % np.uint64(P)) \
-                .astype(np.int32)
-            return t.append_column("part", pa.array(part))
+            return t.append_column("part", hash_part(t[id_col], P))
 
         def per_part(df: pd.DataFrame) -> pd.DataFrame:
             g = df.groupby(id_col, sort=True).agg(
@@ -281,11 +275,8 @@ class InvertedTextIndex:
                               kind="stable").head(k)
             return g[[id_col, "score", "dl"]]
 
-        keyed = pairs.map_batches(add_part, batch_format="pyarrow") \
-            .repartition(P).materialize()
-        tops = collect_table(
-            keyed.groupby("part").map_groups(per_part,
-                                             batch_format="pandas"))
+        tops = collect_table(exchange(
+            pairs.map_batches(add_part, batch_format="pyarrow"), per_part, P))
         out = tops.to_pandas()
         if out.empty:
             return pd.DataFrame({id_col: pd.Series([], dtype="int64"),

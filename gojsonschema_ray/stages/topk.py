@@ -12,11 +12,11 @@ any top-k).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_table
+from .exchange import exchange, hash_part, shuffle_width
 
 
 def _top_of(t: pa.Table, sort_keys: list[tuple[str, str]], k: int) -> pa.Table:
@@ -38,20 +38,17 @@ def global_top_k(ds, sort_keys: list[tuple[str, str]], k: int) -> pa.Table:
 
 
 def grouped_top_k(ds, group_column: str, sort_keys: list[tuple[str, str]],
-                  k: int, n_parts: int | None = None):
+                  k: int):
     """Top-k rows PER GROUP. Per-batch local per-group top-k (any global
     winner is in its batch's local top-k under the same total ordering)
     shrinks the exchange to <= groups-per-batch x k rows; ONE hash(group)
     co-partition shuffle; exact per-group head(k) per partition. Returns a
     Dataset. Include a tiebreaker in sort_keys for a total order."""
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     for _, d in sort_keys:
         if d not in ("ascending", "descending"):
             raise ValueError(f"sort direction must be 'ascending' or "
                              f"'descending', got {d!r}")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     cols = [group_column] + [c for c, _ in sort_keys]
     asc = [True] + [d == "ascending" for _, d in sort_keys]
 
@@ -59,8 +56,7 @@ def grouped_top_k(ds, group_column: str, sort_keys: list[tuple[str, str]],
         df = df.sort_values(cols, ascending=asc, kind="stable")
         out = df.groupby(group_column, sort=False, dropna=False).head(k)
         if with_part:
-            h = hash_arrow_array(out[group_column])
-            out = out.assign(part=(h % np.uint64(P)).astype("int32"))
+            out = out.assign(part=hash_part(out[group_column], P))
         return out
 
     partials = ds.map_batches(lambda df: local_top(df, True),
@@ -69,12 +65,10 @@ def grouped_top_k(ds, group_column: str, sort_keys: list[tuple[str, str]],
     def per_part(df):
         return local_top(df, False).drop(columns=["part"])
 
-    parts = partials.repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(partials, per_part, P)
 
 
-def grouped_top_values(ds, group_column: str, value_column: str, k: int,
-                       n_parts: int | None = None):
+def grouped_top_values(ds, group_column: str, value_column: str, k: int):
     """Top-k most frequent values PER GROUP — the categorical profile of a
     column within each segment (top event types per user, top domains per
     language, ...). Exact counts, deterministic ties (count desc, value
@@ -91,21 +85,17 @@ def grouped_top_values(ds, group_column: str, value_column: str, k: int,
     dropped. Returns a Dataset of (group, value, n)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     reserved = {"part", "n"} & {group_column, value_column}
     if reserved:  # synthetic exchange/output columns
         raise ValueError(f"grouped_top_values: column names "
                          f"{sorted(reserved)} are reserved")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df[[group_column, value_column]].dropna()
         g = d.groupby([group_column, value_column], sort=False).size() \
             .reset_index(name="n")
-        h = hash_arrow_array(g[group_column])
-        return g.assign(part=(h % np.uint64(P)).astype("int32"))
+        return g.assign(part=hash_part(g[group_column], P))
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby([group_column, value_column], sort=False)["n"] \
@@ -115,15 +105,14 @@ def grouped_top_values(ds, group_column: str, value_column: str, k: int,
         out = g.groupby(group_column, sort=False).head(k)
         return out.assign(n=out["n"].astype("int64"))
 
-    parts = ds.map_batches(partial, batch_format="pandas") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(partial, batch_format="pandas"),
+                    per_part, P)
 
 
 def argmax_by_group(ds, key_column: str, value_column: str, *,
                     tie_column: str | None = None,
                     keep_columns: list[str] | None = None,
-                    mode: str = "max", n_parts: int | None = None):
+                    mode: str = "max"):
     """One winning ROW per group — the row with the max (or min) value of
     `value_column` within each `key_column` group ("latest event per user",
     "most expensive order per customer"). SQL analog: `row_number() OVER
@@ -155,4 +144,4 @@ def argmax_by_group(ds, key_column: str, value_column: str, *,
                   "descending" if mode == "max" else "ascending")] \
         + ([(tie_column, "ascending")] if tie_column else [])
     return grouped_top_k(ds.map_batches(project, batch_format="pandas"),
-                         key_column, sort_keys, 1, n_parts=n_parts)
+                         key_column, sort_keys, 1)

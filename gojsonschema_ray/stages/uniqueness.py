@@ -22,7 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_rows
-from .exchange import exchange_parts
+from .exchange import exchange, exchange_parts, hash_part, shuffle_width
 from .validate import VIOLATION_SCHEMA
 
 
@@ -30,21 +30,18 @@ class KeyCountStage:
     """map_batches payload: batch → (key, cnt, part) partial counts.
 
     `part` is a deterministic hash partition of the key (coarse — one
-    bucket per cluster CPU by default, see exchange.exchange_parts) so the
+    bucket per cluster CPU, see exchange.exchange_parts) so the
     downstream exchange groups on a tiny int domain instead of paying Ray's
     sort-based groupby over every distinct key."""
 
-    def __init__(self, key: str, n_parts: int | None = None):
+    def __init__(self, key: str):
         self.key = key
-        self.n_parts = n_parts or exchange_parts()
+        self.n_parts = exchange_parts()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .sketches import hash_arrow_array
-
         g = batch.select([self.key]).group_by(self.key).aggregate([(self.key, "count")])
         g = g.rename_columns([self.key, "cnt"])
-        part = (hash_arrow_array(g[self.key]) % np.uint64(self.n_parts)).astype(np.int32)
-        return g.append_column("part", pa.array(part))
+        return g.append_column("part", hash_part(g[self.key], self.n_parts))
 
 
 def aggregate_key_counts(partials, key: str, min_count: int = 2,
@@ -69,13 +66,7 @@ def aggregate_key_counts(partials, key: str, min_count: int = 2,
         g = g[g["cnt"] >= min_count].rename(columns={"cnt": "n"})
         return finish(g) if finish else g
 
-    # consolidate + materialize the fixed-width partials before the exchange:
-    # Ray's sort-based groupby cost is driven by input block COUNT (hundreds
-    # of micro-blocks -> ~10x slower than ~#CPUs consolidated blocks) and it
-    # re-executes a lazy upstream while sampling sort boundaries; repartition
-    # itself samples nothing, so one materialize after it is enough
-    parts = partials.repartition(exchange_parts()).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(partials, per_part, exchange_parts())
 
 
 def _key_counts(ds, key: str, finish):
@@ -144,8 +135,7 @@ def top_hot_keys(ds, key: str, sample_frac: float = 0.01, top_k: int = 16,
             if r["sum(cnt)"] / n_sample >= min_share and r[key] is not None}
 
 
-def grouped_nunique(ds, key_column: str, value_column: str,
-                    n_parts: int | None = None):
+def grouped_nunique(ds, key_column: str, value_column: str):
     """EXACT per-key distinct-value counts — COUNT(DISTINCT value) GROUP BY
     key, the cardinality profile of a feature column (distinct active days
     per user, distinct sources per document, ...).
@@ -160,16 +150,12 @@ def grouped_nunique(ds, key_column: str, value_column: str,
     wanted). Returns a Dataset of (key, n_distinct)."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df[[key_column, value_column]]
         d = d[d[value_column].notna()].drop_duplicates()
-        h = hash_arrow_array(d[key_column])
-        return d.assign(part=(h % np.uint64(P)).astype("int32"))
+        return d.assign(part=hash_part(d[key_column], P))
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates([key_column, value_column])
@@ -179,5 +165,4 @@ def grouped_nunique(ds, key_column: str, value_column: str,
         return g
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    parts = partials.repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(partials, per_part, P)

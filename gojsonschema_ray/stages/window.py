@@ -22,8 +22,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import exchange, hash_part, shuffle_width
 
-def _merge_window_partials(partials_ds, n_parts: int, by: str | None = None):
+
+def _merge_window_partials(partials_ds, P: int, by: str | None = None):
     """Shared exchange + finalize for the window operators: coarse-partition
     the (window[, by], n, s, mn, mx, part) partial rows, merge vectorized per
     partition, emit (window_start[, by], n, sum, min, max, mean)."""
@@ -33,8 +35,7 @@ def _merge_window_partials(partials_ds, n_parts: int, by: str | None = None):
         return df.groupby(group_keys, as_index=False, sort=False).agg(
             n=("n", "sum"), s=("s", "sum"), mn=("mn", "min"), mx=("mx", "max"))
 
-    parts = partials_ds.repartition(n_parts).materialize()
-    merged = parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    merged = exchange(partials_ds, per_part, P)
 
     def finalize(t: pa.Table) -> pa.Table:
         cols = {"window_start": pc.cast(t["w"], pa.timestamp("us"))}
@@ -54,13 +55,11 @@ def _merge_window_partials(partials_ds, n_parts: int, by: str | None = None):
 
 
 def tumbling_window_aggregate(ds, ts_column: str, value_column: str,
-                              width_s: int, by: str | None = None,
-                              n_parts: int = 32):
+                              width_s: int, by: str | None = None):
     """Per-window (and optional per-`by`-key) count/sum/min/max/mean of
     `value_column`. Returns a Dataset with columns
     (window_start: timestamp[us], [by,] n, sum, min, max, mean)."""
-    from .sketches import hash_arrow_array
-
+    P = shuffle_width()
     width_us = np.int64(width_s) * np.int64(1_000_000)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -79,23 +78,21 @@ def tumbling_window_aggregate(ds, ts_column: str, value_column: str,
         g = pa.table(cols).group_by(keys).aggregate(
             [("v", "count"), ("v", "sum"), ("v", "min"), ("v", "max")])
         g = g.rename_columns(keys + ["n", "s", "mn", "mx"])
-        part = (hash_arrow_array(g["w"]) % np.uint64(n_parts)).astype(np.int32)
-        return g.append_column("part", pa.array(part))
+        return g.append_column("part", hash_part(g["w"], P))
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return _merge_window_partials(partials, n_parts, by)
+    return _merge_window_partials(partials, P, by)
 
 
 def hopping_window_aggregate(ds, ts_column: str, value_column: str,
-                             width_s: int, hop_s: int, n_parts: int = 32):
+                             width_s: int, hop_s: int):
     """Overlapping (hopping/sliding) windows: every `hop_s` a window of
     `width_s` opens; each row lands in ceil(width/hop) windows. Same
     combiner-first scale shape as the tumbling variant — the per-batch
     explode multiplies ROWS by the window fan-out, but only (window, partial)
     rows ride the exchange. Null values are skipped (tumbling/SQL NULL
     semantics). Returns (window_start, n, sum, min, max, mean)."""
-    from .sketches import hash_arrow_array
-
+    P = shuffle_width()
     width_us = np.int64(width_s) * np.int64(1_000_000)
     hop_us = np.int64(hop_s) * np.int64(1_000_000)
     fanout = int(np.ceil(width_s / hop_s))
@@ -120,15 +117,13 @@ def hopping_window_aggregate(ds, ts_column: str, value_column: str,
             .aggregate([("v", "count"), ("v", "sum"), ("v", "min"),
                         ("v", "max")]) \
             .rename_columns(["w", "n", "s", "mn", "mx"])
-        part = (hash_arrow_array(g["w"]) % np.uint64(n_parts)).astype(np.int32)
-        return g.append_column("part", pa.array(part))
+        return g.append_column("part", hash_part(g["w"], P))
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return _merge_window_partials(partials, n_parts, by=None)
+    return _merge_window_partials(partials, P, by=None)
 
 
-def session_windows(ds, key_column: str, ts_column: str, gap_s: float,
-                    n_parts: int | None = None):
+def session_windows(ds, key_column: str, ts_column: str, gap_s: float):
     """Gap-based session windows per key: consecutive events of one key
     belong to the same session while the gap between them is <= gap_s.
 
@@ -137,16 +132,12 @@ def session_windows(ds, key_column: str, ts_column: str, gap_s: float,
     pathologically hot key bounds one partition), then a vectorized
     per-partition sort + gap split. Returns
     (key, session_start: timestamp[us], n, dur_s)."""
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         ts = pc.cast(t[ts_column], pa.timestamp("us"))
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)).astype(np.int32)
         return pa.table({key_column: t[key_column], "ts": ts,
-                         "part": pa.array(part)})
+                         "part": hash_part(t[key_column], P)})
 
     gap = pd.Timedelta(seconds=gap_s)
 
@@ -172,14 +163,12 @@ def session_windows(ds, key_column: str, ts_column: str, gap_s: float,
         })
         return out.reset_index(drop=True)
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def rolling_by_key(ds, key_column: str, ts_column: str, value_column: str,
-                   window_rows: int, order_columns: tuple = (),
-                   n_parts: int | None = None):
+                   window_rows: int, order_columns: tuple = ()):
     """Per-key trailing row-window mean — SQL `AVG(v) OVER (PARTITION BY key
     ORDER BY ts[, tiebreaks] ROWS BETWEEN window_rows-1 PRECEDING AND
     CURRENT ROW)`. `order_columns` break timestamp ties deterministically
@@ -192,17 +181,13 @@ def rolling_by_key(ds, key_column: str, ts_column: str, value_column: str,
     sort + pandas groupby.rolling. Returns the key, ordering columns and
     `roll_mean` (partial windows at a key's head average the rows available,
     SQL ROWS-frame semantics)."""
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)).astype(np.int32)
-        cols["part"] = pa.array(part)
+        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -216,13 +201,12 @@ def rolling_by_key(ds, key_column: str, ts_column: str, value_column: str,
         out["roll_mean"] = vals
         return out
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def lag_by_key(ds, key_column: str, ts_column: str, value_column: str,
-               order_columns: tuple = (), n_parts: int | None = None):
+               order_columns: tuple = ()):
     """Per-key previous value and delta — SQL `v - lag(v) OVER (PARTITION BY
     key ORDER BY ts[, tiebreaks])`; the inter-event-gap / rate-of-change
     signal of an event stream. First row of each key gets null prev/delta.
@@ -231,17 +215,13 @@ def lag_by_key(ds, key_column: str, ts_column: str, value_column: str,
     (documented assumption: rows-per-key bounds one partition), then a
     vectorized per-partition sort + groupby.shift. Returns key, ordering
     columns, value, `prev` and `delta`."""
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)).astype(np.int32)
-        cols["part"] = pa.array(part)
+        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -253,13 +233,12 @@ def lag_by_key(ds, key_column: str, ts_column: str, value_column: str,
         out["delta"] = df[value_column] - prev
         return out
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def sessionize(ds, key_column: str, ts_column: str, gap_s: float,
-               order_columns: tuple = (), n_parts: int | None = None):
+               order_columns: tuple = ()):
     """Gap-based sessionization — the classic event-stream operator: a key's
     time-ordered events split into sessions wherever the gap since the
     previous event EXCEEDS `gap_s` seconds (gap == gap_s stays in-session).
@@ -282,16 +261,12 @@ def sessionize(ds, key_column: str, ts_column: str, gap_s: float,
     the SORT deterministic."""
     from pandas.api.types import is_datetime64_any_dtype
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in dict.fromkeys([key_column, *order])}
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)).astype(np.int32)
-        cols["part"] = pa.array(part)
+        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -330,13 +305,12 @@ def sessionize(ds, key_column: str, ts_column: str, gap_s: float,
             "start_s": np.round(secs[b], 6),
             "dur_s": np.round(secs[e - 1] - secs[b], 6)})
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def funnel_by_key(ds, key_column: str, ts_column: str, type_column: str,
-                  steps: list, n_parts: int | None = None):
+                  steps: list):
     """Ordered funnel analysis — for each key, how far its event stream
     progresses through `steps` in order: t1 = min ts of a step-1 event,
     t_i = min ts of a step-i event AT OR AFTER t_{i-1} (the SQL chained
@@ -352,18 +326,14 @@ def funnel_by_key(ds, key_column: str, ts_column: str, type_column: str,
     same microseconds/1e6 division DuckDB's epoch() performs."""
     from pandas.api.types import is_datetime64_any_dtype
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     if not steps:
         raise ValueError("funnel_by_key: steps must be non-empty")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in
                 dict.fromkeys([key_column, ts_column, type_column])}
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)).astype(np.int32)
-        cols["part"] = pa.array(part)
+        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -392,14 +362,12 @@ def funnel_by_key(ds, key_column: str, ts_column: str, type_column: str,
                    .notna().sum(axis=1).astype("int64"))
         return out
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def transition_counts(ds, key_column: str, ts_column: str,
-                      value_column: str, order_columns: tuple = (),
-                      n_parts: int | None = None):
+                      value_column: str, order_columns: tuple = ()):
     """Markov transition profile of an event stream: counts of consecutive
     (v_from, v_to) value transitions within each key's time-ordered
     sequence, summed across keys — the first-order sequence-mining
@@ -415,23 +383,18 @@ def transition_counts(ds, key_column: str, ts_column: str,
     never leave their key's partition, only the ≤|V|² count partials move.
     Null values participate as sequence positions but pairs with a null
     side are dropped (lag semantics). Returns (v_from, v_to, n)."""
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     reserved = {"part", "part2", "v_from", "v_to", "cnt", "n"} & \
         {key_column, ts_column, value_column, *order_columns}
     if reserved:  # synthetic exchange/output columns
         raise ValueError(f"transition_counts: column names "
                          f"{sorted(reserved)} are reserved")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        part = (hash_arrow_array(t[key_column])
-                % np.uint64(P)).astype(np.int32)
-        cols["part"] = pa.array(part)
+        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -443,26 +406,22 @@ def transition_counts(ds, key_column: str, ts_column: str,
         g = pairs.groupby(["v_from", "v_to"], sort=False).size() \
             .reset_index(name="cnt")
         g["cnt"] = g["cnt"].astype("int64")
-        h = hash_arrow_array(g["v_from"].astype(str) + "\x1f"
-                             + g["v_to"].astype(str))
-        return g.assign(part2=(h % np.uint64(P)).astype("int32"))
+        return g.assign(
+            part2=hash_part(g["v_from"].astype(str) + "\x1f"
+                            + g["v_to"].astype(str), P))
 
     def per_pair(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["v_from", "v_to"], sort=False,
                        as_index=False)["cnt"].sum()
         return g.rename(columns={"cnt": "n"})
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    partials = parts.groupby("part").map_groups(per_part,
-                                                batch_format="pandas")
-    return partials.repartition(P).materialize() \
-        .groupby("part2").map_groups(per_pair, batch_format="pandas")
+    partials = exchange(ds.map_batches(project, batch_format="pyarrow"),
+                        per_part, P)
+    return exchange(partials, per_pair, P, by="part2")
 
 
 def retention_cohorts(ds, key_column: str, ts_column: str,
-                      period_s: int = 7 * 86400,
-                      n_parts: int | None = None):
+                      period_s: int = 7 * 86400):
     """Cohort retention matrix — the classic engagement analysis: keys are
     cohorted by the period of their FIRST event (absolute period index =
     epoch_us // (period_s·10⁶), integer floor — deliberately calendar-free
@@ -476,10 +435,7 @@ def retention_cohorts(ds, key_column: str, ts_column: str,
     vectorized cohort/offset derivation + (cohort, offset) pre-counts →
     ONE coarse hash(pair) exchange of the ≤periods² count partials. Null
     keys/timestamps dropped. Returns (cohort, offset, n)."""
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     div = int(period_s) * 1_000_000
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -489,8 +445,7 @@ def retention_cohorts(ds, key_column: str, ts_column: str,
             "int64")
         out = pd.DataFrame({"k": d[key_column].to_numpy(),
                             "period": us // div}).drop_duplicates()
-        h = hash_arrow_array(out["k"])
-        return out.assign(part=(h % np.uint64(P)).astype("int32"))
+        return out.assign(part=hash_part(out["k"], P))
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates(["k", "period"])
@@ -500,27 +455,23 @@ def retention_cohorts(ds, key_column: str, ts_column: str,
             .groupby(["cohort", "offset"], sort=False).size() \
             .reset_index(name="cnt")
         g["cnt"] = g["cnt"].astype("int64")
-        h = hash_arrow_array(g["cohort"].astype(str) + "\x1f"
-                             + g["offset"].astype(str))
-        return g.assign(part2=(h % np.uint64(P)).astype("int32"))
+        return g.assign(
+            part2=hash_part(g["cohort"].astype(str) + "\x1f"
+                            + g["offset"].astype(str), P))
 
     def per_cell(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["cohort", "offset"], sort=False,
                        as_index=False)["cnt"].sum()
         return g.rename(columns={"cnt": "n"})
 
-    parts = ds.map_batches(partial, batch_format="pandas") \
-        .repartition(P).materialize()
-    partials = parts.groupby("part").map_groups(per_part,
-                                                batch_format="pandas")
-    return partials.repartition(P).materialize() \
-        .groupby("part2").map_groups(per_cell, batch_format="pandas")
+    partials = exchange(ds.map_batches(partial, batch_format="pandas"),
+                        per_part, P)
+    return exchange(partials, per_cell, P, by="part2")
 
 
 def debounce_by_key(ds, key_column: str, ts_column: str,
                     value_column: str, window_s: float,
-                    order_columns: tuple = (),
-                    n_parts: int | None = None):
+                    order_columns: tuple = ()):
     """Event-stream debouncing — drop a row when the SAME (key, value)
     occurred within the previous `window_s` seconds (strictly less than;
     a gap of exactly window_s is kept), keeping the first of each burst:
@@ -535,18 +486,13 @@ def debounce_by_key(ds, key_column: str, ts_column: str,
     bursts are sessions with gap < window_s, and "first of each burst" is
     each session's first row — fully vectorized, no Python loop over
     rows. Returns the kept rows (key, order columns, value)."""
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        part = (hash_arrow_array(t[key_column])
-                % np.uint64(P)).astype(np.int32)
-        cols["part"] = pa.array(part)
+        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -576,16 +522,13 @@ def debounce_by_key(ds, key_column: str, ts_column: str,
         out = df[keep].drop(columns=["part"])
         return out.reset_index(drop=True)
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part,
-                                            batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def gap_fill(ds, key_column: str, ts_column: str,
              bucket_s: float = 86400.0, *,
-             max_buckets_per_key: int = 1_000_000,
-             n_parts: int | None = None):
+             max_buckets_per_key: int = 1_000_000):
     """Regularized per-key time series: event counts per fixed bucket with
     ZERO-count rows filled in for every bucket between each key's first and
     last event — the gap-filling / resampling step every downstream
@@ -602,9 +545,6 @@ def gap_fill(ds, key_column: str, ts_column: str,
     silently exploding a partition."""
     import logging
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     logger = logging.getLogger(__name__)
     reserved = {"part", "bucket", "cnt", "n"} & {key_column, ts_column}
     if reserved:  # synthetic exchange/output columns
@@ -612,7 +552,7 @@ def gap_fill(ds, key_column: str, ts_column: str,
             f"gap_fill: column names {sorted(reserved)} are reserved")
     if bucket_s <= 0:
         raise ValueError("gap_fill: bucket_s must be positive")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     bucket_us = int(round(bucket_s * 1e6))
 
     def partial(t: pa.Table) -> pa.Table:
@@ -629,8 +569,7 @@ def gap_fill(ds, key_column: str, ts_column: str,
         g = d.groupby([key_column, "bucket"], sort=False).size() \
             .reset_index(name="cnt")
         g["cnt"] = g["cnt"].astype("int64")
-        h = hash_arrow_array(g[key_column])
-        g["part"] = (h % np.uint64(P)).astype("int32")
+        g["part"] = hash_part(g[key_column], P)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def expand(df: pd.DataFrame) -> pd.DataFrame:
@@ -655,13 +594,11 @@ def gap_fill(ds, key_column: str, ts_column: str,
         out["n"] = out["cnt"].fillna(0).astype("int64")
         return out[[key_column, "bucket", "n"]]
 
-    parts = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(expand, batch_format="pandas")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), expand, P)
 
 
 def interval_coverage(ds, key_column: str, start_column: str,
-                      end_column: str, n_parts: int | None = None):
+                      end_column: str):
     """Per-key UNION length of (possibly overlapping) [start, end)
     intervals — total active/covered time from sessions, leases, retries:
     the islands-and-gaps operator. SQL equivalent: the lag/cummax island
@@ -681,9 +618,6 @@ def interval_coverage(ds, key_column: str, start_column: str,
     islands, or keys."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     reserved = {"part", "s", "e"} & {key_column, start_column, end_column}
     # start/end are renamed to the synthetic s/e; only a KEY named s/e
     # could collide
@@ -692,7 +626,7 @@ def interval_coverage(ds, key_column: str, start_column: str,
     if reserved:
         raise ValueError(f"interval_coverage: column names "
                          f"{sorted(reserved)} are reserved")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.and_(pc.is_valid(t[key_column]),
@@ -701,12 +635,10 @@ def interval_coverage(ds, key_column: str, start_column: str,
         keep = pc.and_(keep, pc.greater_equal(t[end_column],
                                               t[start_column]))
         t = t.filter(keep)
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)) \
-            .astype(np.int32)
         return pa.table({key_column: t[key_column],
                          "s": pc.cast(t[start_column], pa.float64()),
                          "e": pc.cast(t[end_column], pa.float64()),
-                         "part": pa.array(part)})
+                         "part": hash_part(t[key_column], P)})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -738,13 +670,12 @@ def interval_coverage(ds, key_column: str, start_column: str,
             "n_islands": n_islands.astype(np.int64),
             "n_intervals": n_intervals.astype(np.int64)})
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def time_weighted_mean(ds, key_column: str, ts_column: str,
-                       value_column: str, n_parts: int | None = None):
+                       value_column: str):
     """Per-key TIME-weighted average of a sampled signal — each value held
     until the key's next event (zero-order hold), so sparse bursts don't
     dominate the mean the way a plain avg() does. SQL equivalent: the
@@ -763,25 +694,20 @@ def time_weighted_mean(ds, key_column: str, ts_column: str,
     import pandas as pd
     from pandas.api.types import is_datetime64_any_dtype
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     if "part" in (key_column, ts_column, value_column):
         raise ValueError("time_weighted_mean: column name 'part' is "
                          "reserved")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.and_(pc.is_valid(t[key_column]),
                                pc.is_valid(t[ts_column])),
                        pc.is_valid(t[value_column]))
         t = t.filter(keep)
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)) \
-            .astype(np.int32)
         return pa.table({key_column: t[key_column],
                          ts_column: t[ts_column],
                          value_column: t[value_column],
-                         "part": pa.array(part)})
+                         "part": hash_part(t[key_column], P)})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -821,14 +747,12 @@ def time_weighted_mean(ds, key_column: str, ts_column: str,
             "span_s": span[ok],
             "n_events": cnt[ok]})
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def ewma_by_key(ds, key_column: str, ts_column: str, value_column: str,
-                alpha: float, order_columns: tuple = (),
-                n_parts: int | None = None):
+                alpha: float, order_columns: tuple = ()):
     """Per-key exponentially-weighted moving average — the adaptive
     smoothing signal of an event stream (recency-weighted rates, metric
     baselines). Recursion `y_1 = x_1; y_t = alpha*x_t + (1-alpha)*y_{t-1}`
@@ -843,12 +767,9 @@ def ewma_by_key(ds, key_column: str, ts_column: str, value_column: str,
     Python. Null values are a contract error (the recursion has no
     skip-NaN semantics that SQL can mirror); null keys group together.
     Returns key, ordering columns, value and `ewma`."""
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"ewma_by_key: alpha={alpha}")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
@@ -857,8 +778,7 @@ def ewma_by_key(ds, key_column: str, ts_column: str, value_column: str,
                              "the recursion has no NaN-skip semantics")
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)).astype(np.int32)
-        cols["part"] = pa.array(part)
+        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -871,15 +791,13 @@ def ewma_by_key(ds, key_column: str, ts_column: str, value_column: str,
         out["ewma"] = vals
         return out
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)
 
 
 def cusum_by_key(ds, key_column: str, ts_column: str, value_column: str, *,
                  target: float, slack: float = 0.0,
-                 threshold: float | None = None, order_columns: tuple = (),
-                 n_parts: int | None = None):
+                 threshold: float | None = None, order_columns: tuple = ()):
     """Per-key two-sided CUSUM change detection — the classic
     Page (1954) drift alarm over per-entity series: upper statistic
     `hi_t = max(0, hi_{t-1} + (x_t − target − slack))`, lower
@@ -898,12 +816,9 @@ def cusum_by_key(ds, key_column: str, ts_column: str, value_column: str, *,
     input columns plus cusum_hi, cusum_lo[, alarm]."""
     import pandas as pd
 
-    from .dedup import _next_pow2, _shuffle_parts
-    from .sketches import hash_arrow_array
-
     if slack < 0:
         raise ValueError(f"cusum_by_key: slack={slack}")
-    P = _next_pow2(n_parts or _shuffle_parts())
+    P = shuffle_width()
     order = [ts_column, *order_columns]
     reserved = {"part", "cusum_hi", "cusum_lo", "alarm"}
     named = {key_column, value_column, *order}
@@ -917,9 +832,7 @@ def cusum_by_key(ds, key_column: str, ts_column: str, value_column: str, *,
                              "— the recursion has no NaN-skip semantics")
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        part = (hash_arrow_array(t[key_column]) % np.uint64(P)) \
-            .astype(np.int32)
-        cols["part"] = pa.array(part)
+        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -940,6 +853,5 @@ def cusum_by_key(ds, key_column: str, ts_column: str, value_column: str, *,
                 | (out["cusum_lo"].to_numpy() > threshold)
         return out
 
-    parts = ds.map_batches(project, batch_format="pyarrow") \
-        .repartition(P).materialize()
-    return parts.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, P)

@@ -381,20 +381,101 @@ def test_uniqueness_width_independent(ray_session, monkeypatch):
 def test_exchange_parts_one_per_cpu(ray_session, monkeypatch):
     """The key-count exchange is one partition per cluster CPU: 4 on the
     4-CPU test session (no floor of 8), 64 on a 64-CPU cluster (no cap at
-    32), and 8 only when Ray is not running."""
+    32), and 8 only when Ray is not running. Every other exchange uses
+    shuffle_width(): the same count floored at 8, rounded up to a power of
+    two."""
     import ray
 
-    from gojsonschema_ray.stages.exchange import exchange_parts
+    from gojsonschema_ray.stages.exchange import exchange_parts, shuffle_width
     from gojsonschema_ray.stages.uniqueness import KeyCountStage
 
     assert int(ray.cluster_resources()["CPU"]) == 4
     assert exchange_parts() == 4
+    assert shuffle_width() == 8
     assert KeyCountStage("k").n_parts == 4
-    assert KeyCountStage("k", 3).n_parts == 3
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 64.0})
     assert exchange_parts() == 64
+    assert shuffle_width() == 64
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 12.0})
+    assert shuffle_width() == 16
     monkeypatch.setattr(ray, "is_initialized", lambda: False)
     assert exchange_parts() == 8
+    assert shuffle_width() == 8
+
+
+@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+def test_exchange_width_independent(ray_session, batch_format):
+    """exchange() returns the same multiset at any width, in either batch
+    format, and groups on a `by=` column other than `part`."""
+    from collections import Counter
+
+    import pandas as pd
+    import ray.data as rd
+
+    from gojsonschema_ray.stages import exchange as xmod
+    from gojsonschema_ray.stages.exchange import exchange, hash_part
+    from gojsonschema_ray.util import collect_rows
+
+    keys = [f"k{i % 37}" if i % 5 else None for i in range(900)]
+    expected = sorted((k, c) for k, c in Counter(keys).items()
+                      if k is not None)
+
+    def reduce(batch):
+        df = batch if isinstance(batch, pd.DataFrame) else batch.to_pandas()
+        g = df.groupby("k", sort=False)["c"].sum().reset_index()
+        return g if batch_format == "pandas" else pa.Table.from_pandas(
+            g, preserve_index=False)
+
+    for width in (1, 3, xmod.shuffle_width()):
+        for by in ("part", "bucket"):
+            def tag(t: pa.Table, width=width, by=by) -> pa.Table:
+                return pa.table({"k": t["k"],
+                                 "c": pa.array([1] * t.num_rows),
+                                 by: hash_part(t["k"], width)})
+
+            partials = rd.from_arrow(pa.table({"k": keys})).repartition(7) \
+                .map_batches(tag, batch_format="pyarrow")
+            got = sorted((r["k"], r["c"]) for r in collect_rows(
+                exchange(partials, reduce, width, by=by,
+                         batch_format=batch_format)))
+            assert got == expected, (width, by)
+
+
+def test_hash_part_matches_partition_hash():
+    """hash_part is the int32 tag hash_arrow_array(v) % P, for string,
+    int64 and all-null inputs, Arrow arrays and pandas Series alike."""
+    import pandas as pd
+
+    from gojsonschema_ray.stages.exchange import hash_part
+    from gojsonschema_ray.stages.sketches import hash_arrow_array
+
+    cases = [pa.array(["a", None, "bb", "a", ""]),
+             pa.array([1, -7, None, 2**62, 0], pa.int64()),
+             pa.array([None, None], pa.string()),
+             pa.chunked_array([pa.array([3, 4]), pa.array([5])]),
+             pd.Series(["x", None, "y"])]
+    for values in cases:
+        for P in (1, 3, 8):
+            got = hash_part(values, P)
+            assert got.type == pa.int32()
+            exp = (hash_arrow_array(values) % np.uint64(P)).astype(np.int32)
+            assert got.to_numpy().tolist() == exp.tolist()
+
+
+def test_exchange_idiom_lives_in_one_module():
+    """The coarse hash exchange (map_groups over tagged partials) and its
+    width helpers exist only in stages/exchange.py."""
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [*sorted((root / "gojsonschema_ray").rglob("*.py")),
+             root / "__ray_entry__.py"]
+    exchange_py = root / "gojsonschema_ray" / "stages" / "exchange.py"
+    offenders = [f"{f.relative_to(root)}: {needle}"
+                 for f in files if f != exchange_py
+                 for needle in (".map_groups(", "_next_pow2", "_shuffle_parts")
+                 if needle in f.read_text()]
+    assert offenders == []
 
 
 def test_jsonl_source_validation(ray_session, tmp_path):
@@ -984,13 +1065,15 @@ def test_cc_labels_chain_and_star():
                    20: 20, 21: 20, 22: 20, 11: 10}
 
 
-def test_near_dup_clusters_chain_across_partitions(ray_session):
+def test_near_dup_clusters_chain_across_partitions(ray_session, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
+    from gojsonschema_ray.stages import dedup
     from gojsonschema_ray.stages.dedup import near_dup_clusters
     from gojsonschema_ray.util import collect_rows
 
+    monkeypatch.setattr(dedup, "shuffle_width", lambda: 4)
     # a 20-node chain (every edge in a different block, so components span
     # partitions and the cross-partition equivalence path is exercised) plus
     # an isolated pair
@@ -999,26 +1082,53 @@ def test_near_dup_clusters_chain_across_partitions(ray_session):
         "id_b": list(range(1, 20)) + [101],
     })
     ds = rd.from_pandas(pairs).repartition(7)
-    rows = collect_rows(near_dup_clusters(ds, n_parts=4))
+    rows = collect_rows(near_dup_clusters(ds))
     got = {r["doc_id"]: r["cluster_id"] for r in rows}
     expect = {i: 0 for i in range(20)}
     expect.update({100: 100, 101: 100})
     assert got == expect
 
 
-def test_keep_one_per_cluster(ray_session):
+def test_hot_bucket_keys_counts_seeded_keys(ray_session):
+    """hot_bucket_keys returns exactly the bucket keys seen at least twice
+    (a Counter over the seeded keys), hot keys and singletons mixed across
+    blocks."""
+    from collections import Counter
+
+    import ray.data as rd
+
+    from gojsonschema_ray.stages.dedup import hot_bucket_keys
+
+    rng = np.random.default_rng(5)
+    keys = rng.integers(-2**62, 2**62, size=400, dtype=np.int64)
+    keys = np.concatenate([keys, keys[:60], keys[:3], np.full(50, 7)])
+    rng.shuffle(keys)
+    ds = rd.from_arrow(pa.table({"key": keys, "id": np.arange(len(keys))})) \
+        .repartition(6)
+    got = hot_bucket_keys(ds)
+    assert got.type == pa.int64()
+    assert sorted(got.to_pylist()) == sorted(
+        k for k, c in Counter(keys.tolist()).items() if c >= 2)
+    empty = hot_bucket_keys(rd.from_arrow(pa.table(
+        {"key": pa.array(np.arange(10), pa.int64())})))
+    assert len(empty) == 0
+
+
+def test_keep_one_per_cluster(ray_session, monkeypatch):
     """End-to-end corpus dedup: survivors = component-min of each cluster
     plus every unclustered row; payload columns ride through untouched."""
     import pandas as pd
     import ray.data as rd
 
+    from gojsonschema_ray.stages import dedup
     from gojsonschema_ray.stages.dedup import (
         keep_one_per_cluster, near_dup_clusters,
     )
     from gojsonschema_ray.util import collect_rows
 
+    monkeypatch.setattr(dedup, "shuffle_width", lambda: 4)
     pairs = pd.DataFrame({"id_a": [1, 2, 10], "id_b": [2, 3, 11]})
-    labels = near_dup_clusters(rd.from_pandas(pairs), n_parts=4)
+    labels = near_dup_clusters(rd.from_pandas(pairs))
     corpus = pd.DataFrame({"doc_id": list(range(15)),
                            "payload": [f"p{i}" for i in range(15)]})
     out = collect_rows(keep_one_per_cluster(
@@ -2453,17 +2563,19 @@ def test_hash_join_broadcast(ray_session, how):
 
 @pytest.mark.parametrize("how", ["inner", "left", "right", "full",
                                  "semi", "anti"])
-def test_hash_join_shuffle(ray_session, how):
+def test_hash_join_shuffle(ray_session, how, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
+    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
     from gojsonschema_ray.util import collect_rows
 
+    monkeypatch.setattr(joins, "shuffle_width", lambda: 4)
     left, right = _join_frames()
     out = hash_join_shuffle(rd.from_pandas(left).repartition(3),
                             rd.from_pandas(right).repartition(2),
-                            on="k", how=how, n_parts=4)
+                            on="k", how=how)
     got = pd.DataFrame(collect_rows(out))
     if how in ("semi", "anti"):
         hit = left["k"].isin(right.loc[right["k"].notna(), "k"]) \
@@ -2477,12 +2589,13 @@ def test_hash_join_shuffle(ray_session, how):
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
-def test_hash_join_shuffle_matches_duckdb_shape(ray_session):
+def test_hash_join_shuffle_matches_duckdb_shape(ray_session, monkeypatch):
     """Fact ⋈ fact over real testdata: lineitem ⋈ orders on l_orderkey,
     row count equals the SQL inner-join count (every lineitem has an
     order, so count == lineitem rows)."""
     import ray.data as rd
 
+    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
 
     sf = "/root/testdata/sf0.001"
@@ -2492,11 +2605,12 @@ def test_hash_join_shuffle_matches_duckdb_shape(ray_session):
                              columns=["o_orderkey", "o_custkey"]) \
         .map_batches(lambda t: t.rename_columns(["l_orderkey", "o_custkey"]),
                      batch_format="pyarrow")
-    out = hash_join_shuffle(li, orders, on="l_orderkey", n_parts=4)
+    monkeypatch.setattr(joins, "shuffle_width", lambda: 4)
+    out = hash_join_shuffle(li, orders, on="l_orderkey")
     assert out.count() == li.count()
 
 
-def test_hash_join_shuffle_right_outer_salting(ray_session):
+def test_hash_join_shuffle_right_outer_salting(ray_session, monkeypatch):
     """Skewed RIGHT outer join (one key = 30% of the preserved right
     side): the right side is the salted probe — exact OUTER result (each
     preserved row lives in ONE sub-bucket, meets every replicated left
@@ -2504,6 +2618,7 @@ def test_hash_join_shuffle_right_outer_salting(ray_session):
     import pandas as pd
     import ray.data as rd
 
+    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
     from gojsonschema_ray.stages.sketches import hash_arrow_array
     from gojsonschema_ray.util import collect_rows
@@ -2516,10 +2631,11 @@ def test_hash_join_shuffle_right_outer_salting(ray_session):
     # keys 400-499 absent on the left so unmatched right rows exist
     left = pd.DataFrame({"k": np.arange(400).tolist() + [999, 999],
                          "v": np.arange(402) * 10})
+    monkeypatch.setattr(joins, "shuffle_width", lambda: 8)
     out = hash_join_shuffle(rd.from_pandas(left).repartition(2),
                             rd.from_pandas(right).repartition(6),
-                            on="k", how="right", n_parts=8,
-                            hot_keys={999}, salt_buckets=8)
+                            on="k", how="right", hot_keys={999},
+                            salt_buckets=8)
     got = pd.DataFrame(collect_rows(out)).sort_values(
         ["rv", "v"]).reset_index(drop=True)
     exp = left.merge(right, on="k", how="right").sort_values(
@@ -2538,7 +2654,7 @@ def test_hash_join_shuffle_right_outer_salting(ray_session):
     assert share.max() <= 2.0 / P + 0.02, share
 
 
-def test_hash_join_shuffle_full_outer_salting(ray_session):
+def test_hash_join_shuffle_full_outer_salting(ray_session, monkeypatch):
     """Skewed FULL outer join with hot_keys: composes as salted LEFT join
     ∪ NULL-left anti complement — result equals the pandas full merge
     exactly (matched pairs fan out, unmatched LEFT rows carry NULL right,
@@ -2547,6 +2663,7 @@ def test_hash_join_shuffle_full_outer_salting(ray_session):
     import pandas as pd
     import ray.data as rd
 
+    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
     from gojsonschema_ray.util import collect_rows
 
@@ -2560,10 +2677,11 @@ def test_hash_join_shuffle_full_outer_salting(ray_session):
         {"k": np.arange(250).astype(np.float64).tolist()
          + [999.0, 400.0, 401.0, np.nan],
          "rv": np.arange(254) * 10})
+    monkeypatch.setattr(joins, "shuffle_width", lambda: 8)
     out = hash_join_shuffle(rd.from_pandas(left).repartition(5),
                             rd.from_pandas(right).repartition(2),
-                            on="k", how="full", n_parts=8,
-                            hot_keys={999.0}, salt_buckets=8)
+                            on="k", how="full", hot_keys={999.0},
+                            salt_buckets=8)
     got = pd.DataFrame(collect_rows(out)).sort_values(
         ["v", "rv"]).reset_index(drop=True)
     # SQL FULL OUTER reference (pandas merge MATCHES NaN keys — SQL
@@ -2579,13 +2697,14 @@ def test_hash_join_shuffle_full_outer_salting(ray_session):
 
 
 @pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
-def test_hash_join_shuffle_hot_key_salting(ray_session, how):
+def test_hash_join_shuffle_hot_key_salting(ray_session, how, monkeypatch):
     """Skewed fact-fact join (one key = 30% of left rows): salting keeps
     every partition's share bounded while the result stays exactly the SQL
     merge (salt sub-buckets colliding mod P must not duplicate matches)."""
     import pandas as pd
     import ray.data as rd
 
+    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
     from gojsonschema_ray.stages.sketches import hash_arrow_array
     from gojsonschema_ray.util import collect_rows
@@ -2598,10 +2717,10 @@ def test_hash_join_shuffle_hot_key_salting(ray_session, how):
     # keys 400-499 intentionally absent so left/anti produce rows
     right = pd.DataFrame({"k": np.arange(400).tolist() + [999],
                           "rv": np.arange(401) * 10})
+    monkeypatch.setattr(joins, "shuffle_width", lambda: 8)
     out = hash_join_shuffle(rd.from_pandas(left).repartition(6),
                             rd.from_pandas(right).repartition(2),
-                            on="k", how=how, n_parts=8,
-                            hot_keys={999}, salt_buckets=8)
+                            on="k", how=how, hot_keys={999}, salt_buckets=8)
     got = pd.DataFrame(collect_rows(out))
     if how in ("semi", "anti"):
         hit = left["k"].isin(right["k"])
@@ -2698,12 +2817,13 @@ def test_running_offsets_reserved_names_raise(ray_session):
                         keep_columns=["offset"])
 
 
-def test_hash_join_shuffle_auto_hot_detection(ray_session):
+def test_hash_join_shuffle_auto_hot_detection(ray_session, monkeypatch):
     """hot_keys='auto' samples the probe side and still joins exactly;
     the default (None) performs no sampling pass."""
     import pandas as pd
     import ray.data as rd
 
+    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
     from gojsonschema_ray.util import collect_rows
 
@@ -2714,9 +2834,10 @@ def test_hash_join_shuffle_auto_hot_detection(ray_session):
     left = pd.DataFrame({"k": keys, "v": np.arange(n)})
     right = pd.DataFrame({"k": np.arange(200).tolist() + [777],
                           "rv": np.arange(201)})
+    monkeypatch.setattr(joins, "shuffle_width", lambda: 8)
     out = hash_join_shuffle(rd.from_pandas(left).repartition(4),
                             rd.from_pandas(right), on="k", how="inner",
-                            n_parts=8, hot_keys="auto")
+                            hot_keys="auto")
     got = pd.DataFrame(collect_rows(out)).sort_values("v").reset_index(drop=True)
     exp = left.merge(right, on="k").sort_values("v").reset_index(drop=True)
     pd.testing.assert_frame_equal(got[exp.columns], exp, check_dtype=False)
@@ -4377,12 +4498,13 @@ def test_moments_by_group(ray_session):
                            - ((c ** 4).mean() / m2 ** 2 - 3)) < 1e-9
 
 
-def test_gini_by_group(ray_session):
+def test_gini_by_group(ray_session, monkeypatch):
     """Closed-form Gini goldens (perfect equality → 0; one-holder
     concentration → (n−1)/n); rank-formula parity with a sorted numpy
     replica; tie invariance; negative values raise."""
     import pandas as pd
     import ray.data as rd
+    from gojsonschema_ray.stages import sketches
     from gojsonschema_ray.stages.sketches import gini_by_group
     from gojsonschema_ray.util import collect_rows
 
@@ -4392,8 +4514,9 @@ def test_gini_by_group(ray_session):
     rand = pd.DataFrame({"k": rng.choice(["x", "y"], 300),
                          "v": rng.exponential(10.0, 300).round(1)})
     df = pd.concat([eq, conc, rand], ignore_index=True)
+    monkeypatch.setattr(sketches, "shuffle_width", lambda: 4)
     rows = collect_rows(gini_by_group(
-        rd.from_pandas(df).repartition(5), "k", "v", n_parts=4))
+        rd.from_pandas(df).repartition(5), "k", "v"))
     got = {r["k"]: r for r in rows}
     assert len(got) == 4
     assert abs(got["eq"]["gini"]) < 1e-12
@@ -4453,13 +4576,14 @@ def test_autocorr_by_key(ray_session):
         autocorr_by_key(rd.from_pandas(df), "k", ("t",), "v", lag=0)
 
 
-def test_cusum_by_key(ray_session):
+def test_cusum_by_key(ray_session, monkeypatch):
     """Closed-form CUSUM vs the literal Page recursion per key
     (1e-12 parity); a mean-shifted segment raises the upper statistic
     and trips the alarm while an in-control key stays quiet; scrambled
     input / partitioning invariance; null-value contract error."""
     import pandas as pd
     import ray.data as rd
+    from gojsonschema_ray.stages import window
     from gojsonschema_ray.stages.window import cusum_by_key
     from gojsonschema_ray.util import collect_rows
 
@@ -4472,9 +4596,10 @@ def test_cusum_by_key(ray_session):
         pd.DataFrame({"k": "shift", "t": np.arange(120), "v": shifted}),
     ], ignore_index=True).sample(frac=1.0, random_state=1)
 
+    monkeypatch.setattr(window, "shuffle_width", lambda: 4)
     rows = collect_rows(cusum_by_key(
         rd.from_pandas(df).repartition(5), "k", "t", "v",
-        target=10.0, slack=0.5, threshold=8.0, n_parts=4))
+        target=10.0, slack=0.5, threshold=8.0))
     assert len(rows) == 240
     by_key = {}
     for r in sorted(rows, key=lambda r: (r["k"], r["t"])):
