@@ -4,7 +4,7 @@ On a real cluster:
 
     ray job submit --working-dir . -- \
         python -m gojsonschema_ray validate \
-            --input /data/clips --out /data/out --audio-concurrency 64
+            --input /data/clips --out /data/out
 
 Standalone (local): the same command auto-initializes a local Ray session.
 The run is resumable: re-submitting after a failure skips partitions already
@@ -28,7 +28,6 @@ def main(argv=None) -> int:
     v.add_argument("--ruleset", default=None, help="path to a JSON Schema ruleset")
     v.add_argument("--no-audio", action="store_true")
     v.add_argument("--files-per-partition", type=int, default=4)
-    v.add_argument("--audio-concurrency", type=int, default=8)
     v.add_argument("--audio-cap-ms", type=int, default=50)
 
     g = sub.add_parser("gen", help="write a deterministic synthetic clips table")
@@ -57,7 +56,6 @@ def main(argv=None) -> int:
                 ruleset=ruleset,
                 with_audio=not args.no_audio,
                 files_per_partition=args.files_per_partition,
-                audio_concurrency=args.audio_concurrency,
                 audio_cap_ms=args.audio_cap_ms,
             )
             print(json.dumps(summary))

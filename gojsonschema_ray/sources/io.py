@@ -77,13 +77,17 @@ def read_fragments(path: str, fragments: list[str],
                    columns: list[str] | None = None,
                    fragment_reader=None):
     """Dataset over a SUBSET of fragments — the resume/commit unit of
-    run_flagship. Parquet fragments are file paths (read directly, pruned);
-    Lance fragments ("fragment:<id>") are scanned per-fragment in remote
-    tasks via `fragment_reader(path, fid, columns) -> pa.Table` (default:
-    pylance; injectable for tests/other formats) and assembled with
-    from_arrow_refs. Fragment subsets are small (files_per_partition worth),
-    so per-fragment materialization is bounded by the partition size, not
-    the table."""
+    run_flagship — as ONE block per fragment, every row tagged with its
+    fragment in a `path` column.
+
+    Parquet fragments are file paths, read pruned with one read task per
+    file: Ray 2.49 splits a small file into several blocks by default and
+    then will not fuse the read with the map that follows it. Lance
+    fragments ("fragment:<id>") are scanned per-fragment in remote tasks via
+    `fragment_reader(path, fid, columns) -> pa.Table` (default: pylance;
+    injectable for tests/other formats) and assembled with from_arrow_refs.
+    Fragment subsets are small (one wave of partitions), so per-fragment
+    materialization is bounded by the cluster width, not the table."""
     import ray.data as rd
 
     if fragments and str(fragments[0]).startswith("fragment:"):
@@ -95,12 +99,16 @@ def read_fragments(path: str, fragments: list[str],
         import ray
 
         @ray.remote
-        def _scan(fid: int):
-            return reader(path, fid, columns)
+        def _scan(fragment: str):
+            import pyarrow as pa
 
-        return rd.from_arrow_refs(
-            [_scan.remote(_fragment_id(f)) for f in fragments])
-    return read_table(list(fragments), columns=columns)
+            t = reader(path, _fragment_id(fragment), columns)
+            return t.append_column(
+                "path", pa.array([fragment] * t.num_rows, pa.string()))
+
+        return rd.from_arrow_refs([_scan.remote(f) for f in fragments])
+    return read_table(list(fragments), columns=columns, include_paths=True,
+                      override_num_blocks=len(fragments))
 
 
 def fragment_row_count(path: str, fragment: str, fragment_counter=None) -> int:

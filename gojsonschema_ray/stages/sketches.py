@@ -1413,8 +1413,12 @@ def exact_global_quantiles(ds, column: str, qs, *,
 
     quantile_cont semantics: h = q*(n-1); the result interpolates the
     floor(h)-th and ceil(h)-th order statistics (0-indexed). NULL/NaN
-    excluded (SQL drops NULLs). Returns a DataFrame (q, value); NaN value
-    on an empty column.
+    excluded (SQL drops NULLs). -inf/+inf are the lowest/highest order
+    statistics: they are counted in the first pass and never enter the
+    selection, which runs over the finite values only; an interpolation
+    with an infinite end takes DuckDB's ``lo*(1-d) + hi*d`` form (-inf
+    next to a finite value stays -inf, -inf next to +inf is NaN). Returns
+    a DataFrame (q, value); NaN value on an empty column.
 
     Each refinement round is ONE combined pass (per-interval boundary
     samples) + ONE counting pass shared by every still-active rank.
@@ -1450,34 +1454,46 @@ def exact_global_quantiles(ds, column: str, qs, *,
 
     samples = np.asarray([r["s"] for r in collect_rows(
         ds.map_batches(sample, batch_format="pyarrow"))], np.float64)
-    if len(samples) == 0:
-        return pd.DataFrame({"q": pd.Series(qs, dtype="float64"),
-                             "value": np.full(len(qs), np.nan)})
     P = 32
-    bounds = np.unique(np.quantile(samples, np.linspace(0, 1, P + 1)[1:-1]))
+    bounds = np.unique(np.quantile(samples, np.linspace(0, 1, P + 1)[1:-1])) \
+        if len(samples) else np.zeros(0)
 
-    # pass 2: global region counts (regions are [b[i-1], b[i]) half-open)
+    # pass 2: global region counts of the finite values (regions are
+    # [b[i-1], b[i]) half-open), plus the -inf (b=-1) and +inf (b=-2) counts
     def counts0(t: pa.Table) -> pa.Table:
         v = col_vals(t)
         c = np.bincount(np.searchsorted(bounds, v, side="right"),
                         minlength=len(bounds) + 1)
-        return pa.table({"b": pa.array(np.arange(len(c), dtype=np.int64)),
-                         "c": pa.array(c.astype(np.int64))})
+        x = t[column]
+        if pa.types.is_floating(x.type):
+            c = np.append(c, [pc.sum(pc.equal(x, -math.inf)).as_py() or 0,
+                              pc.sum(pc.equal(x, math.inf)).as_py() or 0])
+        else:
+            c = np.append(c, [0, 0])
+        b = np.append(np.arange(len(c) - 2, dtype=np.int64), [-1, -2])
+        return pa.table({"b": pa.array(b), "c": pa.array(c.astype(np.int64))})
 
     tot = np.zeros(len(bounds) + 1, dtype=np.int64)
+    n_inf = {-1: 0, -2: 0}
     for r in collect_rows(ds.map_batches(counts0, batch_format="pyarrow")):
-        tot[r["b"]] += r["c"]
-    n = int(tot.sum())
+        if r["b"] < 0:
+            n_inf[r["b"]] += r["c"]
+        else:
+            tot[r["b"]] += r["c"]
+    n_neg, n_fin = n_inf[-1], int(tot.sum())
+    n = n_neg + n_fin + n_inf[-2]
     if n == 0:
         return pd.DataFrame({"q": pd.Series(qs, dtype="float64"),
                              "value": np.full(len(qs), np.nan)})
     offs = np.concatenate([[0], np.cumsum(tot)])
 
-    # per needed rank k: (lo, hi, base, cnt, value-or-None) — the k-th
-    # order statistic lies in [lo, hi); `base` values are < lo
-    ranks = sorted({int(r) for q in qs
+    # per needed FINITE rank k (overall rank - n_neg): (lo, hi, base, cnt,
+    # value-or-None) — the k-th finite order statistic lies in [lo, hi);
+    # `base` values are < lo
+    ranks = sorted({int(r) - n_neg for q in qs
                     for r in (math.floor(q * (n - 1)),
-                              math.ceil(q * (n - 1)))})
+                              math.ceil(q * (n - 1)))
+                    if n_neg <= r < n_neg + n_fin})
     state: dict[int, list] = {}
     for k in ranks:
         b = int(np.searchsorted(offs[1:], k, side="right"))
@@ -1594,13 +1610,24 @@ def exact_global_quantiles(ds, column: str, qs, *,
             w = np.asarray(vals[i], dtype=np.float64)
             w.partition(k - s[2])
             state[k][4] = float(w[k - s[2]])
-    order_stat = {k: s[4] for k, s in state.items()}
+    def order_stat(r: int) -> float:
+        if r < n_neg:
+            return -math.inf
+        if r >= n_neg + n_fin:
+            return math.inf
+        return state[r - n_neg][4]
+
     out = []
     for q in qs:
         h = q * (n - 1)
         k0, k1 = math.floor(h), math.ceil(h)
-        v0, v1 = order_stat[k0], order_stat[k1]
-        out.append(v0 + (h - k0) * (v1 - v0))
+        v0, v1, d = order_stat(k0), order_stat(k1), h - k0
+        if k0 == k1:
+            out.append(v0)
+        elif math.isinf(v0) or math.isinf(v1):
+            out.append(v0 * (1 - d) + v1 * d)
+        else:
+            out.append(v0 + d * (v1 - v0))
     return pd.DataFrame({"q": pd.Series(qs, dtype="float64"),
                          "value": pd.Series(out, dtype="float64")})
 

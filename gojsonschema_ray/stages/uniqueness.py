@@ -83,10 +83,8 @@ def duplicate_keys(ds, key: str):
         {key: pa.array(g[key]), "n_rows": pa.array(g["n"])}))
 
 
-def uniqueness_violations(ds, key: str):
-    """Violation rows (key, keyword='unique', path, expected, actual) for
-    duplicated keys — same shape as the per-row violation table (F4),
-    typed as VIOLATION_SCHEMA even for a partition with no duplicates."""
+def _violation_rows(key: str):
+    """Reducer finish: (key, n) frame -> VIOLATION_SCHEMA rows."""
 
     def to_violations(g) -> pa.Table:
         n = len(g)
@@ -98,7 +96,33 @@ def uniqueness_violations(ds, key: str):
             "actual": pc.cast(pa.array(g["n"]), pa.string()),
         }, schema=VIOLATION_SCHEMA)
 
-    return _key_counts(ds, key, to_violations)
+    return to_violations
+
+
+def uniqueness_violations(ds, key: str):
+    """Violation rows (key, keyword='unique', path, expected, actual) for
+    duplicated keys — same shape as the per-row violation table (F4),
+    typed as VIOLATION_SCHEMA even for a partition with no duplicates."""
+    return _key_counts(ds, key, _violation_rows(key))
+
+
+def key_count_violations(counts, key: str):
+    """uniqueness_violations from (key, cnt) partials counted earlier — e.g.
+    the KeyCountStage output run_flagship stores per partition — without
+    reading the key column again.
+
+    The partials are re-tagged at the current exchange width: partials
+    stored by runs on clusters of other sizes carry `part` tags of other
+    widths, and one key under two tags would reach two reducers."""
+    P = exchange_parts()
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.select([key, "cnt"]).append_column(
+            "part", hash_part(batch[key], P))
+
+    partials = counts.map_batches(tag, batch_format="pyarrow")
+    return aggregate_key_counts(partials, key, min_count=2,
+                                finish=_violation_rows(key))
 
 
 def add_salted_key(batch: pa.Table, key: str, hot_keys: set, salt_buckets: int,

@@ -80,9 +80,8 @@ def test_lance_fragment_resume(ray_session, tmp_path, monkeypatch):
     frags = io.list_fragments(root)
     assert frags == [f"fragment:{i}" for i in range(n_frags)]
 
-    s1 = run_flagship(root, out, files_per_partition=2, audio_concurrency=2,
-                      audio_cap_ms=20, fragment_reader=reader,
-                      fragment_counter=counter)
+    s1 = run_flagship(root, out, files_per_partition=2, audio_cap_ms=20,
+                      fragment_reader=reader, fragment_counter=counter)
     assert s1["rows"] == 2000
     assert s1["partitions"] == n_frags // 2 + 1  # data partitions + __global__
 
@@ -94,9 +93,8 @@ def test_lance_fragment_resume(ray_session, tmp_path, monkeypatch):
 
     # resume: everything committed -> second run rewrites nothing
     before = open(manifest_path).read()
-    s2 = run_flagship(root, out, files_per_partition=2, audio_concurrency=2,
-                      audio_cap_ms=20, fragment_reader=reader,
-                      fragment_counter=counter)
+    s2 = run_flagship(root, out, files_per_partition=2, audio_cap_ms=20,
+                      fragment_reader=reader, fragment_counter=counter)
     assert open(manifest_path).read() == before
     assert s2["rows"] == s1["rows"] and s2["violations"] == s1["violations"]
 
@@ -110,3 +108,86 @@ def test_read_fragments_requires_reader_without_lance(ray_session, tmp_path):
         pytest.skip("real pylance present")
     with pytest.raises(RuntimeError, match="pylance"):
         io.read_fragments(str(tmp_path), ["fragment:0"], columns=["clip_id"])
+
+
+def _install_fake_lance(monkeypatch):
+    """Point sources.io at a fake lance module whose fragments are the
+    <root>/data/frag-<i>.parquet shards; returns (reader, counter)."""
+    import pyarrow.parquet as pq
+
+    from gojsonschema_ray.sources import io
+
+    class FakeLanceDataset:
+        def __init__(self, path):
+            self.path = path
+
+        def get_fragments(self):
+            n = len(os.listdir(os.path.join(self.path, "data")))
+            return [SimpleNamespace(fragment_id=i) for i in range(n)]
+
+    monkeypatch.setattr(io, "HAVE_LANCE", True)
+    monkeypatch.setattr(io, "lance", SimpleNamespace(dataset=FakeLanceDataset))
+
+    def reader(path, fid, columns):
+        import pyarrow.parquet as _pq
+
+        return _pq.read_table(
+            os.path.join(path, "data", f"frag-{fid}.parquet"), columns=columns)
+
+    def counter(path, fid):
+        return pq.read_metadata(
+            os.path.join(path, "data", f"frag-{fid}.parquet")).num_rows
+
+    return reader, counter
+
+
+def test_lance_fragments_take_the_fused_pass(ray_session, tmp_path,
+                                             monkeypatch, wave_stats):
+    """Fragment-id partitions run the same one-pass wave as parquet files
+    (the scan tags each fragment's block with its id), the global check
+    never reads the table, and the summary equals a parquet run's over the
+    same shards."""
+    from gojsonschema_ray.sources import io
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+
+    root, n_frags = _make_fake_lance_dataset(tmp_path, rows_per_file=250)
+    assert n_frags == 8
+    s_pq = run_flagship(os.path.join(root, "data"), str(tmp_path / "pq"),
+                        files_per_partition=1, audio_cap_ms=20)
+    wave_stats.clear()
+
+    def no_table_scan(*args, **kwargs):
+        raise AssertionError("read_table called: the table is read twice")
+
+    reader, counter = _install_fake_lance(monkeypatch)
+    monkeypatch.setattr(io, "read_table", no_table_scan)
+    out = str(tmp_path / "out")
+    s = run_flagship(root, out, files_per_partition=1, audio_cap_ms=20,
+                     fragment_reader=reader, fragment_counter=counter)
+    assert s == s_pq
+    assert s["rows"] == 2000 and s["partitions"] == n_frags + 1
+    assert len(wave_stats) == 2  # 8 one-fragment partitions, waves of 4
+    for ops in wave_stats:
+        assert ops[-1] == "MapBatches(PartitionPass)->Write"
+    for i in range(n_frags):
+        assert os.listdir(os.path.join(out, "keycounts", f"part-{i:06d}"))
+
+
+def test_row_count_mismatch_refuses_commit(ray_session, tmp_path,
+                                           monkeypatch):
+    """A partition whose pass saw fewer rows than its fragments' counts
+    claim raises and commits nothing."""
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+
+    root, _ = _make_fake_lance_dataset(tmp_path)
+    reader, counter = _install_fake_lance(monkeypatch)
+
+    def inflated(path, fid):
+        return counter(path, fid) + (fid == 1)
+
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="part-000000: the pass saw 1000"):
+        run_flagship(root, out, with_audio=False, files_per_partition=2,
+                     fragment_reader=reader, fragment_counter=inflated)
+    manifest = os.path.join(out, "manifest.jsonl")
+    assert not os.path.exists(manifest) or not open(manifest).read()

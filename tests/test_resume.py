@@ -18,8 +18,7 @@ ray.init(address="local", num_cpus=4, include_dashboard=False,
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from gojsonschema_ray.pipelines.flagship import run_flagship
-s = run_flagship({inp!r}, {out!r}, files_per_partition=1,
-                 audio_concurrency=2, audio_cap_ms=20)
+s = run_flagship({inp!r}, {out!r}, files_per_partition=1, audio_cap_ms=20)
 print("SUMMARY " + __import__("json").dumps(s))
 ray.shutdown()
 """
@@ -108,8 +107,7 @@ def counter(path, fid):
         os.path.join(path, "data", f"frag-{{fid}}.parquet")).num_rows
 
 from gojsonschema_ray.pipelines.flagship import run_flagship
-s = run_flagship({root!r}, {out!r}, files_per_partition=1,
-                 audio_concurrency=2, audio_cap_ms=20,
+s = run_flagship({root!r}, {out!r}, files_per_partition=1, audio_cap_ms=20,
                  fragment_reader=reader, fragment_counter=counter)
 print("SUMMARY " + __import__("json").dumps(s))
 ray.shutdown()
@@ -216,7 +214,7 @@ def test_cli_gen_and_validate(tmp_path):
     assert json.loads(r1.stdout.strip().splitlines()[-1])["rows"] == 1500
     r2 = subprocess.run(
         [sys.executable, "-m", "gojsonschema_ray", "validate", "--input", clips,
-         "--out", out, "--audio-concurrency", "2", "--audio-cap-ms", "20"],
+         "--out", out, "--audio-cap-ms", "20"],
         capture_output=True, text=True, env=env, cwd=repo, timeout=240)
     assert r2.returncode == 0, r2.stderr[-500:]
     summary = json.loads(r2.stdout.strip().splitlines()[-1])
@@ -309,3 +307,194 @@ def test_lance_multi_kill_resume(tmp_path):
                   if json.loads(ln)["partition"] != "__global__"]
     committed_frags = sorted(f for ln in frag_lines for f in ln["fragments"])
     assert committed_frags == [f"fragment:{i}" for i in range(4)]
+
+
+def _tree_state(root, parts):
+    """{relative file path: (size, mtime_ns)} under violations/ and
+    keycounts/ of the given partitions."""
+    state = {}
+    for sub in ("violations", "keycounts"):
+        for p in parts:
+            d = os.path.join(root, sub, p)
+            for f in sorted(os.listdir(d)):
+                st = os.stat(os.path.join(d, f))
+                state[f"{sub}/{p}/{f}"] = (st.st_size, st.st_mtime_ns)
+    return state
+
+
+def _global_rows(out):
+    import pyarrow.parquet as pq
+
+    d = os.path.join(out, "violations", "__global__")
+    return sorted((r["key"], r["actual"]) for f in sorted(os.listdir(d))
+                  for r in pq.read_table(os.path.join(d, f)).to_pylist())
+
+
+def _summary(stdout):
+    return json.loads([ln for ln in stdout.splitlines()
+                       if ln.startswith("SUMMARY ")][0][len("SUMMARY "):])
+
+
+def test_multi_wave_kill_resume(tmp_path):
+    """12 one-file partitions on 4 CPUs run as 3 waves of 4. A driver
+    SIGKILLed after the first commit resumes without touching a committed
+    partition's files, rewrites only the uncommitted ones, and ends with
+    the summary (drift included) and __global__ rows of an uninterrupted
+    run."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    inp = str(tmp_path / "clips")
+    out = str(tmp_path / "out")
+    sys.path.insert(0, repo)
+    from gojsonschema_ray.datagen import write_clips_parquet
+
+    write_clips_parquet(inp, 2400, audio_cap_ms=20, rows_per_file=200)
+    assert len(os.listdir(inp)) == 12
+    manifest = os.path.join(out, "manifest.jsonl")
+
+    p = _spawn(repo, inp, out)
+    assert _wait_for_commits(manifest, p, 1) is not None, \
+        "no partition committed before timeout"
+    _kill_driver(p)
+    after_kill = [ln for ln in open(manifest).read().splitlines() if ln.strip()]
+    committed = [json.loads(ln)["partition"] for ln in after_kill]
+    assert 1 <= len(committed) < 12 and "__global__" not in committed
+    kept = _tree_state(out, committed)
+
+    p2 = _spawn(repo, inp, out)
+    out2, _ = p2.communicate(timeout=300)
+    assert p2.returncode == 0, out2
+    resumed = _summary(out2)
+    final = [ln for ln in open(manifest).read().splitlines() if ln.strip()]
+    assert final[:len(after_kill)] == after_kill
+    assert _tree_state(out, committed) == kept  # committed files untouched
+    redone = [json.loads(ln)["partition"] for ln in final[len(after_kill):]]
+    assert sorted(redone) == sorted(
+        [f"part-{i:06d}" for i in range(12) if f"part-{i:06d}" not in committed]
+        + ["__global__"])
+
+    out_ref = str(tmp_path / "ref")
+    p3 = _spawn(repo, inp, out_ref)
+    out3, _ = p3.communicate(timeout=300)
+    assert p3.returncode == 0, out3
+    assert resumed == _summary(out3)
+    assert _global_rows(out) == _global_rows(out_ref)
+    assert _global_rows(out)  # the datagen table holds duplicate ids
+
+
+def _clips_with_cross_file_duplicates(inp, n_files=6, rows_per_file=100):
+    """Datagen shards, then each file's first clip_id copied into the last
+    row of the next file: every duplicate spans two partitions when
+    partitions hold one file."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from gojsonschema_ray.datagen import write_clips_parquet
+
+    write_clips_parquet(inp, n_files * rows_per_file, audio_cap_ms=20,
+                        rows_per_file=rows_per_file)
+    files = sorted(os.path.join(inp, f) for f in os.listdir(inp))
+    firsts = [pq.read_table(f, columns=["clip_id"])["clip_id"][0].as_py()
+              for f in files]
+    for i, f in enumerate(files[1:], 1):
+        t = pq.read_table(f)
+        ids = t["clip_id"].to_pylist()
+        ids[-1] = firsts[i - 1]
+        t = t.set_column(t.schema.get_field_index("clip_id"), "clip_id",
+                         pa.array(ids, pa.string()))
+        pq.write_table(t, f)
+    return files
+
+
+def _expected_duplicates(files):
+    import collections
+
+    import pyarrow.parquet as pq
+
+    c = collections.Counter(k for f in files for k in
+                            pq.read_table(f, columns=["clip_id"])["clip_id"]
+                            .to_pylist() if k is not None)
+    return sorted((k, str(n)) for k, n in c.items() if n > 1)
+
+
+def test_rerun_other_plan_ignores_stale_keycounts(ray_session, tmp_path):
+    """A re-run into the same out_dir with another files_per_partition
+    rewrites every partition and recomputes __global__ from the key counts
+    of the new plan only: the keycounts/ directories the old plan left
+    behind (part-000002.. here) are not read."""
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+
+    inp = str(tmp_path / "clips")
+    files = _clips_with_cross_file_duplicates(inp)
+    out = str(tmp_path / "out")
+    run_flagship(inp, out, with_audio=False, files_per_partition=1)
+    assert os.path.isdir(os.path.join(out, "keycounts", "part-000005"))
+    run_flagship(inp, out, with_audio=False, files_per_partition=3)
+
+    fresh = str(tmp_path / "fresh")
+    run_flagship(inp, fresh, with_audio=False, files_per_partition=3)
+    expected = _expected_duplicates(files)
+    assert len(expected) >= 5
+    assert _global_rows(out) == _global_rows(fresh) == expected
+
+
+def test_metadata_only_run_is_one_fused_pass(ray_session, tmp_path,
+                                             monkeypatch, wave_stats):
+    """with_audio=False runs the same pass: each wave is ONE fused
+    ReadParquet->MapBatches(PartitionPass)->Write operator, the global
+    check reads no input file (only keycounts/), and its rows equal the
+    duplicates counted straight from the input."""
+    import ray.data as rd
+
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+
+    inp = str(tmp_path / "clips")
+    files = _clips_with_cross_file_duplicates(inp)
+    reads = []
+    orig_read = rd.read_parquet
+
+    def spy_read(paths, *args, **kwargs):
+        reads.append(paths)
+        return orig_read(paths, *args, **kwargs)
+
+    monkeypatch.setattr(rd, "read_parquet", spy_read)
+    out = str(tmp_path / "out")
+    s = run_flagship(inp, out, with_audio=False, files_per_partition=1)
+
+    assert s["rows"] == 600 and s["partitions"] == 7
+    assert len(wave_stats) == 2  # 6 one-file partitions, 4 CPUs: waves of 4
+    for ops in wave_stats:
+        assert ops == ["ReadParquet->MapBatches(PartitionPass)->Write"]
+    # the waves read the input; the global check reads stored key counts
+    global_reads = [p for p in reads if p != files[:4] and p != files[4:]]
+    assert global_reads and all("/keycounts/" in f
+                                for p in global_reads for f in p)
+    assert _global_rows(out) == _expected_duplicates(files)
+
+
+def test_committed_partition_without_keycounts_reruns(ray_session, tmp_path,
+                                                      monkeypatch):
+    """A partition committed without a keycounts/ directory (an out_dir
+    from before the key counts were stored) runs again, so the global check
+    never misses its keys. The two runs tag key counts at different
+    exchange widths (two cluster sizes; at widths 3 and 4 both duplicate
+    ids get different tags); the global check still pairs each duplicate
+    across them."""
+    import shutil
+
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+    from gojsonschema_ray.stages import uniqueness
+
+    inp = str(tmp_path / "clips")
+    files = _clips_with_cross_file_duplicates(inp, n_files=3)
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(uniqueness, "exchange_parts", lambda: 3)
+    run_flagship(inp, out, with_audio=False, files_per_partition=1)
+    shutil.rmtree(os.path.join(out, "keycounts", "part-000001"))
+    manifest = os.path.join(out, "manifest.jsonl")
+    before = open(manifest).read().splitlines()
+    monkeypatch.setattr(uniqueness, "exchange_parts", lambda: 4)
+    run_flagship(inp, out, with_audio=False, files_per_partition=1)
+    redone = [json.loads(ln)["partition"]
+              for ln in open(manifest).read().splitlines()[len(before):]]
+    assert redone == ["part-000001", "__global__"]
+    assert _global_rows(out) == _expected_duplicates(files)

@@ -3649,6 +3649,39 @@ def test_exact_global_quantiles(ray_session):
         exact_global_quantiles(rd.from_pandas(df), "v", [1.5])
 
 
+def test_exact_global_quantiles_infinities(ray_session):
+    """-inf/+inf are the lowest/highest order statistics, as in DuckDB's
+    quantile_cont; NaN and NULL are excluded (the SQL side filters NaN).
+    A tiny collect cap forces refinement rounds over the finite values."""
+    import duckdb
+    import ray.data as rd
+
+    from gojsonschema_ray.stages.sketches import exact_global_quantiles
+
+    inf, nan = float("inf"), float("nan")
+    rng = np.random.default_rng(7)
+    mixed = rng.normal(0, 50, 3000).round(1).tolist() + [-inf] * 30 + \
+        [inf] * 50 + [nan] * 20 + [None] * 10
+    rng.shuffle(mixed)
+    qs = [0.0, 0.005, 0.0101, 0.25, 0.5, 0.75, 0.98, 0.99, 0.995, 1.0]
+    cases = [
+        (mixed, 6, 64),
+        ([-inf, inf, nan, None], 2, 262_144),
+        ([-inf, -inf, 5.0, nan], 2, 262_144),
+        ([1.0, 2.0, inf, None, inf], 3, 262_144),
+        ([inf, inf], 1, 262_144),
+    ]
+    for vals, blocks, cap in cases:
+        t = pa.table({"v": pa.array(vals, pa.float64())})
+        got = exact_global_quantiles(rd.from_arrow(t).repartition(blocks),
+                                     "v", qs, collect_cap=cap)
+        exp = [duckdb.sql(f"SELECT quantile_cont(v, {q}) FILTER "
+                          "(WHERE NOT isnan(v)) FROM t").fetchone()[0]
+               for q in qs]
+        np.testing.assert_allclose(got["value"].to_numpy(),
+                                   np.asarray(exp, np.float64), rtol=1e-12)
+
+
 def test_time_weighted_mean(ray_session):
     """Zero-order-hold mean equals a per-key reference; single-event and
     zero-span keys are excluded; reserved name raises."""
