@@ -148,7 +148,8 @@ def q_orders_conditional(sf_dir: str) -> pd.DataFrame:
     }, "o_orderkey")
     viol = ds.map_batches(tv, batch_format="pyarrow")
     return _violation_counts_row(viol, {
-        "cond_viol": ("condition_then", "(root)"),
+        "cond_viol": [("condition_then", "(root)"),
+                      ("condition_else", "(root)")],
     })
 
 

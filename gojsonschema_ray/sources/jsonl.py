@@ -5,10 +5,13 @@ jsonGoLoader, jsonLoader.go:97-313).
 Schemas stay DRIVER-side (small, loaded once, compiled once); this module is
 about DATA: newline-delimited JSON corpora validated at table scale.
 
-Two paths:
+Three paths:
 - ``read_jsonl``: `ray.data.read_json` — Arrow-native when documents are
   tabular (columns become typed Arrow columns → the vectorized
   TableValidator path applies).
+- ``validate_jsonl_column_fast``: a string column of homogeneous documents
+  decodes to one Arrow struct column, validated by the same vectorized
+  evaluate-and-assemble call as a table (``stages.validate.evaluate_rows``).
 - ``validate_jsonl_column``: documents that are too heterogeneous for a
   fixed Arrow schema ride as raw strings and are checked per batch by the
   GENERIC engine (exact big-Rat-parity numerics via Fraction parsing) —
@@ -81,8 +84,9 @@ def validate_jsonl_column(ds, tree, column: str, key_column: str | None = None):
 class JsonStructValidator:
     """FAST path for homogeneous JSON columns: decode the whole batch to one
     Arrow struct column (polars ``str.json_decode`` — vectorized Rust), then
-    run the VECTORIZED evaluator on the struct. ~50-100x the per-row generic
-    path.
+    run the vectorized evaluator on it through ``evaluate_rows``, the call
+    TableValidator makes on a table's rows; one evaluator lives as long as
+    this payload. ~50-100x the per-row generic path.
 
     When the batch does not decode, only the rows that ``parse_json``
     rejects go to the generic engine (JsonColumnValidator: `invalid_json`
@@ -104,9 +108,12 @@ class JsonStructValidator:
     parity or heterogeneous rows matter."""
 
     def __init__(self, tree, column: str, key_column: str | None = None):
+        from ..stages.validate import VectorEvaluator
+
         self.tree = tree
         self.column = column
         self.key_column = key_column
+        self.ev = VectorEvaluator()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         try:
@@ -162,23 +169,15 @@ class JsonStructValidator:
         import numpy as np
         import pyarrow.compute as pc
 
-        from ..stages.validate import (
-            VIOLATION_SCHEMA, VectorEvaluator, _Emit, _mask_to_np,
-            violations_table,
-        )
+        from ..stages.validate import _Emit, _mask_to_np, evaluate_rows
 
-        n = batch.num_rows
-        ev = VectorEvaluator(emit_violations=True)
-        res = ev.eval_column(self.tree, arr, "(root)")
-        emits = list(res.emits)
         # null input strings = missing document (generic-path parity)
-        null_doc = _mask_to_np(pc.is_null(batch[self.column]), n)
-        if null_doc.any():
-            emits.append(_Emit(np.nonzero(null_doc)[0], "required", "(root)",
-                               f"document in {self.column}", None))
-        if not emits:
-            return VIOLATION_SCHEMA.empty_table()
-        return violations_table(batch, emits, key_column)
+        null_doc = _mask_to_np(pc.is_null(batch[self.column]), batch.num_rows)
+        extra = ([_Emit(np.nonzero(null_doc)[0], "required", "(root)",
+                        f"document in {self.column}", None)]
+                 if null_doc.any() else [])
+        return evaluate_rows(self.ev, self.tree, arr, batch, key_column,
+                             extra)[1]
 
 
 def validate_jsonl_column_fast(ds, tree, column: str,

@@ -1,8 +1,8 @@
 """Referential-integrity checks — `dependencies`/`required` lifted across
 columns and across tables (SURVEY.md §2.6).
 
-- same-row column implications are handled by TableValidator's dependencies
-  masks (stages/validate.py);
+- same-row column implications are `dependencies` on the row's struct
+  (TableValidator → VectorEvaluator._struct_checks, stages/validate.py);
 - cross-table FK checks use a **broadcast semi/anti join**: the referenced key
   set (or, at scale, a Bloom filter of it) is built once, `ray.put` once, and
   probed with `pc.is_in` inside map_batches — no all-to-all shuffle. A Bloom

@@ -9,11 +9,13 @@ predicate built from ``pyarrow.compute`` / numpy kernels:
   per tree node — applicability rule included (a keyword silently passes on
   values of an inapplicable type, ``validation.go:709-717``, ``766-769``):
   ``verdict = ~applicable | predicate``
-- each row of the table is the "document": columns are object properties;
-  an Arrow NULL means the property is ABSENT (so ``required`` ⇔
+- each row of the table is the "document": the struct of the row's columns,
+  evaluated by the same object dispatch as every nested struct column
+  (``VectorEvaluator._struct_checks``; the reference has one object branch
+  for every depth, ``validation.go:182-212``). A field is a property, an
+  Arrow NULL means the property is ABSENT (so ``required`` ⇔
   ``pc.is_valid``); list columns are JSON arrays (items/contains via
-  flatten + segment-reduce over list offsets, no explode); struct columns
-  are nested objects (``pc.struct_field``)
+  flatten + segment-reduce over list offsets, no explode)
 - ``pattern`` uses ``pc.match_substring_regex`` — Arrow's RE2, the same
   engine family and unanchored-search semantics as the reference's Go regexp
   (``validation.go:749-759``)
@@ -23,7 +25,8 @@ predicate built from ``pyarrow.compute`` / numpy kernels:
 
 Violations are emitted as a long-format Arrow table with the reference's
 error fields (``result.go:33-96``): (row key, keyword, path, expected,
-actual).
+actual). ``actual`` is empty for an object value (a whole row or a nested
+struct): rendering rows would JSON-encode every column, audio bytes too.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from ..schema.model import (
     TYPE_OBJECT,
     TYPE_STRING,
     json_render,
-    to_fraction,
 )
 
 
@@ -96,8 +98,10 @@ def arrow_json_type(dt: pa.DataType) -> str:
 
 
 def _as_array(arr) -> pa.Array:
+    """One contiguous array. A single-chunk column is returned as is:
+    combine_chunks() would copy it."""
     if isinstance(arr, pa.ChunkedArray):
-        return arr.combine_chunks()
+        return arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
     return arr
 
 
@@ -122,7 +126,7 @@ class _Emit:
         self.keyword = keyword
         self.path = path
         self.expected = expected
-        self.actual = actual  # list[str] aligned with row_idx, or None
+        self.actual = actual  # the evaluated array (rendered at assembly) or None
 
 
 class VectorResult:
@@ -154,6 +158,17 @@ def _fraction_scalar(f: Fraction, dt: pa.DataType):
     if f.denominator == 1 and pa.types.is_integer(dt):
         return int(f)
     return float(f)
+
+
+def _present_fields(v):
+    """A struct value as the JSON object it stands for: NULL fields are
+    absent properties (dropped at every depth), NULL list elements stay
+    JSON nulls."""
+    if isinstance(v, dict):
+        return {k: _present_fields(x) for k, x in v.items() if x is not None}
+    if isinstance(v, list):
+        return [_present_fields(x) for x in v]
+    return v
 
 
 def _render_values(arr: pa.Array, idx: np.ndarray) -> list[str]:
@@ -221,12 +236,20 @@ class VectorEvaluator:
 
         # combinators --------------------------------------------------
         if node.all_of:
+            # every failing branch's errors plus one number_all_of, as in
+            # the generic engine (CompiledSchema._validate_schema)
+            ok = _true(n)
             for sub in node.all_of:
                 sr = self.eval_column(sub, arr, path)
                 bad = present & ~sr.mask
-                mask &= ~present | sr.mask
+                ok &= sr.mask
                 if bad.any():
                     result.emits.extend(self._gate(sr.emits, bad))
+            bad = present & ~ok
+            if bad.any():
+                self._emit(result, np.nonzero(bad)[0], "number_all_of", path,
+                           "allOf", arr)
+            mask &= ~present | ok
         if node.any_of:
             branches = [self.eval_column(sub, arr, path) for sub in node.any_of]
             acc = _false(n)
@@ -266,10 +289,11 @@ class VectorEvaluator:
             then_m = self.eval_column(node.then_, arr, path).mask if node.then_ else _true(n)
             else_m = self.eval_column(node.else_, arr, path).mask if node.else_ else _true(n)
             ok = np.where(if_m, then_m, else_m)
-            bad = present & ~ok
-            if bad.any():
-                kw = "condition_then"
-                self._emit(result, np.nonzero(bad)[0], kw, path, "if/then/else", arr)
+            for kw, bad in (("condition_then", present & if_m & ~ok),
+                            ("condition_else", present & ~if_m & ~ok)):
+                if bad.any():
+                    self._emit(result, np.nonzero(bad)[0], kw, path,
+                               "if/then/else", arr)
             mask &= ~present | ok
 
         # const / enum (apply to all kinds) ----------------------------
@@ -328,8 +352,8 @@ class VectorEvaluator:
         if col_kind == TYPE_ARRAY:
             mask = self._list_checks(node, arr, path, present, mask, result, n)
 
-        # structs ------------------------------------------------------
-        if col_kind == TYPE_OBJECT and pa.types.is_struct(arr.type):
+        # structs (a failed `type` leaves no row present) ---------------
+        if col_kind == TYPE_OBJECT and pa.types.is_struct(arr.type) and present.any():
             mask = self._struct_checks(node, arr, path, present, mask, result, n)
 
         result.mask = mask | ~_mask_to_np(valid_np, n)  # nulls vacuously pass
@@ -377,7 +401,7 @@ class VectorEvaluator:
             cset = set(canon_values)
             present = _mask_to_np(pc.is_valid(arr), n)
             return self._python_rowwise(
-                arr, present, lambda v: canonical(v) in cset, n
+                arr, present, lambda v: canonical(_present_fields(v)) in cset, n
             )
         if not wanted_scalars:
             return _false(n)
@@ -501,6 +525,9 @@ class VectorEvaluator:
             parent = (pc.list_parent_indices(arr).to_numpy(zero_copy_only=False)
                       if len(flat) else np.array([], dtype=np.int64))
             flat_nulls = _mask_to_np(pc.is_null(flat), len(parent))
+        if node.items or node.contains is not None:
+            # a NULL list is absent: its length never gates a present row
+            lens_np = lens.fill_null(0).to_numpy(zero_copy_only=False)
 
         def _element_mask(child, sub_path):
             """Child verdict per flattened element. eval_column treats nulls
@@ -520,11 +547,9 @@ class VectorEvaluator:
         elif node.items:
             # tuple form: element i validates items[i]; tail validates
             # additionalItems (validation.go:474-505)
-            lens_np = lens.to_numpy(zero_copy_only=False) if not isinstance(lens, np.ndarray) else lens
-            lens_np = np.nan_to_num(lens_np.astype("float64"), nan=0).astype(np.int64)
             ok = _true(n)
             for i, child in enumerate(node.items):
-                elem = self._list_element(arr, i, lens_np, flat, parent, n)
+                elem = self._list_element(arr, i, flat, parent, n)
                 has_elem = lens_np > i
                 er = self.eval_column(child, elem, f"{path}[{i}]")
                 ok &= ~has_elem | er.mask
@@ -538,7 +563,7 @@ class VectorEvaluator:
                 if tail_sel.any():
                     sub = flat.take(pa.array(np.nonzero(tail_sel)[0], type=pa.int64()))
                     sr = self.eval_column(node.additional_items, sub, f"{path}[*]")
-                    ok &= self._segment_all_selected(sr.mask, parent[tail_sel], n)
+                    ok &= self._segment_all(sr.mask, parent[tail_sel], n)
             mask = self._apply(result, arr, path, present, mask, ok, "items", "items(tuple)")
         if node.unique_items and flat is not None:
             ok = self._unique_items_mask(arr, flat, parent, n)
@@ -547,13 +572,11 @@ class VectorEvaluator:
             ok = self._segment_any(_element_mask(node.contains, f"{path}[]"),
                                    parent, n)
             # empty lists fail contains
-            lens_np = lens.to_numpy(zero_copy_only=False) if not isinstance(lens, np.ndarray) else lens
-            lens_np = np.nan_to_num(lens_np.astype("float64"), nan=0).astype(np.int64)
             ok &= lens_np > 0
             mask = self._apply(result, arr, path, present, mask, ok, "contains", "contains")
         return mask
 
-    def _list_element(self, arr, i: int, lens_np: np.ndarray, flat, parent, n: int):
+    def _list_element(self, arr, i: int, flat, parent, n: int):
         """Element i of each list (null where the list is shorter), built from
         the flattened values so short lists don't error like pc.list_element."""
         if flat is None or len(flat) == 0:
@@ -582,12 +605,6 @@ class VectorEvaluator:
         ok = _true(n)
         if len(parent):
             np.logical_and.at(ok, parent, child_mask)
-        return ok
-
-    def _segment_all_selected(self, child_mask: np.ndarray, parent_sel: np.ndarray, n: int) -> np.ndarray:
-        ok = _true(n)
-        if len(parent_sel):
-            np.logical_and.at(ok, parent_sel, child_mask)
         return ok
 
     def _segment_any(self, child_mask: np.ndarray, parent: np.ndarray, n: int) -> np.ndarray:
@@ -649,67 +666,62 @@ class VectorEvaluator:
         return ok
 
     def _struct_checks(self, node, arr, path, present, mask, result, n):
-        """Object keywords on a nested struct column: a field is a property,
-        a NULL field is ABSENT (validation.go:592-705 over Arrow structs)."""
-        fields = [f.name for f in arr.type]
-        prop_names = {p.property for p in node.properties}
+        """Object keywords on a struct — a nested struct column or a whole
+        table row (TableValidator): a field is a property, a NULL field is
+        ABSENT (validation.go:592-705 over Arrow structs). Each field is
+        looked up once; flatten() folds the struct's own nulls into it."""
+        fields = dict(zip([f.name for f in arr.type], arr.flatten()))
+        valid: dict[str, np.ndarray] = {}
+
+        def has(name):
+            """Rows where property `name` is present."""
+            if name not in valid:
+                valid[name] = (_mask_to_np(pc.is_valid(fields[name]), n)
+                               if name in fields else _false(n))
+            return valid[name]
+
+        def check(name, sub_schema):
+            """Field `name` under a sub-schema; its emits carry their own path."""
+            nonlocal mask
+            sr = self.eval_column(sub_schema, fields[name], f"{path}.{name}")
+            mask = mask & (~present | sr.mask)
+            result.emits.extend(sr.emits)
 
         for req in node.required:
-            if req in fields:
-                fok = _mask_to_np(pc.is_valid(pc.struct_field(arr, req)), n)
-            else:
-                fok = _false(n)
-            mask = self._apply(result, arr, path, present, mask, fok, "required",
-                               f"required {req}")
+            mask = self._apply(result, arr, path, present, mask, has(req),
+                               "required", f"required {req}")
         for p_schema in node.properties:
-            name = p_schema.property
-            if name not in fields:
-                continue
-            sub = pc.struct_field(arr, name)
-            sr = self.eval_column(p_schema, sub, f"{path}.{name}")
-            mask &= ~present | sr.mask
-            result.emits.extend(sr.emits)
-        # patternProperties against field names
-        for _, (rx, sub_schema) in node.pattern_properties.items():
+            if p_schema.property in fields:
+                check(p_schema.property, p_schema)
+        for rx, sub_schema in node.pattern_properties.values():
             for name in fields:
                 if rx.search(name):
-                    sr = self.eval_column(sub_schema, pc.struct_field(arr, name),
-                                          f"{path}.{name}")
-                    mask &= ~present | sr.mask
-                    result.emits.extend(sr.emits)
-        # additionalProperties over the fixed field set
-        if node.additional_properties is not None:
+                    check(name, sub_schema)
+        # additionalProperties over the fixed field set (True allows all)
+        if node.additional_properties not in (None, True):
+            prop_names = {p.property for p in node.properties}
             for name in fields:
-                if name in prop_names:
+                if name in prop_names or any(
+                        rx.search(name) for rx, _ in node.pattern_properties.values()):
                     continue
-                if any(rx.search(name)
-                       for rx, _ in node.pattern_properties.values()):
-                    continue
-                fcol = pc.struct_field(arr, name)
                 if node.additional_properties is False:
-                    ok = ~_mask_to_np(pc.is_valid(fcol), n)
-                    mask = self._apply(result, arr, path, present, mask, ok,
+                    mask = self._apply(result, arr, path, present, mask, ~has(name),
                                        "additional_property_not_allowed",
                                        f"property {name} not allowed")
-                elif isinstance(node.additional_properties, CompiledSchema):
-                    sr = self.eval_column(node.additional_properties, fcol,
-                                          f"{path}.{name}")
-                    mask &= ~present | sr.mask
-                    result.emits.extend(sr.emits)
+                else:
+                    check(name, node.additional_properties)
         # propertyNames over field names (fields with a present value count)
         if node.property_names is not None:
             for name in fields:
                 if not node.property_names.check(name):
-                    ok = ~_mask_to_np(pc.is_valid(pc.struct_field(arr, name)), n)
-                    mask = self._apply(result, arr, path, present, mask, ok,
+                    mask = self._apply(result, arr, path, present, mask, ~has(name),
                                        "invalid_property_name",
                                        f"propertyNames {name}")
         # min/maxProperties: per-row count of present fields
         if node.min_properties is not None or node.max_properties is not None:
             cnt = np.zeros(n, dtype=np.int32)
             for name in fields:
-                cnt += _mask_to_np(pc.is_valid(pc.struct_field(arr, name)), n) \
-                    .astype(np.int32)
+                cnt += has(name)
             if node.min_properties is not None:
                 mask = self._apply(result, arr, path, present, mask,
                                    cnt >= node.min_properties,
@@ -724,16 +736,13 @@ class VectorEvaluator:
         for key, dep in node.dependencies.items():
             if key not in fields:
                 continue
-            key_present = _mask_to_np(pc.is_valid(pc.struct_field(arr, key)), n)
             if isinstance(dep, list):
                 need = _true(n)
                 for d in dep:
-                    need &= (_mask_to_np(pc.is_valid(pc.struct_field(arr, d)), n)
-                             if d in fields else _false(n))
-                ok = ~key_present | need
+                    need &= has(d)
             else:
-                ok = ~key_present | self.eval_column(dep, arr, path).mask
-            mask = self._apply(result, arr, path, present, mask, ok,
+                need = self.eval_column(dep, arr, path).mask
+            mask = self._apply(result, arr, path, present, mask, ~has(key) | need,
                                "missing_dependency", f"dependency {key}")
         return mask
 
@@ -763,7 +772,9 @@ class VectorEvaluator:
               path: str, expected: str, arr):
         if not self.emit_violations or len(idx) == 0:
             return
-        result.emits.append(_Emit(idx, keyword, path, expected, None if arr is None else arr))
+        if arr is not None and pa.types.is_struct(arr.type):
+            arr = None  # object values are not rendered (module docstring)
+        result.emits.append(_Emit(idx, keyword, path, expected, arr))
 
     def _gate(self, emits: list, keep: np.ndarray) -> list:
         out = []
@@ -776,8 +787,10 @@ class VectorEvaluator:
 
 class TableValidator:
     """Validates each ROW of an Arrow table as a JSON object against a
-    compiled root schema (columns = properties). The map_batches payload of
-    the flagship pipeline.
+    compiled root schema. A row is the struct of its columns (a NULL cell is
+    an absent property), evaluated by VectorEvaluator.eval_column like any
+    nested struct column, so every object keyword has one implementation.
+    The map_batches payload of the flagship pipeline.
 
     Usage:
         tree = compile_schema(ruleset)           # once, on the driver
@@ -804,199 +817,31 @@ class TableValidator:
             return violations
         return batch.append_column("valid", pa.array(mask))
 
-    # ------------------------------------------------------------------
     def validate_batch(self, batch: pa.Table) -> tuple[np.ndarray, pa.Table]:
-        n = batch.num_rows
-        node = _deref(self.tree)
-        mask = _true(n)
-        emits: list[_Emit] = []
-        if node.pass_ is not None:
-            if not node.pass_:
-                mask = _false(n)
-            return mask, self._violations(batch, emits, n)
+        # the rows as one struct of the columns, zero-copy for single-chunk
+        # columns; no null bitmap, because every row is a present object
+        if batch.num_columns:
+            rows = pa.StructArray.from_arrays(
+                [_as_array(c) for c in batch.columns], names=batch.column_names)
+        else:
+            rows = pa.StructArray.from_buffers(pa.struct([]), batch.num_rows, [None])
+        return evaluate_rows(self.ev, self.tree, rows, batch, self.key_column)
 
-        cols = set(batch.column_names)
 
-        # root-level const/enum against the WHOLE row-as-object (canonical
-        # JSON equality, validation.go:409-441) — rare, per-row by necessity
-        if node.const is not _UNSET or node.enum is not None:
-            from ..schema.model import canonical
-
-            col_lists = {c: _as_array(batch[c]).to_pylist() for c in cols}
-            for i in range(n):
-                doc = {c: col_lists[c][i] for c in cols
-                       if col_lists[c][i] is not None}
-                cdoc = canonical(doc)
-                if node.const is not _UNSET and cdoc != node.const:
-                    emits.append(_Emit(np.array([i]), "const", "(root)",
-                                       "const", None))
-                    mask[i] = False
-                if node.enum is not None and cdoc not in node.enum:
-                    emits.append(_Emit(np.array([i]), "enum", "(root)",
-                                       node.describe_constraint("enum"), None))
-                    mask[i] = False
-
-        # required (validation.go:614-626): column must exist and be non-null
-        for req in node.required:
-            if req in cols:
-                ok = _mask_to_np(pc.is_valid(batch[req]), n)
-            else:
-                ok = _false(n)
-            bad = ~ok
-            if bad.any():
-                emits.append(_Emit(np.nonzero(bad)[0], "required", "(root)",
-                                   f"required {req}", None))
-            mask &= ok
-
-        # properties
-        for p_schema in node.properties:
-            name = p_schema.property
-            if name not in cols:
-                continue
-            sr = self.ev.eval_column(p_schema, batch[name], f"(root).{name}")
-            mask &= sr.mask
-            emits.extend(sr.emits)
-
-        # patternProperties against column names (compile-time-ish)
-        for pat, (rx, sub) in node.pattern_properties.items():
-            for name in cols:
-                if rx.search(name):
-                    sr = self.ev.eval_column(sub, batch[name], f"(root).{name}")
-                    mask &= sr.mask
-                    emits.extend(sr.emits)
-
-        # additionalProperties over the fixed column set
-        if node.additional_properties is not None:
-            prop_names = {p.property for p in node.properties}
-            for name in cols:
-                if name in prop_names:
-                    continue
-                if any(rx.search(name) for rx, _ in node.pattern_properties.values()):
-                    continue
-                if node.additional_properties is False:
-                    # column present → property present wherever non-null
-                    ok = ~_mask_to_np(pc.is_valid(batch[name]), n)
-                    bad = ~ok
-                    if bad.any():
-                        emits.append(_Emit(np.nonzero(bad)[0],
-                                           "additional_property_not_allowed",
-                                           "(root)", f"property {name} not allowed", None))
-                    mask &= ok
-                elif isinstance(node.additional_properties, CompiledSchema):
-                    sr = self.ev.eval_column(node.additional_properties, batch[name],
-                                             f"(root).{name}")
-                    mask &= sr.mask
-                    emits.extend(sr.emits)
-
-        # propertyNames over column names (only columns with ≥1 present value count)
-        if node.property_names is not None:
-            for name in cols:
-                if not node.property_names.check(name):
-                    ok = ~_mask_to_np(pc.is_valid(batch[name]), n)
-                    bad = ~ok
-                    if bad.any():
-                        emits.append(_Emit(np.nonzero(bad)[0], "invalid_property_name",
-                                           "(root)", f"propertyNames {name}", None))
-                    mask &= ok
-
-        # min/maxProperties: per-row count of present properties
-        if node.min_properties is not None or node.max_properties is not None:
-            cnt = np.zeros(n, dtype=np.int32)
-            for name in cols:
-                cnt += _mask_to_np(pc.is_valid(batch[name]), n).astype(np.int32)
-            if node.min_properties is not None:
-                ok = cnt >= node.min_properties
-                if (~ok).any():
-                    emits.append(_Emit(np.nonzero(~ok)[0], "array_min_properties",
-                                       "(root)", f"minProperties {node.min_properties}", None))
-                mask &= ok
-            if node.max_properties is not None:
-                ok = cnt <= node.max_properties
-                if (~ok).any():
-                    emits.append(_Emit(np.nonzero(~ok)[0], "array_max_properties",
-                                       "(root)", f"maxProperties {node.max_properties}", None))
-                mask &= ok
-
-        # dependencies (property and schema form) over columns
-        for key, dep in node.dependencies.items():
-            if key not in cols:
-                continue
-            key_present = _mask_to_np(pc.is_valid(batch[key]), n)
-            if isinstance(dep, list):
-                need = _true(n)
-                for d in dep:
-                    need &= _mask_to_np(pc.is_valid(batch[d]), n) if d in cols else _false(n)
-                ok = ~key_present | need
-                if (~ok).any():
-                    emits.append(_Emit(np.nonzero(~ok)[0], "missing_dependency", "(root)",
-                                       f"dependency {key} -> {dep}", None))
-                mask &= ok
-            else:
-                sub_mask = self._sub_root_mask(dep, batch, n)
-                ok = ~key_present | sub_mask
-                if (~ok).any():
-                    emits.append(_Emit(np.nonzero(~ok)[0], "missing_dependency", "(root)",
-                                       f"dependency schema on {key}", None))
-                mask &= ok
-
-        # combinators / conditionals at root: evaluate sub-schemas as tables
-        for sub_list, kw, combine in ((node.all_of, "number_all_of", "all"),
-                                      (node.any_of, "number_any_of", "any"),
-                                      (node.one_of, "number_one_of", "one")):
-            if not sub_list:
-                continue
-            ms = [self._sub_root_mask(s, batch, n) for s in sub_list]
-            if combine == "all":
-                ok = np.logical_and.reduce(ms)
-            elif combine == "any":
-                ok = np.logical_or.reduce(ms)
-            else:
-                ok = sum(m.astype(np.int32) for m in ms) == 1
-            if (~ok).any():
-                emits.append(_Emit(np.nonzero(~ok)[0], kw, "(root)", kw, None))
-            mask &= ok
-        if node.not_ is not None:
-            sub = self._sub_root_mask(node.not_, batch, n)
-            ok = ~sub
-            if (~ok).any():
-                emits.append(_Emit(np.nonzero(~ok)[0], "number_not", "(root)", "not", None))
-            mask &= ok
-        if node.if_ is not None:
-            if_m = self._sub_root_mask(node.if_, batch, n)
-            then_m = self._sub_root_mask(node.then_, batch, n) \
-                if node.then_ else _true(n)
-            else_m = self._sub_root_mask(node.else_, batch, n) \
-                if node.else_ else _true(n)
-            ok = np.where(if_m, then_m, else_m)
-            if (~ok).any():
-                emits.append(_Emit(np.nonzero(~ok)[0], "condition_then", "(root)",
-                                   "if/then/else", None))
-            mask &= ok
-
-        return mask, self._violations(batch, emits, n)
-
-    # ------------------------------------------------------------------
-    def _sub_root_mask(self, sub: CompiledSchema, batch: pa.Table, n: int) -> np.ndarray:
-        """Validity of every row (an object) under a root-combinator branch.
-        A branch whose `type` excludes objects fails every row instead of
-        crashing the pipeline (rows ARE objects; the branch simply can't
-        match — validation.go type dispatch)."""
-        node = _deref(sub)
-        if node.pass_ is not None:
-            return _true(n) if node.pass_ else _false(n)
-        if node.types is not None and TYPE_OBJECT not in node.types:
-            return _false(n)
-        return TableValidator(sub, self.key_column,
-                              emit_violations=False).validate_batch(batch)[0]
-
-    def _violations(self, batch: pa.Table, emits: list[_Emit], n: int) -> pa.Table:
-        return violations_table(batch, emits, self.key_column)
+def evaluate_rows(ev: VectorEvaluator, tree: CompiledSchema, rows: pa.Array,
+                  batch: pa.Table, key_column: str | None,
+                  extra=()) -> tuple[np.ndarray, pa.Table]:
+    """Per-row verdicts of `rows` (one document per row of `batch`) under
+    the root schema, and their violations table keyed from `batch`; `extra`
+    emits (document-level faults the caller found) are assembled with them.
+    Shared by TableValidator and the JSON struct-decode validator."""
+    res = ev.eval_column(tree, rows, "(root)")
+    return res.mask, violations_table(batch, res.emits + list(extra), key_column)
 
 
 def violations_table(batch: pa.Table, emits: list[_Emit],
                      key_column: str | None) -> pa.Table:
-    """Assemble the standard violations table from emit fragments — shared by
-    TableValidator and the JSON struct-decode validator."""
+    """Assemble the standard violations table from emit fragments."""
     if not emits:
         return VIOLATION_SCHEMA.empty_table()
     keys_col = None
@@ -1013,12 +858,10 @@ def violations_table(batch: pa.Table, emits: list[_Emit],
         kw_out.extend([e.keyword] * len(idx))
         path_out.extend([e.path] * len(idx))
         exp_out.extend([e.expected] * len(idx))
-        if isinstance(e.actual, (pa.Array, pa.ChunkedArray)):
-            act_out.extend(_render_values(_as_array(e.actual), idx))
-        elif e.actual is None:
+        if e.actual is None:
             act_out.extend([""] * len(idx))
         else:
-            act_out.extend([str(a) for a in e.actual])
+            act_out.extend(_render_values(e.actual, idx))
     return pa.table(
         [key_out, kw_out, path_out, exp_out, act_out], schema=VIOLATION_SCHEMA
     )

@@ -317,3 +317,224 @@ def test_ref_root_non_object_rejected():
                            "$ref": "#/definitions/s"})
     with pytest.raises(ValueError):
         TableValidator(tree)
+
+
+# ---------------------------------------------------------------------------
+# one object evaluator: the table root is a struct like any nested object
+# ---------------------------------------------------------------------------
+
+def _present(v):
+    """A row dict as the document it stands for: NULL fields are absent."""
+    if isinstance(v, dict):
+        return {k: _present(x) for k, x in v.items() if x is not None}
+    return v
+
+
+def _generic_multiset(tree, rows, keys=None):
+    from collections import Counter
+
+    keys = keys if keys is not None else [str(i) for i in range(len(rows))]
+    return Counter((k, e.type, e.context) for k, r in zip(keys, rows)
+                   for e in tree.validate(_present(r)).errors)
+
+
+def _vector_multiset(viol, with_expected=False):
+    from collections import Counter
+
+    cols = ["key", "keyword", "path"] + (["expected"] if with_expected else [])
+    return Counter(zip(*(viol[c].to_pylist() for c in cols)))
+
+
+def test_condition_else_label_matches_generic():
+    """An else-branch failure is `condition_else`, at the root and on a
+    column. The generic engine also merges the failing branch's errors; the
+    vector engine reports the label only, so the labels are compared."""
+    rows = [{"x": 4}, {"x": 6}, {"x": 7}, {"x": 9}, {"x": 5}, {"x": None}]
+    table = pa.table({"x": pa.array([r["x"] for r in rows], pa.int64())})
+    for schema in (
+        {"if": {"properties": {"x": {"minimum": 5}}},
+         "then": {"properties": {"x": {"multipleOf": 2}}},
+         "else": {"properties": {"x": {"multipleOf": 3}}}},
+        {"properties": {"x": {"if": {"minimum": 5}, "then": {"multipleOf": 2},
+                              "else": {"multipleOf": 3}}}},
+    ):
+        tree = compile_schema({"type": "object", **schema}, draft=7)
+        got = _vector_multiset(TableValidator(tree, mode="violations")(table))
+        want = _generic_multiset(tree, rows)
+        cond = {k: c for k, c in want.items() if k[1].startswith("condition_")}
+        assert {k: c for k, c in got.items()
+                if k[1].startswith("condition_")} == cond
+        assert sorted(k[:2] for k in cond) == [("0", "condition_else"),
+                                              ("2", "condition_then"),
+                                              ("3", "condition_then"),
+                                              ("4", "condition_then")]
+
+
+@pytest.mark.parametrize("schema", [
+    # root allOf
+    {"allOf": [{"required": ["a"]},
+               {"properties": {"b": {"maximum": 3}}},
+               {"properties": {"a": {"minimum": 0}}}]},
+    # allOf on a scalar column
+    {"properties": {"b": {"allOf": [{"minimum": 0}, {"multipleOf": 2}]}}},
+    # allOf inside a nested struct
+    {"properties": {"o": {"type": "object", "allOf": [
+        {"required": ["p"]}, {"properties": {"q": {"maximum": 1}}}]}}},
+])
+def test_all_of_matches_generic(schema):
+    """Every failing branch's errors plus one number_all_of, at every depth."""
+    rows = [{"a": 1, "b": 2, "o": {"p": 1, "q": 1}},
+            {"a": None, "b": 5, "o": {"p": None, "q": 2}},
+            {"a": -1, "b": -4, "o": None},
+            {"a": 2, "b": 3, "o": {"p": None, "q": None}}]
+    table = pa.table({
+        "a": pa.array([r["a"] for r in rows], pa.int64()),
+        "b": pa.array([r["b"] for r in rows], pa.int64()),
+        "o": pa.array([r["o"] for r in rows],
+                      pa.struct([("p", pa.int64()), ("q", pa.int64())]))})
+    tree = compile_schema({"type": "object", **schema})
+    viol = TableValidator(tree, mode="violations")(table)
+    got = _vector_multiset(viol)
+    assert got == _generic_multiset(tree, rows)
+    assert any(k[1] == "number_all_of" for k in got)
+
+
+def test_enum_const_ignore_null_struct_fields():
+    """A NULL struct field is an absent property in enum/const at every
+    depth; NULL list elements stay JSON nulls."""
+    struct = pa.struct([("a", pa.int64()), ("b", pa.int64())])
+    tree = compile_schema({"type": "object",
+                           "properties": {"o": {"enum": [{"a": 1}]}}})
+    batch = pa.table({"o": pa.array([{"a": 1, "b": None}, {"a": 1, "b": 2}],
+                                    struct)})
+    mask, _ = TableValidator(tree, emit_violations=False).validate_batch(batch)
+    assert mask.tolist() == [True, False]
+    assert [tree.check({"o": {"a": 1}}), tree.check({"o": {"a": 1, "b": 2}})] \
+        == [True, False]
+
+    inner = pa.struct([("c", pa.int64()), ("d", pa.int64())])
+    nested = pa.struct([("a", inner), ("l", pa.list_(pa.int64()))])
+    tree2 = compile_schema({"type": "object", "properties": {
+        "o": {"const": {"a": {"c": 1}, "l": [None, 1]}}}})
+    batch2 = pa.table({"o": pa.array(
+        [{"a": {"c": 1, "d": None}, "l": [None, 1]},
+         {"a": {"c": 1, "d": None}, "l": [1]},
+         {"a": {"c": 1, "d": 0}, "l": [None, 1]}], nested)})
+    mask2, _ = TableValidator(tree2, emit_violations=False).validate_batch(batch2)
+    assert mask2.tolist() == [True, False, False]
+
+
+def test_json_fast_path_root_enum_ignores_filled_nulls():
+    """Polars fills a key missing from one document with null; the root
+    enum must still see `{"a": 1}`, as the generic engine does."""
+    import json
+
+    from gojsonschema_ray.sources.jsonl import (JsonColumnValidator,
+                                                JsonStructValidator)
+
+    tree = compile_schema({"enum": [{"a": 1}, {"a": 1, "b": 2}]})
+    docs = [{"a": 1}, {"a": 1, "b": 2}, {"a": 2}, {"b": 2}]
+    batch = pa.table({"id": [f"d{i}" for i in range(len(docs))],
+                      "doc": [json.dumps(d) for d in docs]})
+    fast = JsonStructValidator(tree, "doc", "id")(batch)
+    generic = JsonColumnValidator(tree, "doc", "id")(batch)
+    assert _vector_multiset(fast) == _vector_multiset(generic)
+    assert sorted(fast["key"].to_pylist()) == ["d2", "d3"]
+
+
+def test_root_false_schema_flags_every_row():
+    """A root `false` schema fails every row (they are present objects),
+    with one `false` violation per row; a zero-column batch is n rows of
+    the empty object."""
+    tree = compile_schema(False)
+    batch = pa.table({"id": ["a", "b", "c"], "v": [1, None, 3]})
+    viol = TableValidator(tree, key_column="id", mode="violations")(batch)
+    assert sorted(zip(viol["key"].to_pylist(), viol["keyword"].to_pylist(),
+                      viol["path"].to_pylist())) == \
+        [(k, "false", "(root)") for k in "abc"]
+    mask, _ = TableValidator(tree).validate_batch(batch)
+    assert mask.tolist() == [False] * 3
+
+    empty = batch.drop_columns(["id", "v"])
+    assert empty.num_rows == 3
+    mask, viol = TableValidator(compile_schema(
+        {"type": "object", "required": ["id"]})).validate_batch(empty)
+    assert mask.tolist() == [False] * 3
+    assert viol["keyword"].to_pylist() == ["required"] * 3
+
+
+PARITY_RULESET = {
+    "type": "object",
+    "required": ["id", "kind"],
+    "properties": {
+        "id": {"type": "integer"},
+        "kind": {"enum": ["a", "b", "c"]},
+        "qty": {"type": "integer", "minimum": 0},
+        "card": {"type": "string"},
+        "addr": {"type": "string", "minLength": 2},
+        "meta": {"type": "object", "required": ["owner"],
+                 "properties": {"owner": {"type": "string", "minLength": 2},
+                                "level": {"type": "integer", "maximum": 9}},
+                 "additionalProperties": False},
+    },
+    "additionalProperties": False,
+    "anyOf": [{"required": ["qty"]}, {"required": ["card"]}],
+    "oneOf": [{"properties": {"kind": {"const": "a"}}},
+              {"properties": {"qty": {"maximum": 5}}}],
+    "if": {"properties": {"kind": {"const": "b"}}},
+    "then": {"required": ["addr"]},
+    "else": {"properties": {"qty": {"maximum": 100}}},
+    "dependencies": {"card": ["addr"]},
+}
+
+
+def _parity_rows():
+    rng = np.random.default_rng(5)
+    rows = []
+    for i in range(400):
+        r = {"id": i,
+             "kind": ["a", "b", "c", "z", None][rng.integers(0, 5)],
+             "qty": [None, 3, 50, 200, -1][rng.integers(0, 5)],
+             "card": [None, "4111"][rng.integers(0, 2)],
+             "addr": [None, "x", "main st"][rng.integers(0, 3)],
+             "meta": [None, {"owner": "ann", "level": 3, "extra": None},
+                      {"owner": "b", "level": 12, "extra": None},
+                      {"owner": None, "level": None, "extra": "boom"}
+                      ][rng.integers(0, 4)],
+             "extra": [None, None, None, "stray"][rng.integers(0, 4)]}
+        rows.append(r)
+    return rows
+
+
+def test_table_and_json_paths_agree():
+    """One ruleset (root required, anyOf, oneOf, if/else, dependencies,
+    additionalProperties, a nested struct) through TableValidator on a
+    typed table and through JsonStructValidator on the same rows as JSON:
+    the same (key, keyword, path, expected) multiset."""
+    import json
+
+    from gojsonschema_ray.sources.jsonl import JsonStructValidator
+
+    tree = compile_schema(PARITY_RULESET)
+    rows = _parity_rows()
+    meta = pa.struct([("owner", pa.string()), ("level", pa.int64()),
+                      ("extra", pa.string())])
+    schema = pa.schema([("id", pa.int64()), ("kind", pa.string()),
+                        ("qty", pa.int64()), ("card", pa.string()),
+                        ("addr", pa.string()), ("meta", meta),
+                        ("extra", pa.string())])
+    table = pa.table({f.name: pa.array([r[f.name] for r in rows], f.type)
+                      for f in schema})
+    docs = pa.table({"id": [r["id"] for r in rows],
+                     "doc": [json.dumps(_present(r)) for r in rows]})
+    typed = TableValidator(tree, key_column="id", mode="violations")
+    fast = JsonStructValidator(tree, "doc", "id")
+    for lo in range(0, len(rows), 128):
+        t, d = table.slice(lo, 128), docs.slice(lo, 128)
+        got_t = _vector_multiset(typed(t), with_expected=True)
+        got_j = _vector_multiset(fast(d), with_expected=True)
+        assert got_t == got_j
+    kws = {k[1] for k in _vector_multiset(typed(table))}
+    assert {"required", "number_any_of", "number_one_of", "condition_then",
+            "condition_else", "missing_dependency",
+            "additional_property_not_allowed"} <= kws
