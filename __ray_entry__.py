@@ -2556,7 +2556,7 @@ def q_langid_documents(sf_dir: str):
 
 def q_flagship_clips(sf_dir: str) -> pd.DataFrame:
     """Synthetic clips table (deterministic) through the full flagship
-    validation: vectorized schema pass + actor-pool audio pass + uniqueness."""
+    validation: fused schema + audio pass (stateless tasks) + uniqueness."""
     from gojsonschema_ray import datagen
     from gojsonschema_ray.pipelines.flagship import validate_clips
 
@@ -2564,8 +2564,8 @@ def q_flagship_clips(sf_dir: str) -> pd.DataFrame:
     ds = datagen.clips_dataset(n, audio_cap_ms=30, override_num_blocks=16)
     key_ds = datagen.clips_dataset(n, with_audio=False, override_num_blocks=16)
     viol = validate_clips(ds, with_audio=True, with_uniqueness=True,
-                          audio_concurrency=4, audio_batch_size=256,
-                          audio_cap_ms=30, uniqueness_ds=key_ds)
+                          audio_batch_size=256, audio_cap_ms=30,
+                          uniqueness_ds=key_ds)
     out = viol.groupby("keyword").count()
     df = out.to_pandas().rename(columns={"count()": "n"})
     return df.sort_values("keyword").reset_index(drop=True)

@@ -94,7 +94,7 @@ def _ensure_clips(n: int = CLIPS_N, cap_ms: int = CLIPS_CAP_MS) -> str:
 def bench_clips_validate(num_cpus: int, n: int = CLIPS_N,
                          cap_ms: int = CLIPS_CAP_MS) -> dict:
     """Headline: full constraint-eval throughput on the clips table —
-    vectorized schema pass + actor-pool audio/PCM pass + uniqueness shuffle.
+    fused schema + audio/PCM pass (stateless tasks) + uniqueness shuffle.
 
     The fused checker runs as stateless tasks over native read blocks, so
     every parallelism level shares all CPUs between read decode and PCM
@@ -111,8 +111,7 @@ def bench_clips_validate(num_cpus: int, n: int = CLIPS_N,
     key_ds = rd.read_parquet(path, columns=["clip_id"],
                              override_num_blocks=num_cpus)
     viol = validate_clips(ds, with_audio=True, with_uniqueness=True,
-                          audio_concurrency=num_cpus,
-                          audio_batch_size=None,  # native blocks (task path)
+                          audio_batch_size=None,  # native blocks
                           audio_cap_ms=cap_ms,
                           uniqueness_ds=key_ds)
     n_viol = viol.count()

@@ -65,6 +65,14 @@ def _lance_fragment_reader(path: str, fid: int, columns):
     return _lance.dataset(path).get_fragment(fid).to_table(columns=columns)
 
 
+def _reader(fragment_reader):
+    if fragment_reader is None and not HAVE_LANCE:
+        raise RuntimeError(
+            "Lance fragment ids need pylance; install it, inject a "
+            "fragment_reader, or point the pipeline at parquet shards")
+    return fragment_reader or _lance_fragment_reader
+
+
 def _lance_fragment_counter(path: str, fid: int) -> int:
     if not HAVE_LANCE:
         raise RuntimeError(
@@ -73,36 +81,41 @@ def _lance_fragment_counter(path: str, fid: int) -> int:
     return lance.dataset(path).get_fragment(fid).count_rows()
 
 
+def read_fragment(path: str, fragment: str, columns: list[str] | None = None,
+                  fragment_reader=None):
+    """One fragment as a pyarrow Table, column-pruned: a parquet file path
+    through pq.read_table, a Lance fragment id ("fragment:<id>") through
+    `fragment_reader(path, fid, columns)` (default: pylance; injectable for
+    tests/other formats). Runs inside Ray tasks."""
+    if not str(fragment).startswith("fragment:"):
+        import pyarrow.parquet as pq
+
+        return pq.read_table(fragment, columns=columns)
+    return _reader(fragment_reader)(path, _fragment_id(fragment), columns)
+
+
 def read_fragments(path: str, fragments: list[str],
                    columns: list[str] | None = None,
                    fragment_reader=None):
-    """Dataset over a SUBSET of fragments — the resume/commit unit of
-    run_flagship — as ONE block per fragment, every row tagged with its
-    fragment in a `path` column.
+    """Dataset over a SUBSET of fragments as ONE block per fragment, every
+    row tagged with its fragment in a `path` column.
 
     Parquet fragments are file paths, read pruned with one read task per
     file: Ray 2.49 splits a small file into several blocks by default and
     then will not fuse the read with the map that follows it. Lance
-    fragments ("fragment:<id>") are scanned per-fragment in remote tasks via
-    `fragment_reader(path, fid, columns) -> pa.Table` (default: pylance;
-    injectable for tests/other formats) and assembled with from_arrow_refs.
-    Fragment subsets are small (one wave of partitions), so per-fragment
-    materialization is bounded by the cluster width, not the table."""
+    fragments ("fragment:<id>") are scanned per-fragment by read_fragment
+    in remote tasks and assembled with from_arrow_refs."""
     import ray.data as rd
 
     if fragments and str(fragments[0]).startswith("fragment:"):
-        reader = fragment_reader or _lance_fragment_reader
-        if reader is _lance_fragment_reader and not HAVE_LANCE:
-            raise RuntimeError(
-                "Lance fragment ids need pylance; install it, inject a "
-                "fragment_reader, or point the pipeline at parquet shards")
+        _reader(fragment_reader)  # fail on the driver, not in a task
         import ray
 
         @ray.remote
         def _scan(fragment: str):
             import pyarrow as pa
 
-            t = reader(path, _fragment_id(fragment), columns)
+            t = read_fragment(path, fragment, columns, fragment_reader)
             return t.append_column(
                 "path", pa.array([fragment] * t.num_rows, pa.string()))
 

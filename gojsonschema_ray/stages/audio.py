@@ -2,13 +2,12 @@
 `format` checker generalized to binary payloads (SURVEY.md §2.6; BASELINE.json
 input_hint: "decoded-PCM allclose (SNR>=30dB) + transcript equality").
 
-Runs as a STATEFUL ACTOR POOL:
-    ds.map_batches(AudioInvariantChecker, concurrency=N, batch_size=64-256,
-                   num_cpus=1, batch_format="pyarrow")
-Decoder state (codec dispatch table, scratch buffers) is built once per actor
-in __init__ (the reference's compile-once pattern, README.md:126-136); each
-__call__ handles one small batch (audio rows are wide — small batch_size keeps
-batch × concurrency inside the worker heap).
+AudioInvariantChecker is a stateless batch payload: its decoder table is
+built once in __init__ on the driver (the reference's compile-once pattern,
+README.md:126-136) and ships with the instance to Ray tasks — fused with the
+schema predicates in pipelines.flagship (CombinedClipChecker). Audio rows are
+wide: a small batch_size keeps batch × concurrent tasks inside the worker
+heap.
 
 Checks per row:
 - decode:      bytes parse under the declared codec (wav container / raw s16le)
@@ -22,7 +21,7 @@ Checks per row:
 True codec work (mp3/opus/flac) needs external libs not present in this
 container; those codecs raise CodecUnavailable and are emitted as `decode`
 violations with expected="decodable codec" — the Ray-side plumbing (schema,
-actor signature, batch sizing, violation layout) is real and tested.
+payload signature, batch sizing, violation layout) is real and tested.
 """
 
 from __future__ import annotations
@@ -399,7 +398,7 @@ def reference_transcript(i: int) -> str | None:
 
 
 class AudioInvariantChecker:
-    """Actor-pool map_batches payload emitting violation rows (F4 schema)."""
+    """map_batches payload emitting violation rows (F4 schema)."""
 
     def __init__(self, snr_db: float = 30.0, audio_cap_ms: int = 50,
                  check_transcript: bool = True):

@@ -1653,8 +1653,11 @@ def weighted_global_quantiles(ds, value_column: str, weight_column: str,
     is exact in float64 and the result matches SQL's
     ``min(v) FILTER (cum >= q*W)`` idiom bit-for-bit.
 
-    NULL value or NULL weight rows are excluded; negative weights raise
-    (inside the counting pass — the error surfaces on execution)."""
+    NULL/NaN value or NULL weight rows are excluded; negative weights
+    raise (inside the counting pass — the error surfaces on execution).
+    -inf/+inf values carry the lowest/highest mass: their weights are
+    summed in the first pass and never enter the selection, which runs
+    over the finite values only."""
     import pandas as pd
 
     qs = [float(q) for q in qs]
@@ -1679,28 +1682,43 @@ def weighted_global_quantiles(ds, value_column: str, weight_column: str,
             m &= v < hi
         return v[m], w[m]
 
-    # pass 1: total weight + boundary samples
+    # pass 1: finite, -inf and +inf weight, -inf rows, boundary samples
     def first(t: pa.Table) -> pa.Table:
         v, w = vw(t)
         s = v
         if len(s) > sample_per_block:
             s = np.sort(s)[np.linspace(0, len(s) - 1, sample_per_block)
                            .astype(np.int64)]
-        return pa.table({
-            "s": pa.array(np.concatenate([[np.nan], s])),
-            "wsum": pa.array(np.concatenate([[w.sum()],
-                                             np.zeros(len(s))]))})
+        rv = np.asarray(t[value_column].to_numpy(zero_copy_only=False),
+                        dtype=np.float64)
+        rw = np.asarray(t[weight_column].to_numpy(zero_copy_only=False),
+                        dtype=np.float64)
+        neg = (rv == -math.inf) & np.isfinite(rw)
+        pos = (rv == math.inf) & np.isfinite(rw)
+        head = {"wsum": w.sum(), "wneg": rw[neg].sum(),
+                "wpos": rw[pos].sum(), "nneg": neg.sum()}
+        pad = np.zeros(len(s))
+        return pa.table({"s": np.concatenate([[np.nan], s]),
+                         **{c: np.concatenate([[x], pad])
+                            for c, x in head.items()}})
 
     rows = collect_rows(ds.map_batches(first, batch_format="pyarrow"))
-    W = float(sum(r["wsum"] for r in rows))
+    w_fin, w_neg, w_pos, n_neg = (float(sum(r[c] for r in rows))
+                                  for c in ("wsum", "wneg", "wpos", "nneg"))
+    W = w_fin + w_neg + w_pos
     samples = np.asarray([r["s"] for r in rows if not math.isnan(r["s"])],
                          np.float64)
-    if W <= 0.0 or len(samples) == 0:
+    if W <= 0.0:
         return pd.DataFrame({"q": pd.Series(qs, dtype="float64"),
                              "value": np.full(len(qs), np.nan)})
-    # state per q: [lo, hi, base_w, rows_in_ival(None=unknown), resolved]
-    state: dict[float, list] = {
-        q: [-math.inf, math.inf, 0.0, None, None] for q in sorted(set(qs))}
+    # state per q: [lo, hi, base_w, rows_in_ival(None=unknown), resolved];
+    # the -inf mass sits below every finite value, the +inf mass above
+    state: dict[float, list] = {}
+    for q in sorted(set(qs)):
+        t = q * W
+        inf = -math.inf if n_neg and w_neg >= t else \
+            math.inf if w_neg + w_fin < t or len(samples) == 0 else None
+        state[q] = [-math.inf, math.inf, w_neg, None, inf]
     P = 32
 
     def active():
@@ -1708,7 +1726,8 @@ def weighted_global_quantiles(ds, value_column: str, weight_column: str,
                 if s[4] is None and (s[3] is None or s[3] > collect_cap)]
 
     bounds0 = np.unique(np.quantile(samples,
-                                    np.linspace(0, 1, P + 1)[1:-1]))
+                                    np.linspace(0, 1, P + 1)[1:-1])) \
+        if len(samples) else np.zeros(0)
     subs: dict[int, np.ndarray] = {0: bounds0}
     ivals = [(-math.inf, math.inf)]
     act_qs = [q for q, _ in active()]

@@ -796,8 +796,8 @@ class TableValidator:
         tree = compile_schema(ruleset)           # once, on the driver
         tv = TableValidator(tree, key_column="clip_id")
         ds.map_batches(tv, batch_format="pyarrow")   # stateless tasks
-    (or wrap in an actor-pool payload class when heavier per-actor state
-    rides along — see pipelines.flagship.CombinedClipChecker).
+    (pipelines.flagship.CombinedClipChecker fuses it with the audio
+    checks).
     """
 
     def __init__(self, tree: CompiledSchema, key_column: str | None = None,

@@ -69,9 +69,17 @@ class Manifest:
     def pending(self, partitions: list[str]) -> list[str]:
         return [p for p in partitions if p not in self._committed]
 
-    def summary(self) -> dict:
-        rows = sum(r.get("rows", 0) for r in self._committed.values())
-        viols = sum(r.get("violations", 0) for r in self._committed.values())
-        return {"partitions": len(self._committed), "rows": rows,
+    def records(self, partitions: list[str]) -> list[tuple[str, dict]]:
+        """(partition, record) of the committed `partitions`, in that
+        order — a re-run with another plan leaves the old plan's lines in
+        the manifest."""
+        return [(p, self._committed[p]) for p in partitions
+                if p in self._committed]
+
+    def summary(self, partitions: list[str]) -> dict:
+        recs = [r for _, r in self.records(partitions)]
+        rows = sum(r.get("rows", 0) for r in recs)
+        viols = sum(r.get("violations", 0) for r in recs)
+        return {"partitions": len(recs), "rows": rows,
                 "violations": viols,
                 "valid": viols == 0}

@@ -12,25 +12,3 @@ def ray_session():
     yield
     ray.shutdown()
 
-
-@pytest.fixture
-def wave_stats(monkeypatch):
-    """Operator names, from Dataset.stats(), of every execution that writes
-    to run_flagship's PartitionSink — one list per wave."""
-    import ray.data as rd
-
-    from gojsonschema_ray.pipelines.flagship import PartitionSink
-
-    waves = []
-    orig = rd.Dataset.write_datasink
-
-    def spy(self, sink, *args, **kwargs):
-        result = orig(self, sink, *args, **kwargs)
-        if isinstance(sink, PartitionSink):
-            waves.append([ln.split(" ", 2)[2].split(":")[0]
-                          for ln in self._write_ds.stats().splitlines()
-                          if ln.startswith("Operator ")])
-        return result
-
-    monkeypatch.setattr(rd.Dataset, "write_datasink", spy)
-    return waves

@@ -142,11 +142,11 @@ def _install_fake_lance(monkeypatch):
 
 
 def test_lance_fragments_take_the_fused_pass(ray_session, tmp_path,
-                                             monkeypatch, wave_stats):
-    """Fragment-id partitions run the same one-pass wave as parquet files
-    (the scan tags each fragment's block with its id), the global check
-    never reads the table, and the summary equals a parquet run's over the
-    same shards."""
+                                             monkeypatch):
+    """Fragment-id partitions run the same one-pass tasks as parquet files:
+    each fragment is read exactly once (the reader logs its calls to a
+    file, as it runs in workers), the global check never reads the table,
+    and the summary equals a parquet run's over the same shards."""
     from gojsonschema_ray.sources import io
     from gojsonschema_ray.pipelines.flagship import run_flagship
 
@@ -154,21 +154,26 @@ def test_lance_fragments_take_the_fused_pass(ray_session, tmp_path,
     assert n_frags == 8
     s_pq = run_flagship(os.path.join(root, "data"), str(tmp_path / "pq"),
                         files_per_partition=1, audio_cap_ms=20)
-    wave_stats.clear()
 
     def no_table_scan(*args, **kwargs):
         raise AssertionError("read_table called: the table is read twice")
 
-    reader, counter = _install_fake_lance(monkeypatch)
+    fake_reader, counter = _install_fake_lance(monkeypatch)
+    log = str(tmp_path / "reads.log")
+
+    def reader(path, fid, columns):
+        with open(log, "a") as f:
+            f.write(f"{fid}\n")
+        return fake_reader(path, fid, columns)
+
     monkeypatch.setattr(io, "read_table", no_table_scan)
     out = str(tmp_path / "out")
     s = run_flagship(root, out, files_per_partition=1, audio_cap_ms=20,
                      fragment_reader=reader, fragment_counter=counter)
     assert s == s_pq
     assert s["rows"] == 2000 and s["partitions"] == n_frags + 1
-    assert len(wave_stats) == 2  # 8 one-fragment partitions, waves of 4
-    for ops in wave_stats:
-        assert ops[-1] == "MapBatches(PartitionPass)->Write"
+    assert sorted(int(x) for x in open(log).read().split()) == \
+        list(range(n_frags))
     for i in range(n_frags):
         assert os.listdir(os.path.join(out, "keycounts", f"part-{i:06d}"))
 
@@ -191,3 +196,48 @@ def test_row_count_mismatch_refuses_commit(ray_session, tmp_path,
                      fragment_reader=reader, fragment_counter=inflated)
     manifest = os.path.join(out, "manifest.jsonl")
     assert not os.path.exists(manifest) or not open(manifest).read()
+
+
+def _out_dir_state(out):
+    """{relative path: (size, mtime_ns)} of every file under `out`."""
+    state = {}
+    for d, _, files in os.walk(out):
+        for f in files:
+            st = os.stat(os.path.join(d, f))
+            state[os.path.relpath(os.path.join(d, f), out)] = (
+                st.st_size, st.st_mtime_ns)
+    return state
+
+
+def test_row_count_error_leaves_no_task_running(ray_session, tmp_path,
+                                                monkeypatch):
+    """After the row-count RuntimeError the call has cancelled and waited
+    for every outstanding task: no file under out_dir changes once it has
+    returned, although the other fragments' reads were still sleeping."""
+    import time
+
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+
+    root, n_frags = _make_fake_lance_dataset(tmp_path, n_rows=1200,
+                                             rows_per_file=100)
+    assert n_frags == 12
+    fake_reader, counter = _install_fake_lance(monkeypatch)
+
+    def slow_reader(path, fid, columns):
+        import time as _time
+
+        if fid:
+            _time.sleep(1.0)
+        return fake_reader(path, fid, columns)
+
+    def inflated(path, fid):
+        return counter(path, fid) + (fid == 0)
+
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="part-000000: the pass saw 100"):
+        run_flagship(root, out, with_audio=False, files_per_partition=1,
+                     fragment_reader=slow_reader, fragment_counter=inflated)
+    before = _out_dir_state(out)
+    time.sleep(2.0)
+    assert _out_dir_state(out) == before
+    assert not any(p.startswith("keycounts/part-000001/") for p in before)

@@ -18,17 +18,29 @@ ray.init(address="local", num_cpus=4, include_dashboard=False,
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from gojsonschema_ray.pipelines.flagship import run_flagship
+if {kill_after!r}:
+    import os, signal
+    from gojsonschema_ray.state.manifest import Manifest
+    _commit = Manifest.commit
+    def _commit_then_die(self, *args, **kwargs):
+        _commit(self, *args, **kwargs)
+        if len(self.committed) >= {kill_after!r}:
+            os.kill(os.getpid(), signal.SIGKILL)
+    Manifest.commit = _commit_then_die
 s = run_flagship({inp!r}, {out!r}, files_per_partition=1, audio_cap_ms=20)
 print("SUMMARY " + __import__("json").dumps(s))
 ray.shutdown()
 """
 
 
-def _spawn(repo, inp, out):
-    # own session: the driver's Ray processes share its process group, so
-    # _kill_driver can reap what a SIGKILLed driver leaves behind
+def _spawn(repo, inp, out, kill_after=None):
+    """The driver SCRIPT in its own session: the driver's Ray processes
+    share its process group, so _kill_driver can reap what a SIGKILLed
+    driver leaves behind. `kill_after=n` makes the driver SIGKILL itself
+    right after its n-th manifest commit."""
     return subprocess.Popen(
-        [sys.executable, "-c", SCRIPT.format(repo=repo, inp=inp, out=out)],
+        [sys.executable, "-c", SCRIPT.format(repo=repo, inp=inp, out=out,
+                                             kill_after=kill_after)],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         env={**os.environ, "PYTHONPATH": repo}, start_new_session=True,
     )
@@ -336,11 +348,13 @@ def _summary(stdout):
 
 
 def test_multi_wave_kill_resume(tmp_path):
-    """12 one-file partitions on 4 CPUs run as 3 waves of 4. A driver
-    SIGKILLed after the first commit resumes without touching a committed
-    partition's files, rewrites only the uncommitted ones, and ends with
-    the summary (drift included) and __global__ rows of an uninterrupted
-    run."""
+    """12 one-file partitions on 4 CPUs run as 12 tasks, 8 in flight,
+    committing in plan order as they finish. A driver that SIGKILLs itself
+    right after the first commit (all 12 commit within one 0.1 s poll, so
+    a kill from outside may land after the last) resumes without touching
+    a committed partition's files, rewrites only the uncommitted ones, and
+    ends with the summary (drift included) and __global__ rows of an
+    uninterrupted run."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     inp = str(tmp_path / "clips")
     out = str(tmp_path / "out")
@@ -351,7 +365,7 @@ def test_multi_wave_kill_resume(tmp_path):
     assert len(os.listdir(inp)) == 12
     manifest = os.path.join(out, "manifest.jsonl")
 
-    p = _spawn(repo, inp, out)
+    p = _spawn(repo, inp, out, kill_after=1)
     assert _wait_for_commits(manifest, p, 1) is not None, \
         "no partition committed before timeout"
     _kill_driver(p)
@@ -438,14 +452,14 @@ def test_rerun_other_plan_ignores_stale_keycounts(ray_session, tmp_path):
 
 
 def test_metadata_only_run_is_one_fused_pass(ray_session, tmp_path,
-                                             monkeypatch, wave_stats):
-    """with_audio=False runs the same pass: each wave is ONE fused
-    ReadParquet->MapBatches(PartitionPass)->Write operator, the global
-    check reads no input file (only keycounts/), and its rows equal the
-    duplicates counted straight from the input."""
+                                             monkeypatch):
+    """with_audio=False runs the same pass: one task per input file, so
+    each fragment is read exactly once; the global check reads no input
+    file (only keycounts/), and its rows equal the duplicates counted
+    straight from the input."""
     import ray.data as rd
 
-    from gojsonschema_ray.pipelines.flagship import run_flagship
+    from gojsonschema_ray.pipelines import flagship
 
     inp = str(tmp_path / "clips")
     files = _clips_with_cross_file_duplicates(inp)
@@ -456,19 +470,79 @@ def test_metadata_only_run_is_one_fused_pass(ray_session, tmp_path,
         reads.append(paths)
         return orig_read(paths, *args, **kwargs)
 
+    tasks = []
+    orig_pass = flagship._fragment_pass
+
+    class SpyPass:  # the task's one read is of its `fragment` argument
+        def remote(self, input_dir, fragment, *args):
+            tasks.append(fragment)
+            return orig_pass.remote(input_dir, fragment, *args)
+
     monkeypatch.setattr(rd, "read_parquet", spy_read)
+    monkeypatch.setattr(flagship, "_fragment_pass", SpyPass())
     out = str(tmp_path / "out")
-    s = run_flagship(inp, out, with_audio=False, files_per_partition=1)
+    s = flagship.run_flagship(inp, out, with_audio=False,
+                              files_per_partition=1)
 
     assert s["rows"] == 600 and s["partitions"] == 7
-    assert len(wave_stats) == 2  # 6 one-file partitions, 4 CPUs: waves of 4
-    for ops in wave_stats:
-        assert ops == ["ReadParquet->MapBatches(PartitionPass)->Write"]
-    # the waves read the input; the global check reads stored key counts
-    global_reads = [p for p in reads if p != files[:4] and p != files[4:]]
-    assert global_reads and all("/keycounts/" in f
-                                for p in global_reads for f in p)
+    assert tasks == files  # each fragment read once, in plan order
+    # the tasks read the input; the driver reads stored key counts only
+    assert reads and all("/keycounts/" in f for p in reads for f in p)
     assert _global_rows(out) == _expected_duplicates(files)
+
+
+def test_summary_and_drift_cover_this_plan_only(ray_session, tmp_path):
+    """A re-run into the same out_dir with another files_per_partition
+    reports the summary and drift of its own plan, as a fresh run does:
+    the old plan's committed partitions (part-000002.. here) are not
+    counted."""
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+
+    inp = str(tmp_path / "clips")
+    _clips_with_cross_file_duplicates(inp)
+    out = str(tmp_path / "out")
+    run_flagship(inp, out, with_audio=False, files_per_partition=1)
+    s = run_flagship(inp, out, with_audio=False, files_per_partition=3)
+    fresh = run_flagship(inp, str(tmp_path / "fresh"), with_audio=False,
+                         files_per_partition=3)
+    assert s["rows"] == 600 and s["partitions"] == 3
+    assert list(s["drift"]) == ["part-000000", "part-000001"]
+    assert s == fresh
+
+
+def test_uneven_partitions_commit_in_plan_order(ray_session, tmp_path):
+    """Fragments of very different sizes over several partitions (3, 3 and
+    1 files) all run in one call; the partitions commit in plan order,
+    each with its fragments' rows, and every fragment leaves one
+    violations and one keycounts file named by its index in the
+    partition."""
+    import pyarrow.parquet as pq
+
+    from gojsonschema_ray.datagen import write_clips_parquet
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+
+    staging, inp = str(tmp_path / "staging"), str(tmp_path / "clips")
+    write_clips_parquet(staging, 1000, audio_cap_ms=20, rows_per_file=1000)
+    t = pq.read_table(os.path.join(staging, os.listdir(staging)[0]))
+    os.makedirs(inp)
+    sizes, off = [500, 20, 30, 300, 100, 40, 10], 0
+    for i, n in enumerate(sizes):
+        pq.write_table(t.slice(off, n), os.path.join(inp, f"f-{i:02d}.parquet"))
+        off += n
+    out = str(tmp_path / "out")
+    s = run_flagship(inp, out, files_per_partition=3, audio_cap_ms=20)
+
+    lines = [json.loads(ln) for ln in
+             open(os.path.join(out, "manifest.jsonl")).read().splitlines()]
+    assert [ln["partition"] for ln in lines] == [
+        "part-000000", "part-000001", "part-000002", "__global__"]
+    assert [ln["rows"] for ln in lines[:3]] == [550, 440, 10]
+    assert s["rows"] == 1000 and s["partitions"] == 4
+    for ln in lines[:3]:
+        names = [f"{j:06d}.parquet" for j in range(len(ln["fragments"]))]
+        for sub in ("violations", "keycounts"):
+            assert sorted(os.listdir(
+                os.path.join(out, sub, ln["partition"]))) == names
 
 
 def test_committed_partition_without_keycounts_reruns(ray_session, tmp_path,

@@ -4853,6 +4853,42 @@ def test_weighted_global_quantiles(ray_session):
         weighted_global_quantiles(rd.from_pandas(df), "v", "w", [1.5])
 
 
+
+def test_weighted_global_quantiles_infinities(ray_session):
+    """-inf/+inf values are the lowest/highest weighted mass, as in the SQL
+    cum-weight idiom; NaN and NULL values stay excluded."""
+    import duckdb
+    import pandas as pd
+    import ray.data as rd
+
+    from gojsonschema_ray.stages.sketches import weighted_global_quantiles
+
+    inf = float("inf")
+    qs = [0.0, 0.1, 0.3, 0.5, 0.9, 1.0]
+    sql = ("WITH runs AS (SELECT v, sum(w) AS rw FROM df WHERE v IS NOT NULL "
+           "AND NOT isnan(v) GROUP BY v), "
+           "c AS (SELECT v, sum(rw) OVER (ORDER BY v) AS cw FROM runs), "
+           "tot AS (SELECT sum(rw) AS W FROM runs) "
+           "SELECT q, (SELECT min(v) FROM c, tot WHERE cw >= q * W) AS value "
+           f"FROM (SELECT unnest({qs}) AS q) ORDER BY q")
+    for vals, ws in (
+            ([1.0, 2.0, 3.0, inf, inf, inf, -inf], [1.0] * 7),
+            ([1.0, 2.0, 3.0, inf, inf, inf, -inf, float("nan"), None],
+             [1.0] * 9),
+            ([5.0, -inf, inf, 7.0], [1.0, 3.0, 2.0, 4.0]),
+            ([-inf, inf, -inf], [1.0, 1.0, 2.0])):
+        df = pd.DataFrame({"v": pd.Series(vals, dtype="float64"), "w": ws})
+        got = weighted_global_quantiles(
+            rd.from_pandas(df).repartition(2), "v", "w", qs,
+            collect_cap=2, sample_per_block=2)
+        exp = duckdb.sql(sql).df()
+        assert got["value"].tolist() == exp["value"].tolist(), vals
+    df = pd.DataFrame({"v": [1.0, 2.0, 3.0, inf, inf, inf, -inf],
+                       "w": [1.0] * 7})
+    got = weighted_global_quantiles(rd.from_pandas(df), "v", "w",
+                                    [0.1, 0.5, 0.9])
+    assert got["value"].tolist() == [-inf, 3.0, inf]
+
 def test_join_size_profile(ray_session):
     """Exact Σ c_a·c_b total + hot keys first; NULL keys never join;
     disjoint sides → 0."""
