@@ -19,18 +19,28 @@ Output layout under out_dir:
     manifest.jsonl                       one commit line per partition
 
 A file is named by its fragment's index in the partition, so a retried
-task overwrites its own files. Key counts live outside violations/ because
-readers treat every directory there as violation rows. The driver commits
-partitions in plan order as soon as a partition and every partition before
-it have reported — fragments, rows, violation count, sketch digests merged
-in fragment order — once the rows the tasks saw equal the fragments' footer
-counts. A killed run resumes from the manifest: the resume unit is one
+task overwrites its own files. A keycounts file is sorted by `part`
+(hash_part(clip_id, P), P = cluster CPUs), one row group per part value,
+with P in its schema metadata (KeyCountStage.write). Key counts live
+outside violations/ because readers treat every directory there as
+violation rows. The driver commits partitions in plan order as soon as a
+partition and every partition before it have reported — fragments, rows,
+violation count, sketch digests merged in fragment order — once the rows
+the tasks saw equal the fragments' footer counts. A killed run resumes from the manifest: the resume unit is one
 partition. On any error the driver cancels the outstanding tasks and waits
 for them before raising, so no task of a failed run writes into out_dir
-afterwards. Global uniqueness aggregates the stored key counts of the
-current partition plan's partitions (one exchange of (key, count)
-partials, never payload rows), so no pass reads clip_id again;
-per-partition KS/PSI drift comes from the manifest digests alone.
+afterwards.
+
+Global uniqueness reduces the stored key counts of the current partition
+plan's partitions — the keycounts files are the shuffle's map side, kept
+for resume — with P plain Ray reducer tasks
+(stages.uniqueness.stored_key_count_violations): reducer p reads only the
+row groups of part p (a file tagged at another width, or from before the
+layout, whole and re-tagged), so no pass reads clip_id again and no Ray
+Data exchange runs. Once every reducer has returned, ONE Ray Data write
+stores their duplicate-id rows in violations/__global__; a reducer error
+raises before anything is written there. Per-partition KS/PSI drift comes
+from the manifest digests alone.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from ..stages.audio import AudioInvariantChecker
 from ..stages.exchange import exchange_parts
 from ..stages.sketches import SketchStage, merge_sketch_partials
 from ..stages.uniqueness import (
-    KeyCountStage, key_count_violations, uniqueness_violations,
+    KeyCountStage, stored_key_count_violations, uniqueness_violations,
 )
 from ..stages.validate import TableValidator
 from ..state.manifest import Manifest
@@ -167,7 +177,7 @@ def _fragment_pass(input_dir: str, fragment: str, columns: list[str],
     viol = checker(t)
     name = f"{j:06d}.parquet"
     pq.write_table(viol, os.path.join(out_dir, "violations", part, name))
-    pq.write_table(keys(t), os.path.join(out_dir, "keycounts", part, name))
+    keys.write(t, os.path.join(out_dir, "keycounts", part, name))
     return {"rows": t.num_rows, "violations": viol.num_rows,
             "sketches": sketch(t).to_pylist()}
 
@@ -252,13 +262,12 @@ def run_flagship(input_dir: str, out_dir: str, *,
     docstring); each partition then commits a manifest line (fragment ids,
     row/violation counts, sketch digests). A killed run re-invokes this
     and skips committed partitions. Global uniqueness across partitions
-    aggregates the stored key counts of the current plan's partitions and
-    is recorded under the "__global__" partition. The summary and drift
+    reduces the stored key counts of the current plan's partitions in P
+    plain reducer tasks, written by one Ray Data write and recorded under
+    the "__global__" partition. The summary and drift
     cover this plan's partitions and "__global__" only.
     `fragment_reader`/`fragment_counter` override the pylance per-fragment
     scan and row count (tests inject parquet-backed fakes)."""
-    import ray.data as rd
-
     tree = compile_schema(ruleset or
                           (DEFAULT_RULESET if with_audio else META_RULESET))
     if with_audio:
@@ -290,9 +299,7 @@ def run_flagship(input_dir: str, out_dir: str, *,
         udir = os.path.join(out_dir, "violations", "__global__")
         _reset_dir(udir)
         if kfiles:
-            counts = rd.read_parquet(
-                kfiles, override_num_blocks=min(len(kfiles), exchange_parts()))
-            key_count_violations(counts, "clip_id").write_parquet(udir)
+            stored_key_count_violations(kfiles, "clip_id").write_parquet(udir)
         uv = sum(pq.read_metadata(os.path.join(udir, f)).num_rows
                  for f in os.listdir(udir) if f.endswith(".parquet"))
         manifest.commit("__global__", files, 0, uv)

@@ -13,6 +13,15 @@ Strategy (scale-first):
    hot-reducer blowup cannot happen — the pre-aggregation IS the salting
    (count partials are associative). For hot-key *payload* pipelines (where
    rows, not counts, must co-locate) see the salted repartition helper.
+
+Stored partials (the flagship's global check): when the partials already
+sit on disk — one ``KeyCountStage.write`` file per fragment, sorted by
+`part`, one row group per `part` value, the tag width in the schema
+metadata — the shuffle's map side is done. ``stored_key_count_violations``
+then runs P plain Ray reducer tasks: reducer p reads only the row groups
+tagged p (a file tagged at another width, or from before the layout, is
+read whole and re-tagged), sums the counts per key and returns the
+duplicate keys as violation rows. No repartition, materialize or sort.
 """
 
 from __future__ import annotations
@@ -20,10 +29,16 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 
 from ..util import collect_rows
 from .exchange import exchange, exchange_parts, hash_part, shuffle_width
 from .validate import VIOLATION_SCHEMA
+
+
+# schema metadata key of a stored partial: the width its `part` tags have
+PART_WIDTH = b"part_width"
 
 
 class KeyCountStage:
@@ -42,6 +57,19 @@ class KeyCountStage:
         g = batch.select([self.key]).group_by(self.key).aggregate([(self.key, "count")])
         g = g.rename_columns([self.key, "cnt"])
         return g.append_column("part", hash_part(g[self.key], self.n_parts))
+
+    def write(self, batch: pa.Table, path: str) -> None:
+        """Store the batch's partial at `path` for
+        stored_key_count_violations: rows sorted by `part`, one row group
+        per `part` value, the tag width in the schema metadata."""
+        g = self(batch)
+        g = g.take(pc.sort_indices(g["part"]))
+        _, starts = np.unique(g["part"].to_numpy(), return_index=True)
+        ends = [*starts[1:], g.num_rows]
+        g = g.replace_schema_metadata({PART_WIDTH: str(self.n_parts)})
+        with pq.ParquetWriter(path, g.schema) as w:
+            for a, b in zip(starts, ends):
+                w.write_table(g.slice(a, b - a))
 
 
 def aggregate_key_counts(partials, key: str, min_count: int = 2,
@@ -83,20 +111,21 @@ def duplicate_keys(ds, key: str):
         {key: pa.array(g[key]), "n_rows": pa.array(g["n"])}))
 
 
+def _violation_table(key: str, keys, n) -> pa.Table:
+    """Duplicated `keys` with their row counts `n` as VIOLATION_SCHEMA rows."""
+    m = len(keys)
+    return pa.table({
+        "key": pc.cast(keys, pa.string()),
+        "keyword": pa.array(["unique"] * m, pa.string()),
+        "path": pa.array([f"(root).{key}"] * m, pa.string()),
+        "expected": pa.array([f"unique {key}"] * m, pa.string()),
+        "actual": pc.cast(n, pa.string()),
+    }, schema=VIOLATION_SCHEMA)
+
+
 def _violation_rows(key: str):
     """Reducer finish: (key, n) frame -> VIOLATION_SCHEMA rows."""
-
-    def to_violations(g) -> pa.Table:
-        n = len(g)
-        return pa.table({
-            "key": pc.cast(pa.array(g[key]), pa.string()),
-            "keyword": pa.array(["unique"] * n, pa.string()),
-            "path": pa.array([f"(root).{key}"] * n, pa.string()),
-            "expected": pa.array([f"unique {key}"] * n, pa.string()),
-            "actual": pc.cast(pa.array(g["n"]), pa.string()),
-        }, schema=VIOLATION_SCHEMA)
-
-    return to_violations
+    return lambda g: _violation_table(key, pa.array(g[key]), pa.array(g["n"]))
 
 
 def uniqueness_violations(ds, key: str):
@@ -106,23 +135,48 @@ def uniqueness_violations(ds, key: str):
     return _key_counts(ds, key, _violation_rows(key))
 
 
-def key_count_violations(counts, key: str):
-    """uniqueness_violations from (key, cnt) partials counted earlier — e.g.
-    the KeyCountStage output run_flagship stores per partition — without
-    reading the key column again.
+def _stored_part(path: str, key: str, p: int, P: int) -> pa.Table:
+    """(key, cnt) rows of part `p` of `P` in one stored partial: its
+    row groups tagged p when it is tagged at width P, else the whole file
+    re-tagged (another cluster size, or the untagged older layout) — one
+    key under two widths' tags would reach two reducers."""
+    f = pq.ParquetFile(path)
+    if (f.schema_arrow.metadata or {}).get(PART_WIDTH) == str(P).encode():
+        col = f.schema_arrow.get_field_index("part")
+        meta = f.metadata
+        return f.read_row_groups(
+            [i for i in range(meta.num_row_groups)
+             if meta.row_group(i).column(col).statistics.min == p],
+            columns=[key, "cnt"])
+    t = f.read(columns=[key, "cnt"])
+    return t.filter(pc.equal(hash_part(t[key], P), p))
 
-    The partials are re-tagged at the current exchange width: partials
-    stored by runs on clusters of other sizes carry `part` tags of other
-    widths, and one key under two tags would reach two reducers."""
+
+@ray.remote(num_cpus=1, num_returns=2)
+def _reduce_stored(paths: list[str], key: str, p: int, P: int):
+    """Reducer p of stored_key_count_violations: its violation rows and
+    their number."""
+    t = pa.concat_tables([_stored_part(f, key, p, P) for f in paths])
+    g = t.filter(pc.is_valid(t[key])).group_by(key).aggregate([("cnt", "sum")])
+    g = g.filter(pc.greater_equal(g["cnt_sum"], 2))
+    return _violation_table(key, g[key], g["cnt_sum"]), g.num_rows
+
+
+def stored_key_count_violations(paths: list[str], key: str):
+    """uniqueness_violations from the KeyCountStage.write partials stored at
+    `paths` (run_flagship keeps one per fragment), without reading the key
+    column again: P = exchange_parts() plain reducer tasks, no Ray Data
+    exchange. All reducers have finished when this returns — a reducer's
+    error raises here, before the caller writes anything — and the result
+    is a Dataset over their P output blocks, which the driver never
+    fetches."""
+    import ray.data as rd
+
     P = exchange_parts()
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.select([key, "cnt"]).append_column(
-            "part", hash_part(batch[key], P))
-
-    partials = counts.map_batches(tag, batch_format="pyarrow")
-    return aggregate_key_counts(partials, key, min_count=2,
-                                finish=_violation_rows(key))
+    tables, counts = zip(*(_reduce_stored.remote(paths, key, p, P)
+                           for p in range(P)))
+    ray.get(list(counts))
+    return rd.from_arrow_refs(list(tables))
 
 
 def add_salted_key(batch: pa.Table, key: str, hot_keys: set, salt_buckets: int,

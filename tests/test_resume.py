@@ -399,7 +399,6 @@ def _clips_with_cross_file_duplicates(inp, n_files=6, rows_per_file=100):
     """Datagen shards, then each file's first clip_id copied into the last
     row of the next file: every duplicate spans two partitions when
     partitions hold one file."""
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from gojsonschema_ray.datagen import write_clips_parquet
@@ -410,13 +409,21 @@ def _clips_with_cross_file_duplicates(inp, n_files=6, rows_per_file=100):
     firsts = [pq.read_table(f, columns=["clip_id"])["clip_id"][0].as_py()
               for f in files]
     for i, f in enumerate(files[1:], 1):
-        t = pq.read_table(f)
-        ids = t["clip_id"].to_pylist()
-        ids[-1] = firsts[i - 1]
-        t = t.set_column(t.schema.get_field_index("clip_id"), "clip_id",
-                         pa.array(ids, pa.string()))
-        pq.write_table(t, f)
+        _set_ids(f, {-1: firsts[i - 1]})
     return files
+
+
+def _set_ids(path, ids_at):
+    """Rewrite the clip_id of rows `ids_at` ({row: id}) of one shard."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path)
+    ids = t["clip_id"].to_pylist()
+    for i, k in ids_at.items():
+        ids[i] = k
+    pq.write_table(t.set_column(t.schema.get_field_index("clip_id"),
+                                "clip_id", pa.array(ids, pa.string())), path)
 
 
 def _expected_duplicates(files):
@@ -455,11 +462,12 @@ def test_metadata_only_run_is_one_fused_pass(ray_session, tmp_path,
                                              monkeypatch):
     """with_audio=False runs the same pass: one task per input file, so
     each fragment is read exactly once; the global check reads no input
-    file (only keycounts/), and its rows equal the duplicates counted
-    straight from the input."""
+    file (its reducers read only keycounts/, the driver reads nothing),
+    and its rows equal the duplicates counted straight from the input."""
     import ray.data as rd
 
     from gojsonschema_ray.pipelines import flagship
+    from gojsonschema_ray.stages import uniqueness
 
     inp = str(tmp_path / "clips")
     files = _clips_with_cross_file_duplicates(inp)
@@ -478,16 +486,28 @@ def test_metadata_only_run_is_one_fused_pass(ray_session, tmp_path,
             tasks.append(fragment)
             return orig_pass.remote(input_dir, fragment, *args)
 
+    reducer_reads = []
+    orig_reduce = uniqueness._reduce_stored
+
+    class SpyReduce:  # a reducer reads the files of its `paths` argument
+        def remote(self, paths, *args):
+            reducer_reads.append(paths)
+            return orig_reduce.remote(paths, *args)
+
     monkeypatch.setattr(rd, "read_parquet", spy_read)
     monkeypatch.setattr(flagship, "_fragment_pass", SpyPass())
+    monkeypatch.setattr(uniqueness, "_reduce_stored", SpyReduce())
     out = str(tmp_path / "out")
     s = flagship.run_flagship(inp, out, with_audio=False,
                               files_per_partition=1)
 
     assert s["rows"] == 600 and s["partitions"] == 7
     assert tasks == files  # each fragment read once, in plan order
-    # the tasks read the input; the driver reads stored key counts only
-    assert reads and all("/keycounts/" in f for p in reads for f in p)
+    # the tasks read the input; the reducers read stored key counts only
+    assert reads == []
+    assert len(reducer_reads) == uniqueness.exchange_parts()
+    assert all(len(p) == len(files) and all("/keycounts/" in f for f in p)
+               for p in reducer_reads)
     assert _global_rows(out) == _expected_duplicates(files)
 
 
@@ -571,4 +591,92 @@ def test_committed_partition_without_keycounts_reruns(ray_session, tmp_path,
     redone = [json.loads(ln)["partition"]
               for ln in open(manifest).read().splitlines()[len(before):]]
     assert redone == ["part-000001", "__global__"]
+    assert _global_rows(out) == _expected_duplicates(files)
+
+
+def test_global_without_duplicates_commits_zero(ray_session, tmp_path):
+    """A table with no duplicate ids commits __global__ with 0 violations;
+    violations/ still walks as a directory of partitions (the test's
+    _global_rows and perfbench's Job.collect) and yields the per-partition
+    rows only."""
+    from gojsonschema_ray.datagen import write_clips_parquet
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+    from perfbench.jobs import Job, Outcome
+
+    inp = str(tmp_path / "clips")
+    write_clips_parquet(inp, 400, audio_cap_ms=20, rows_per_file=100)
+    for fi, f in enumerate(sorted(os.listdir(inp))):
+        _set_ids(os.path.join(inp, f),
+                 {i: f"clip-u{fi}-{i}" for i in range(100)})
+    out = str(tmp_path / "out")
+    s = run_flagship(inp, out, with_audio=False, files_per_partition=2)
+
+    lines = [json.loads(ln) for ln in
+             open(os.path.join(out, "manifest.jsonl")).read().splitlines()]
+    assert lines[-1]["partition"] == "__global__"
+    assert lines[-1]["violations"] == 0
+    assert _global_rows(out) == []
+    assert s["violations"] == sum(ln["violations"] for ln in lines[:-1])
+    o = Outcome("clip_id")
+    o.out_dir = out
+    Job.collect(o)
+    assert o.dups == {}
+    assert sum(o.counts.values()) == s["violations"]
+
+
+def test_global_counts_key_in_every_fragment(ray_session, tmp_path):
+    """An id present in every fragment of every partition, and another
+    repeated inside one fragment, each give ONE __global__ row carrying the
+    total count."""
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+
+    inp = str(tmp_path / "clips")
+    files = _clips_with_cross_file_duplicates(inp)
+    for f in files:
+        _set_ids(f, {50: "clip-everywhere"})
+    _set_ids(files[3], {10: "clip-within", 11: "clip-within",
+                        12: "clip-within"})
+    out = str(tmp_path / "out")
+    run_flagship(inp, out, with_audio=False, files_per_partition=2)
+
+    rows = _global_rows(out)
+    assert rows == _expected_duplicates(files)
+    assert [r for r in rows if r[0] in ("clip-everywhere", "clip-within")] \
+        == [("clip-everywhere", str(len(files))), ("clip-within", "3")]
+
+
+def test_failed_reducer_writes_no_global(ray_session, tmp_path, monkeypatch):
+    """A global-check reducer that raises fails run_flagship: nothing is
+    written into violations/__global__ and __global__ is not committed. A
+    re-run then completes it."""
+    import pytest
+    import ray
+
+    from gojsonschema_ray.pipelines.flagship import run_flagship
+    from gojsonschema_ray.state.manifest import Manifest
+    from gojsonschema_ray.stages import uniqueness
+
+    inp = str(tmp_path / "clips")
+    files = _clips_with_cross_file_duplicates(inp)
+
+    @ray.remote(num_cpus=1, num_returns=2)
+    def failing(paths, key, p, P):
+        from gojsonschema_ray.stages import uniqueness  # unpatched here
+
+        if p == 1:
+            raise RuntimeError("reducer 1 failed")
+        return uniqueness._reduce_stored._function(paths, key, p, P)
+
+    monkeypatch.setattr(uniqueness, "_reduce_stored", failing)
+    out = str(tmp_path / "out")
+    with pytest.raises(Exception, match="reducer 1 failed"):
+        run_flagship(inp, out, with_audio=False, files_per_partition=1)
+    assert os.listdir(os.path.join(out, "violations", "__global__")) == []
+    manifest = Manifest(os.path.join(out, "manifest.jsonl"))
+    assert "__global__" not in manifest.committed
+    assert len(manifest.committed) == len(files)
+
+    monkeypatch.undo()
+    s = run_flagship(inp, out, with_audio=False, files_per_partition=1)
+    assert s["partitions"] == len(files) + 1
     assert _global_rows(out) == _expected_duplicates(files)

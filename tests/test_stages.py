@@ -5283,3 +5283,81 @@ def test_discover_fds(ray_session):
         == (int(nd), int(npair))
     with pytest.raises(ValueError, match=">= 2"):
         discover_fds(rd.from_pandas(df), ["a"])
+
+
+def test_stored_key_counts_read_only_own_part(ray_session, tmp_path,
+                                              monkeypatch):
+    """KeyCountStage.write stores a partial sorted by `part`, one row group
+    per part value, its tag width in the schema metadata. Reducer p reads
+    only the row groups of part p of a file tagged at the current width,
+    and re-tags a file of another width or of the untagged older layout
+    whole. stored_key_count_violations over all of them equals the counts
+    of the raw keys (NULL keys ignored)."""
+    from collections import Counter
+
+    import pyarrow.parquet as pq
+
+    from gojsonschema_ray.stages import uniqueness
+    from gojsonschema_ray.stages.exchange import hash_part
+    from gojsonschema_ray.stages.validate import VIOLATION_SCHEMA
+    from gojsonschema_ray.util import collect_rows
+
+    P = 4
+    monkeypatch.setattr(uniqueness, "exchange_parts", lambda: P)
+    batches = [[None if i % 13 == 0 else "hot" if i % 5 == 0
+                else f"k{(i * 7 + b) % 300}" for i in range(400)]
+               for b in range(5)]
+    stage = uniqueness.KeyCountStage("clip_id")
+    paths = [str(tmp_path / f"{b}.parquet") for b in range(5)]
+    for b in range(3):
+        stage.write(pa.table({"clip_id": batches[b]}), paths[b])
+    narrow = uniqueness.KeyCountStage("clip_id")
+    narrow.n_parts = 3
+    narrow.write(pa.table({"clip_id": batches[3]}), paths[3])
+    pq.write_table(stage(pa.table({"clip_id": batches[4]})), paths[4])
+
+    f = pq.ParquetFile(paths[0])
+    assert f.schema_arrow.metadata[uniqueness.PART_WIDTH] == b"4"
+    tags = [f.metadata.row_group(i).column(2).statistics
+            for i in range(f.metadata.num_row_groups)]
+    assert [(s.min, s.max) for s in tags] == [(p, p) for p in range(P)]
+
+    calls = []
+    orig_groups, orig_read = pq.ParquetFile.read_row_groups, pq.ParquetFile.read
+
+    def spy_groups(self, row_groups, *a, **kw):
+        calls.append(("groups", [self.metadata.row_group(i).column(2)
+                                 .statistics.min for i in row_groups]))
+        return orig_groups(self, row_groups, *a, **kw)
+
+    def spy_read(self, *a, **kw):
+        calls.append(("whole", None))
+        return orig_read(self, *a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(pq.ParquetFile, "read_row_groups", spy_groups)
+        m.setattr(pq.ParquetFile, "read", spy_read)
+        for b, path in enumerate(paths):
+            stored = pq.read_table(path)
+            tag = hash_part(stored["clip_id"], P).to_numpy()
+            for p in range(P):
+                calls.clear()
+                got = uniqueness._stored_part(path, "clip_id", p, P)
+                assert got.column_names == ["clip_id", "cnt"]
+                assert got.num_rows == int((tag == p).sum()), (b, p)
+                assert sorted(got["clip_id"].to_pylist(), key=str) == sorted(
+                    stored.filter(pa.array(tag == p))["clip_id"].to_pylist(),
+                    key=str)
+                if b < 3:  # tagged at width P: part p's row groups only
+                    assert calls == [("groups", [p])], (b, p)
+                else:  # width 3 or untagged: the whole file, re-tagged
+                    assert calls == [("whole", None)], (b, p)
+
+    counts = Counter(k for keys in batches for k in keys if k is not None)
+    expected = sorted((k, "unique", "(root).clip_id", "unique clip_id", str(c))
+                      for k, c in counts.items() if c >= 2)
+    viol = uniqueness.stored_key_count_violations(paths, "clip_id")
+    assert viol.schema().base_schema == VIOLATION_SCHEMA
+    got = sorted(tuple(r[c] for c in VIOLATION_SCHEMA.names)
+                 for r in collect_rows(viol))
+    assert got == expected and len(expected) > 100
