@@ -32,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .sketches import _cut_points, _thin
+
 _RESERVED = {"zkey", "zbucket"}
 
 
@@ -154,18 +156,14 @@ def write_zordered(ds, columns: list[str], out_dir: str, *,
 
     # cutpoints from per-block samples (sample-sort, no global sort)
     def sample(t: pa.Table) -> pa.Table:
-        z = zkeys(t)
-        if len(z) > sample_per_block:
-            z = np.sort(z)[np.linspace(0, len(z) - 1, sample_per_block)
-                           .astype(np.int64)]
+        z = _thin(zkeys(t), sample_per_block)
         return pa.table({"z": pa.array(z.astype(np.int64))})
 
     zs = np.asarray([r["z"] for r in collect_rows(
         ds.map_batches(sample, batch_format="pyarrow"))], np.int64)
     if len(zs) == 0:
         raise ValueError("write_zordered: empty dataset")
-    cuts = np.unique(np.quantile(
-        zs, np.linspace(0, 1, n_buckets + 1)[1:-1]).astype(np.int64))
+    cuts = _cut_points(zs, n_buckets)
 
     def assign(t: pa.Table) -> pa.Table:
         z = zkeys(t).astype(np.int64)

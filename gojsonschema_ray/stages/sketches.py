@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import collect_rows
+from ..util import collect_rows, collect_table
 from .exchange import exchange, hash_part, shuffle_width
 
 
@@ -582,101 +582,127 @@ def normalize_by_group(ds, key_column: str, value_column: str,
     return ds.map_batches(transform, batch_format="pandas")
 
 
-def global_rank(ds, value_column: str, id_column: str, *,
-                sample_per_block: int = 64, pct_column: str = "pct"):
-    """EXACT global rank + percent_rank of a numeric column — SQL `rank()
-    OVER (ORDER BY v)` / `percent_rank()` — WITHOUT a global sort: the
-    distributed sample-sort rank pattern.
+_RANK_SAMPLE = 64  # boundary samples per batch for the sample-sort rank
 
-    1. boundary sampling: each batch contributes ≤ `sample_per_block`
-       sorted values (tiny fixed-width partials); the driver derives
-       shuffle_width()-quantile boundaries. Boundaries only balance the
-       exchange — ranks are exact for ANY boundaries because bucketing is
-       a pure function of the value (ties can never split across buckets).
-    2. counting pass: per-batch fixed-width bucket histograms, summed
-       driver-side into prefix offsets (count of values in earlier
-       buckets).
-    3. rank pass: ONE bucket-keyed exchange of (id, v), then per bucket a
-       vectorized sort + side='left' searchsorted:
-       rank = offset(bucket) + |{v' in bucket : v' < v}| + 1
-       — exactly rank()'s tie semantics (ties share the min rank).
 
-    percent_rank = (rank-1)/(N-1), 0.0 when N == 1 (SQL convention).
-    NULL values are EXCLUDED (document the `WHERE v IS NOT NULL` in
-    oracles; SQL's NULLS-LAST window ranking has no engine use case).
-    Scale: passes 1-2 move O(#blocks × width) rows; pass 3 moves each
-    (id, v) pair exactly once, bucket sizes balanced by the sampled
-    boundaries."""
+def _thin(v: np.ndarray, k: int) -> np.ndarray:
+    """At most `k` evenly spaced order statistics of `v`, its min and max
+    included: one batch's boundary sample."""
+    if len(v) <= k:
+        return v
+    return np.sort(v)[np.linspace(0, len(v) - 1, k).astype(np.int64)]
+
+
+def _cut_points(samples: np.ndarray, parts: int) -> np.ndarray:
+    """The distinct `parts`-quantile cut points of `samples`, in their
+    dtype (duplicate quantiles of skewed data collapse)."""
+    if len(samples) == 0:
+        return samples[:0]
+    return np.unique(np.quantile(samples, np.linspace(0, 1, parts + 1)[1:-1])
+                     .astype(samples.dtype, copy=False))
+
+
+def _gather(ds, fn, names: tuple) -> list[np.ndarray]:
+    """Run `fn` over every batch of `ds`; the named columns of all its
+    (small) outputs, concatenated on the driver."""
+    t = collect_table(ds.map_batches(fn, batch_format="pyarrow"))
+    if not t.num_columns:
+        return [np.zeros(0) for _ in names]
+    return [t[c].to_numpy() for c in names]
+
+
+def _sample_cuts(ds, groups, n: int, parts: int,
+                 per_block: int) -> list[np.ndarray]:
+    """Sample-sort cut points of `n` value groups in ONE pass: `groups(t)`
+    returns a batch's `n` value arrays, each contributes `_thin` samples,
+    and the driver keeps each group's `_cut_points`. Cut points only
+    balance the work; every caller is exact for any cut points."""
+    def sample(t: pa.Table) -> pa.Table:
+        s = [_thin(g, per_block) for g in groups(t)]
+        return pa.table({"i": np.repeat(np.arange(n), [len(x) for x in s]),
+                         "s": np.concatenate(s)})
+
+    i, s = _gather(ds, sample, ("i", "s"))
+    return [_cut_points(s[i == j], parts) for j in range(n)]
+
+
+def _sample_sort(ds, value_column: str, id_column: str, finish):
+    """Exact global order of the non-NULL `value_column` WITHOUT a global
+    sort — the distributed sample-sort rank pattern shared by
+    `global_rank` and `ntile_global`:
+
+    1. boundary sampling: `_sample_cuts` derives shuffle_width() value
+       buckets. They only balance the exchange: bucketing is a pure
+       function of the value, so ties never split across buckets.
+    2. counting pass: per-batch bucket histograms, summed on the driver
+       into prefix offsets (count of values in earlier buckets).
+    3. ONE bucket-keyed exchange of (id, v); per bucket,
+       ``finish(v, ids, offset, n_total)`` returns the output columns.
+
+    Values keep NaN and ±inf (NaN sorts last). Passes 1-2 move
+    O(#blocks × width) rows; pass 3 moves each (id, v) pair once."""
     import pandas as pd
     import ray
 
-    from ..util import collect_rows
-
     P = shuffle_width()
 
-    def sample(t: pa.Table) -> pa.Table:
-        v = np.asarray(pc.drop_null(t[value_column]).to_numpy(
+    def values(t: pa.Table) -> np.ndarray:
+        return np.asarray(pc.drop_null(t[value_column]).to_numpy(
             zero_copy_only=False), dtype=np.float64)
-        if len(v) > sample_per_block:
-            v = np.sort(v)[np.linspace(0, len(v) - 1, sample_per_block)
-                           .astype(np.int64)]
-        return pa.table({"s": pa.array(v)})
 
-    samples = np.concatenate([
-        np.asarray([r["s"] for r in collect_rows(
-            ds.map_batches(sample, batch_format="pyarrow"))], np.float64),
-        np.zeros(0, np.float64)])
-    if len(samples) == 0:
-        bounds = np.zeros(0, np.float64)
-    else:
-        qs = np.quantile(samples, np.linspace(0, 1, P + 1)[1:-1])
-        bounds = np.unique(qs)  # duplicate quantiles collapse (skewed data)
+    [bounds] = _sample_cuts(ds, lambda t: [values(t)], 1, P, _RANK_SAMPLE)
     bref = ray.put(bounds)
 
     def bucket_of(v: np.ndarray) -> np.ndarray:
-        b = ray.get(bref)
-        return np.searchsorted(b, v, side="right").astype(np.int32)
+        return np.searchsorted(ray.get(bref), v, side="right") \
+            .astype(np.int32)
 
     def counts(t: pa.Table) -> pa.Table:
-        v = np.asarray(pc.drop_null(t[value_column]).to_numpy(
-            zero_copy_only=False), dtype=np.float64)
-        c = np.bincount(bucket_of(v), minlength=len(bounds) + 1)
-        return pa.table({"b": pa.array(np.arange(len(c), dtype=np.int32)),
-                         "c": pa.array(c.astype(np.int64))})
+        c = np.bincount(bucket_of(values(t)), minlength=len(bounds) + 1)
+        return pa.table({"b": np.arange(len(c)), "c": c})
 
-    totals = np.zeros(len(bounds) + 1, dtype=np.int64)
-    for r in collect_rows(ds.map_batches(counts, batch_format="pyarrow")):
-        totals[r["b"]] += r["c"]
-    offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
+    b, c = _gather(ds, counts, ("b", "c"))
+    totals = np.bincount(b.astype(np.int64), weights=c,
+                         minlength=len(bounds) + 1).astype(np.int64)
     n_total = int(totals.sum())
-    oref = ray.put(offsets)
+    oref = ray.put(np.concatenate([[0], np.cumsum(totals)[:-1]]))
 
     def project(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[value_column]))
-        v = np.asarray(t[value_column].to_numpy(zero_copy_only=False),
-                       dtype=np.float64)
-        return pa.table({id_column: t[id_column],
-                         "v": pa.array(v),
-                         "part": pa.array(bucket_of(v))})
+        v = values(t)
+        return pa.table({id_column: t[id_column], "v": v,
+                         "part": bucket_of(v)})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         offs = ray.get(oref)
-        out = []
-        for b, g in df.groupby("part", sort=False):
-            v = g["v"].to_numpy()
-            sv = np.sort(v)
-            rank = offs[int(b)] + np.searchsorted(sv, v, side="left") + 1
-            pct = (rank - 1) / (n_total - 1) if n_total > 1 \
-                else np.zeros(len(v))
-            out.append(pd.DataFrame({
-                id_column: g[id_column].to_numpy(),
-                "rnk": rank.astype(np.int64), pct_column: pct}))
-        return pd.concat(out, ignore_index=True) if out else pd.DataFrame({
-            id_column: df[id_column], "rnk": pd.Series([], dtype="int64"),
-            pct_column: pd.Series([], dtype="float64")})
+        return pd.concat([pd.DataFrame(finish(
+            g["v"].to_numpy(), g[id_column].to_numpy(), int(offs[int(b)]),
+            n_total)) for b, g in (list(df.groupby("part", sort=False))
+                                   or [(0, df)])], ignore_index=True)
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
                     per_part, P)
+
+
+def global_rank(ds, value_column: str, id_column: str, *,
+                pct_column: str = "pct"):
+    """EXACT global rank + percent_rank of a numeric column — SQL `rank()
+    OVER (ORDER BY v)` / `percent_rank()` — WITHOUT a global sort
+    (`_sample_sort`). Per bucket, a vectorized sort + side='left'
+    searchsorted:
+    rank = offset(bucket) + |{v' in bucket : v' < v}| + 1
+    — exactly rank()'s tie semantics (ties share the min rank).
+
+    percent_rank = (rank-1)/(N-1), 0.0 when N == 1 (SQL convention).
+    NULL values are EXCLUDED (document the `WHERE v IS NOT NULL` in
+    oracles; SQL's NULLS-LAST window ranking has no engine use case)."""
+    def finish(v, ids, off, n):
+        rank = off + np.searchsorted(np.sort(v), v, side="left") + 1
+        pct = (rank - 1) / (n - 1) if n > 1 else np.zeros(len(v))
+        return {id_column: ids, "rnk": rank.astype(np.int64),
+                pct_column: pct}
+
+    return _sample_sort(ds, value_column, id_column, finish)
 
 
 def outliers_by_group(ds, key_column: str, value_column: str,
@@ -974,26 +1000,18 @@ def percentile_normalize(ds, value_column: str, *,
 
 
 def ntile_global(ds, value_column: str, id_column: str, n_tiles: int, *,
-                 sample_per_block: int = 64,
                  tile_column: str = "tile"):
     """EXACT equal-frequency discretization — SQL `ntile(k) OVER (ORDER BY
-    v, id)` — WITHOUT a global sort: the same sample-sort rank pattern as
-    global_rank, extended to deterministic ROW numbering.
+    v, id)` — WITHOUT a global sort: `_sample_sort`, extended to
+    deterministic ROW numbering.
 
     ntile needs a total row order, so ties on the value are broken by
     `id_column` (the id must be unique and orderable; document the same
-    tie-break in oracles). Buckets are a pure function of the VALUE, so a
-    value tie can never split across buckets and the within-bucket
-    lexsort((id, v)) + bucket prefix offset yields the exact global
-    row_number; the NTILE fill rule (first n%k tiles get one extra row)
-    is then closed-form from that row number. NULL values are excluded.
-    Scale: two O(#blocks × width) driver passes + ONE bucket-keyed
-    exchange in which each (id, v) pair moves exactly once."""
-    import pandas as pd
-    import ray
-
-    from ..util import collect_rows
-
+    tie-break in oracles). A value tie never splits across buckets, so
+    the within-bucket lexsort((id, v)) + bucket prefix offset yields the
+    exact global row_number; the NTILE fill rule (first n%k tiles get one
+    extra row) is then closed-form from that row number. NULL values are
+    excluded."""
     if n_tiles < 1:
         raise ValueError(f"ntile_global: n_tiles={n_tiles} must be >= 1")
     reserved = {"v", "part", tile_column} & {id_column}
@@ -1001,71 +1019,21 @@ def ntile_global(ds, value_column: str, id_column: str, n_tiles: int, *,
         # an ID named like a synthetic/output column can collide
         raise ValueError(f"ntile_global: column names {sorted(reserved)} "
                          "are reserved")
-    P = shuffle_width()
 
-    def sample(t: pa.Table) -> pa.Table:
-        v = np.asarray(pc.drop_null(t[value_column]).to_numpy(
-            zero_copy_only=False), dtype=np.float64)
-        if len(v) > sample_per_block:
-            v = np.sort(v)[np.linspace(0, len(v) - 1, sample_per_block)
-                           .astype(np.int64)]
-        return pa.table({"s": pa.array(v)})
+    def finish(v, ids, off, n):
+        # NTILE fill rule: first r tiles hold q+1 rows, the rest q
+        q, r = divmod(n, n_tiles)
+        cut = (q + 1) * r
+        order = np.lexsort((ids, v))  # by (v, id) — ntile's row order
+        rn = np.empty(len(v), dtype=np.int64)
+        rn[order] = off + np.arange(1, len(v) + 1)
+        tile = np.where(
+            rn <= cut,
+            -(-rn // (q + 1)),                       # ceil(rn/(q+1))
+            r + (-(-(rn - cut) // max(q, 1)))).astype(np.int64)
+        return {id_column: ids, tile_column: tile}
 
-    samples = np.asarray([r["s"] for r in collect_rows(
-        ds.map_batches(sample, batch_format="pyarrow"))], np.float64)
-    bounds = np.unique(np.quantile(samples, np.linspace(0, 1, P + 1)[1:-1])) \
-        if len(samples) else np.zeros(0, np.float64)
-    bref = ray.put(bounds)
-
-    def bucket_of(v: np.ndarray) -> np.ndarray:
-        return np.searchsorted(ray.get(bref), v, side="right") \
-            .astype(np.int32)
-
-    def counts(t: pa.Table) -> pa.Table:
-        v = np.asarray(pc.drop_null(t[value_column]).to_numpy(
-            zero_copy_only=False), dtype=np.float64)
-        c = np.bincount(bucket_of(v), minlength=len(bounds) + 1)
-        return pa.table({"b": pa.array(np.arange(len(c), dtype=np.int32)),
-                         "c": pa.array(c.astype(np.int64))})
-
-    totals = np.zeros(len(bounds) + 1, dtype=np.int64)
-    for r in collect_rows(ds.map_batches(counts, batch_format="pyarrow")):
-        totals[r["b"]] += r["c"]
-    offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
-    n_total = int(totals.sum())
-    # NTILE fill rule: first r tiles hold q+1 rows, the rest q
-    q, r = divmod(n_total, n_tiles) if n_total else (0, 0)
-    cut = (q + 1) * r
-    oref = ray.put(offsets)
-
-    def project(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t[value_column]))
-        v = np.asarray(t[value_column].to_numpy(zero_copy_only=False),
-                       dtype=np.float64)
-        return pa.table({id_column: t[id_column],
-                         "v": pa.array(v),
-                         "part": pa.array(bucket_of(v))})
-
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(oref)
-        out = []
-        for b, g in df.groupby("part", sort=False):
-            v = g["v"].to_numpy()
-            ids = g[id_column].to_numpy()
-            order = np.lexsort((ids, v))  # by (v, id) — ntile's row order
-            rn = np.empty(len(v), dtype=np.int64)
-            rn[order] = offs[int(b)] + np.arange(1, len(v) + 1)
-            tile = np.where(
-                rn <= cut,
-                -(-rn // (q + 1)),                       # ceil(rn/(q+1))
-                r + (-(-(rn - cut) // max(q, 1)))).astype(np.int64)
-            out.append(pd.DataFrame({id_column: ids, tile_column: tile}))
-        return pd.concat(out, ignore_index=True) if out else pd.DataFrame({
-            id_column: df[id_column],
-            tile_column: pd.Series([], dtype="int64")})
-
-    return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+    return _sample_sort(ds, value_column, id_column, finish)
 
 
 def chi_square_independence(ds, col_a: str, col_b: str):
@@ -1399,229 +1367,198 @@ def histogram_fixed(ds, column: str, n_bins: int):
                          "n": pd.Series(totals, dtype="int64")})
 
 
+_SELECT_PARTS = 32   # cut points per bracket and round of the selection
+_SELECT_ROUNDS = 12  # narrowing rounds before the selection gives up
+
+
+def _select(ds, extract, targets, *, collect_cap: int,
+            sample_per_block: int) -> tuple[float, dict]:
+    """Distributed weighted SELECTION, the core of both exact quantile
+    functions: for each target mass t, the smallest value whose cumulative
+    mass (weight of rows with value <= it) reaches t. Never sorts
+    globally; every pass is O(data), driver memory O(collect_cap).
+
+    `extract(t)` returns a batch's (values, weights) with NaN/NULL rows
+    dropped; unit weights make the mass a plain row count. -inf/+inf
+    values are the lowest/highest mass: counted in the first counting
+    pass, they never enter the selection, which brackets the finite
+    values only. `targets(total)` maps the total mass to the wanted
+    target masses. Returns (total, {target: value}); the dict is empty
+    when total <= 0.
+
+    Each round is ONE boundary-sample pass plus ONE counting pass shared
+    by every active target, over its bracket [lo, hi) cut into atoms: the
+    open regions between sampled cut points, and each cut point itself.
+    The explicit cut-point (equality) mass resolves a target landing in
+    a point mass at once, so heavy skew terminates. A target descends
+    into the first atom that holds rows and whose cumulative mass reaches
+    it; an empty atom is never chosen, so no bracket is answered by its
+    edge. Brackets strictly narrow (each block's min and max are among
+    the samples), and a bracket holding <= `collect_cap` rows is fetched
+    in one final pass and folded per UNIQUE value, ascending, so the
+    crossing test is addend-order-free: with integer weights every
+    cumulative sum is exact in float64.
+
+    The unit-weight finisher `exact_global_quantiles` interpolates finite
+    neighbours as ``lo + d*(hi-lo)``, not DuckDB's ``lo*(1-d) + hi*d``:
+    the two differ in the last bit on about 20% of random cases, and
+    `test_exact_global_quantiles` pins the first bit-for-bit against
+    ``np.quantile`` on its data. (NumPy itself computes
+    ``hi - (1-d)*(hi-lo)`` when d >= 0.5, so on other data the two can
+    differ in the last bit.)"""
+    def within(v: np.ndarray, w: np.ndarray, ivals) -> list:
+        f = np.isfinite(v)
+        v, w = v[f], w[f]
+        return [(v[m], w[m]) for lo, hi in ivals
+                for m in [(v >= lo) & (v < hi)]]
+
+    def count(t: pa.Table, ivals, cuts, offs, n_atoms) -> pa.Table:
+        v, w = extract(t)
+        ks, ws = [], []
+        for off, (vv, ww), sb in zip(offs, within(v, w, ivals), cuts):
+            j = np.searchsorted(sb, vv)  # atom 2j: open region, 2j+1: sb[j]
+            ks.append(off + 2 * j + (np.append(sb, np.inf)[j] == vv))
+            ws.append(ww)
+        inf = np.isinf(v)
+        ks.append(n_atoms + (v[inf] > 0))  # -inf, then +inf
+        ws.append(w[inf])
+        k = np.concatenate(ks).astype(np.int64)
+        c = np.bincount(k, minlength=n_atoms + 2)
+        s = np.bincount(k, weights=np.concatenate(ws), minlength=n_atoms + 2)
+        nz = np.flatnonzero(c)
+        return pa.table({"k": nz, "c": c[nz], "w": s[nz]})
+
+    ivals, state = [(-math.inf, math.inf)], None
+    for _round in range(_SELECT_ROUNDS):
+        cuts = _sample_cuts(
+            ds, lambda t, iv=tuple(ivals): [
+                v for v, _ in within(*extract(t), iv)],
+            len(ivals), _SELECT_PARTS, sample_per_block)
+        offs = np.concatenate([[0], np.cumsum([2 * len(sb) + 1
+                                               for sb in cuts])])
+        n_atoms = int(offs[-1])
+        k, c, w = _gather(ds, lambda t, a=(tuple(ivals), cuts, offs[:-1],
+                                           n_atoms): count(t, *a),
+                          ("k", "c", "w"))
+        rows = np.bincount(k.astype(np.int64), weights=c,
+                           minlength=n_atoms + 2)
+        mass = np.bincount(k.astype(np.int64), weights=w,
+                           minlength=n_atoms + 2)
+        if state is None:  # first round: totals, then every target
+            n_neg, w_neg, w_pos = rows[-2], mass[-2], mass[-1]
+            n_fin, w_fin = rows[:-2].sum(), mass[:-2].sum()
+            total = float(w_neg + w_fin + w_pos)
+            if total <= 0.0:
+                return total, {}
+            state = {t: -math.inf if n_neg and t <= w_neg else
+                     math.inf if t > w_neg + w_fin or not n_fin else
+                     (-math.inf, math.inf, float(w_neg), int(n_fin))
+                     for t in targets(total)}
+        at = {iv: i for i, iv in enumerate(ivals)}
+        for t, s in state.items():
+            i = at.get(s[:2]) if isinstance(s, tuple) else None
+            if i is not None:
+                sl = slice(offs[i], offs[i + 1])
+                state[t] = _descend(t, s, cuts[i], rows[sl], mass[sl])
+        ivals = sorted({s[:2] for s in state.values()
+                        if isinstance(s, tuple) and s[3] > collect_cap})
+        if not ivals:
+            break
+    else:
+        raise RuntimeError("global quantile selection did not converge "
+                           f"in {_SELECT_ROUNDS} rounds")
+
+    pend = sorted({s[:3] for s in state.values() if isinstance(s, tuple)})
+    if pend:
+        def sliver(t: pa.Table, iv=tuple(b[:2] for b in pend)) -> pa.Table:
+            vw = within(*extract(t), iv)
+            return pa.table({
+                "i": np.repeat(np.arange(len(iv)), [len(v) for v, _ in vw]),
+                "v": np.concatenate([v for v, _ in vw]),
+                "w": np.concatenate([w for _, w in vw])})
+
+        i, v, w = _gather(ds, sliver, ("i", "v", "w"))
+        folds = {}
+        for j, (lo, hi, base) in enumerate(pend):
+            vj, wj = v[i == j], w[i == j]
+            order = np.argsort(vj, kind="stable")
+            vj, wj = vj[order], wj[order]
+            uv, idx = np.unique(vj, return_index=True)
+            folds[lo, hi] = uv, base + np.cumsum(np.add.reduceat(wj, idx))
+        for t, s in state.items():
+            if isinstance(s, tuple):
+                uv, cum = folds[s[:2]]
+                pos = int(np.searchsorted(cum, t, side="left"))
+                state[t] = float(uv[min(pos, len(uv) - 1)])
+    return total, state
+
+
+def _descend(t: float, bracket: tuple, sb: np.ndarray, rows: np.ndarray,
+             mass: np.ndarray):
+    """One selection step: the cut point holding target mass `t`, or the
+    narrower bracket (lo, hi, base, rows) of the first non-empty atom
+    whose cumulative mass reaches it. A target that float rounding
+    carries past the last atom takes the last non-empty one."""
+    lo, hi, base = bracket[:3]
+    cum = base + np.cumsum(mass)
+    hit = np.flatnonzero((rows > 0) & (cum >= t))
+    a = int(hit[0]) if len(hit) else int(np.flatnonzero(rows)[-1])
+    if a % 2:
+        return float(sb[a // 2])
+    b = a // 2
+    return (lo if b == 0 else float(np.nextafter(sb[b - 1], math.inf)),
+            hi if b == len(sb) else float(sb[b]),
+            base if a == 0 else float(cum[a - 1]), int(rows[a]))
+
+
+def _check_qs(name: str, qs) -> list[float]:
+    qs = [float(q) for q in qs]
+    if not qs or any(not 0.0 <= q <= 1.0 for q in qs):
+        raise ValueError(f"{name}: qs={qs} must be in [0,1]")
+    return qs
+
+
 def exact_global_quantiles(ds, column: str, qs, *,
                            collect_cap: int = 262_144,
-                           sample_per_block: int = 64,
-                           max_rounds: int = 12):
+                           sample_per_block: int = 64):
     """EXACT global quantiles — SQL ``quantile_cont(v, q)`` — by
-    distributed SELECTION, never a global sort: bracket each needed order
-    statistic with counting passes, narrow the value interval until it
-    holds <= `collect_cap` values, then fetch just that sliver and select
-    exactly. The t-digest is the one-pass approximate path; this is the
+    distributed SELECTION (`_select` at unit weight), never a global
+    sort. The t-digest is the one-pass approximate path; this is the
     exact path whose scans stay O(data) each while driver memory stays
     O(collect_cap).
 
     quantile_cont semantics: h = q*(n-1); the result interpolates the
-    floor(h)-th and ceil(h)-th order statistics (0-indexed). NULL/NaN
-    excluded (SQL drops NULLs). -inf/+inf are the lowest/highest order
-    statistics: they are counted in the first pass and never enter the
-    selection, which runs over the finite values only; an interpolation
-    with an infinite end takes DuckDB's ``lo*(1-d) + hi*d`` form (-inf
-    next to a finite value stays -inf, -inf next to +inf is NaN). Returns
-    a DataFrame (q, value); NaN value on an empty column.
-
-    Each refinement round is ONE combined pass (per-interval boundary
-    samples) + ONE counting pass shared by every still-active rank.
-    Sub-bucket counts carry explicit boundary-EQUALITY counts, so a rank
-    landing inside a tie run resolves immediately — point masses and
-    heavy skew terminate instead of looping. Intervals are [lo, hi);
-    after stepping past an equality run the new lo is nextafter(edge),
-    so every round strictly narrows or resolves."""
+    floor(h)-th and ceil(h)-th order statistics (0-indexed), i.e. the
+    selections at ranks floor(h)+1 and ceil(h)+1. NULL/NaN excluded (SQL
+    drops NULLs). -inf/+inf are the lowest/highest order statistics. An
+    interpolation with an infinite end takes DuckDB's ``lo*(1-d) + hi*d``
+    form (-inf next to a finite value stays -inf, -inf next to +inf is
+    NaN); between finite values it is ``lo + d*(hi-lo)`` (see `_select`).
+    Returns a DataFrame (q, value); NaN value on an empty column."""
     import pandas as pd
 
-    qs = [float(q) for q in qs]
-    if not qs or any(not 0.0 <= q <= 1.0 for q in qs):
-        raise ValueError(f"exact_global_quantiles: qs={qs} must be in [0,1]")
+    qs = _check_qs("exact_global_quantiles", qs)
 
-    def col_vals(t: pa.Table) -> np.ndarray:
+    def extract(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         v = np.asarray(pc.drop_null(t[column]).to_numpy(
             zero_copy_only=False), dtype=np.float64)
-        return v[np.isfinite(v)]
+        v = v[~np.isnan(v)]
+        return v, np.ones(len(v))
 
-    def in_ival(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        m = v >= lo if lo != -math.inf else np.ones(len(v), dtype=bool)
-        if hi != math.inf:
-            m &= v < hi
-        return v[m]
+    def ranks(n: float) -> set:
+        return {r + 1 for q in qs
+                for r in (math.floor(q * (n - 1)), math.ceil(q * (n - 1)))}
 
-    # pass 1: global boundary samples
-    def sample(t: pa.Table) -> pa.Table:
-        v = col_vals(t)
-        if len(v) > sample_per_block:
-            v = np.sort(v)[np.linspace(0, len(v) - 1, sample_per_block)
-                           .astype(np.int64)]
-        return pa.table({"s": pa.array(v)})
-
-    samples = np.asarray([r["s"] for r in collect_rows(
-        ds.map_batches(sample, batch_format="pyarrow"))], np.float64)
-    P = 32
-    bounds = np.unique(np.quantile(samples, np.linspace(0, 1, P + 1)[1:-1])) \
-        if len(samples) else np.zeros(0)
-
-    # pass 2: global region counts of the finite values (regions are
-    # [b[i-1], b[i]) half-open), plus the -inf (b=-1) and +inf (b=-2) counts
-    def counts0(t: pa.Table) -> pa.Table:
-        v = col_vals(t)
-        c = np.bincount(np.searchsorted(bounds, v, side="right"),
-                        minlength=len(bounds) + 1)
-        x = t[column]
-        if pa.types.is_floating(x.type):
-            c = np.append(c, [pc.sum(pc.equal(x, -math.inf)).as_py() or 0,
-                              pc.sum(pc.equal(x, math.inf)).as_py() or 0])
-        else:
-            c = np.append(c, [0, 0])
-        b = np.append(np.arange(len(c) - 2, dtype=np.int64), [-1, -2])
-        return pa.table({"b": pa.array(b), "c": pa.array(c.astype(np.int64))})
-
-    tot = np.zeros(len(bounds) + 1, dtype=np.int64)
-    n_inf = {-1: 0, -2: 0}
-    for r in collect_rows(ds.map_batches(counts0, batch_format="pyarrow")):
-        if r["b"] < 0:
-            n_inf[r["b"]] += r["c"]
-        else:
-            tot[r["b"]] += r["c"]
-    n_neg, n_fin = n_inf[-1], int(tot.sum())
-    n = n_neg + n_fin + n_inf[-2]
-    if n == 0:
-        return pd.DataFrame({"q": pd.Series(qs, dtype="float64"),
-                             "value": np.full(len(qs), np.nan)})
-    offs = np.concatenate([[0], np.cumsum(tot)])
-
-    # per needed FINITE rank k (overall rank - n_neg): (lo, hi, base, cnt,
-    # value-or-None) — the k-th finite order statistic lies in [lo, hi);
-    # `base` values are < lo
-    ranks = sorted({int(r) - n_neg for q in qs
-                    for r in (math.floor(q * (n - 1)),
-                              math.ceil(q * (n - 1)))
-                    if n_neg <= r < n_neg + n_fin})
-    state: dict[int, list] = {}
-    for k in ranks:
-        b = int(np.searchsorted(offs[1:], k, side="right"))
-        lo = -math.inf if b == 0 else float(bounds[b - 1])
-        hi = math.inf if b == len(bounds) else float(bounds[b])
-        state[k] = [lo, hi, int(offs[b]), int(tot[b]), None]
-
-    def active():
-        return [(k, s) for k, s in state.items()
-                if s[4] is None and s[3] > collect_cap]
-
-    for _round in range(max_rounds):
-        act = active()
-        if not act:
-            break
-        ivals = [(s[0], s[1]) for _, s in act]
-
-        def refine(t: pa.Table, ivals=tuple(ivals)) -> pa.Table:
-            v = col_vals(t)
-            out_i, out_s = [], []
-            for i, (lo, hi) in enumerate(ivals):
-                w = in_ival(v, lo, hi)
-                if len(w) > sample_per_block:
-                    w = np.sort(w)[np.linspace(0, len(w) - 1,
-                                               sample_per_block)
-                                   .astype(np.int64)]
-                out_i.extend([i] * len(w))
-                out_s.extend(w.tolist())
-            return pa.table({"i": pa.array(out_i, pa.int64()),
-                             "s": pa.array(out_s, pa.float64())})
-
-        buf: dict[int, list] = {i: [] for i in range(len(ivals))}
-        for r in collect_rows(ds.map_batches(refine,
-                                             batch_format="pyarrow")):
-            buf[r["i"]].append(r["s"])
-        subs = {i: (np.unique(np.quantile(np.asarray(b),
-                                          np.linspace(0, 1, P + 1)[1:-1]))
-                    if b else np.zeros(0)) for i, b in buf.items()}
-
-        def subcounts(t: pa.Table, ivals=tuple(ivals),
-                      subs=subs) -> pa.Table:
-            v = col_vals(t)
-            out_i, out_b, out_c = [], [], []
-            for i, (lo, hi) in enumerate(ivals):
-                w = in_ival(v, lo, hi)
-                sb = subs[i]
-                reg = np.bincount(np.searchsorted(sb, w, side="right"),
-                                  minlength=len(sb) + 1)
-                eq = np.asarray([(w == x).sum() for x in sb],
-                                dtype=np.int64)
-                out_i.extend([i] * (2 * len(sb) + 1))
-                out_b.extend(range(len(sb) + 1))     # region counts
-                out_c.extend(reg.tolist())
-                out_b.extend(range(-1, -len(sb) - 1, -1))  # eq counts
-                out_c.extend(eq.tolist())
-            return pa.table({"i": pa.array(out_i, pa.int64()),
-                             "b": pa.array(out_b, pa.int64()),
-                             "c": pa.array(out_c, pa.int64())})
-
-        agg: dict[tuple, int] = {}
-        for r in collect_rows(ds.map_batches(subcounts,
-                                             batch_format="pyarrow")):
-            key = (r["i"], r["b"])
-            agg[key] = agg.get(key, 0) + r["c"]
-        for i, (k, s) in enumerate(act):
-            lo, hi, base, _cnt, _ = s
-            sb = subs[i]
-            if len(sb) == 0:
-                continue  # no samples — interval emptied by a race? keep
-            reg = np.asarray([agg.get((i, b), 0)
-                              for b in range(len(sb) + 1)], dtype=np.int64)
-            eq = np.asarray([agg.get((i, -(j + 1)), 0)
-                             for j in range(len(sb))], dtype=np.int64)
-            of = np.concatenate([[0], np.cumsum(reg)])
-            rel = k - base
-            b = int(np.searchsorted(of[1:], rel, side="right"))
-            if b > 0 and rel - of[b] < eq[b - 1]:
-                # the rank falls inside the tie run at edge sb[b-1]
-                state[k] = [s[0], s[1], base, s[3], float(sb[b - 1])]
-                continue
-            if b == 0:
-                nlo, nbase = lo, base
-                ncnt = int(reg[0])
-            else:
-                nlo = float(np.nextafter(sb[b - 1], math.inf))
-                nbase = base + int(of[b]) + int(eq[b - 1])
-                ncnt = int(reg[b]) - int(eq[b - 1])
-            nhi = hi if b == len(sb) else float(sb[b])
-            state[k] = [nlo, nhi, nbase, ncnt, None]
-    if active():
-        raise RuntimeError("exact_global_quantiles: selection did not "
-                           f"converge in {max_rounds} rounds")
-
-    # final pass: collect every unresolved bracket's values at once
-    pend = [(k, s) for k, s in state.items() if s[4] is None]
-    ivals = [(s[0], s[1]) for _, s in pend]
-
-    def collect(t: pa.Table, ivals=tuple(ivals)) -> pa.Table:
-        v = col_vals(t)
-        out_i, out_v = [], []
-        for i, (lo, hi) in enumerate(ivals):
-            w = in_ival(v, lo, hi)
-            out_i.extend([i] * len(w))
-            out_v.extend(w.tolist())
-        return pa.table({"i": pa.array(out_i, pa.int64()),
-                         "v": pa.array(out_v, pa.float64())})
-
-    if pend:
-        vals: dict[int, list] = {i: [] for i in range(len(ivals))}
-        for r in collect_rows(ds.map_batches(collect,
-                                             batch_format="pyarrow")):
-            vals[r["i"]].append(r["v"])
-        for i, (k, s) in enumerate(pend):
-            w = np.asarray(vals[i], dtype=np.float64)
-            w.partition(k - s[2])
-            state[k][4] = float(w[k - s[2]])
-    def order_stat(r: int) -> float:
-        if r < n_neg:
-            return -math.inf
-        if r >= n_neg + n_fin:
-            return math.inf
-        return state[r - n_neg][4]
-
+    n, at = _select(ds, extract, ranks, collect_cap=collect_cap,
+                    sample_per_block=sample_per_block)
     out = []
     for q in qs:
+        if not at:
+            out.append(math.nan)
+            continue
         h = q * (n - 1)
         k0, k1 = math.floor(h), math.ceil(h)
-        v0, v1, d = order_stat(k0), order_stat(k1), h - k0
+        v0, v1, d = at[k0 + 1], at[k1 + 1], h - k0
         if k0 == k1:
             out.append(v0)
         elif math.isinf(v0) or math.isinf(v1):
@@ -1634,254 +1571,42 @@ def exact_global_quantiles(ds, column: str, qs, *,
 
 def weighted_global_quantiles(ds, value_column: str, weight_column: str,
                               qs, *, collect_cap: int = 262_144,
-                              sample_per_block: int = 64,
-                              max_rounds: int = 12):
+                              sample_per_block: int = 64):
     """EXACT weighted lower quantiles by distributed SELECTION — for each
     q, the smallest value v with cumulative weight of rows (value <= v)
     >= q * W. The weighted generalization of `exact_global_quantiles`
     (e.g. token-weighted document-length percentiles, quantity-weighted
     price points); no global sort, scans stay O(data) per round, driver
-    memory O(collect_cap).
-
-    Same bracketing loop, counting WEIGHT instead of rank: per round one
-    boundary-sample pass + one counting pass accumulating per-region
-    (weight, rows) with explicit boundary-EQUALITY weights — a q landing
-    inside a point mass resolves to that value immediately, so heavy
-    skew terminates. The final sliver is summed per UNIQUE value
-    (ascending) before the cumulative compare, so the crossing test is
-    addend-order-free; with integer-valued weights every cumulative sum
-    is exact in float64 and the result matches SQL's
-    ``min(v) FILTER (cum >= q*W)`` idiom bit-for-bit.
+    memory O(collect_cap). With integer-valued weights the result
+    matches SQL's ``min(v) FILTER (cum >= q*W)`` idiom bit-for-bit (see
+    `_select`).
 
     NULL/NaN value or NULL weight rows are excluded; negative weights
-    raise (inside the counting pass — the error surfaces on execution).
-    -inf/+inf values carry the lowest/highest mass: their weights are
-    summed in the first pass and never enter the selection, which runs
-    over the finite values only."""
+    raise (inside the first pass — the error surfaces on execution).
+    -inf/+inf values carry the lowest/highest mass. NaN values when the
+    total weight is 0."""
     import pandas as pd
 
-    qs = [float(q) for q in qs]
-    if not qs or any(not 0.0 <= q <= 1.0 for q in qs):
-        raise ValueError(f"weighted_global_quantiles: qs={qs} "
-                         "must be in [0,1]")
+    qs = _check_qs("weighted_global_quantiles", qs)
 
-    def vw(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    def extract(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         v = np.asarray(t[value_column].to_numpy(zero_copy_only=False),
                        dtype=np.float64)
         w = np.asarray(t[weight_column].to_numpy(zero_copy_only=False),
                        dtype=np.float64)
-        keep = np.isfinite(v) & np.isfinite(w)
+        keep = ~np.isnan(v) & np.isfinite(w)
         v, w = v[keep], w[keep]
         if len(w) and float(w.min()) < 0.0:
             raise ValueError("weighted_global_quantiles: negative weight")
         return v, w
 
-    def in_ival(v, w, lo, hi):
-        m = v >= lo if lo != -math.inf else np.ones(len(v), dtype=bool)
-        if hi != math.inf:
-            m &= v < hi
-        return v[m], w[m]
-
-    # pass 1: finite, -inf and +inf weight, -inf rows, boundary samples
-    def first(t: pa.Table) -> pa.Table:
-        v, w = vw(t)
-        s = v
-        if len(s) > sample_per_block:
-            s = np.sort(s)[np.linspace(0, len(s) - 1, sample_per_block)
-                           .astype(np.int64)]
-        rv = np.asarray(t[value_column].to_numpy(zero_copy_only=False),
-                        dtype=np.float64)
-        rw = np.asarray(t[weight_column].to_numpy(zero_copy_only=False),
-                        dtype=np.float64)
-        neg = (rv == -math.inf) & np.isfinite(rw)
-        pos = (rv == math.inf) & np.isfinite(rw)
-        head = {"wsum": w.sum(), "wneg": rw[neg].sum(),
-                "wpos": rw[pos].sum(), "nneg": neg.sum()}
-        pad = np.zeros(len(s))
-        return pa.table({"s": np.concatenate([[np.nan], s]),
-                         **{c: np.concatenate([[x], pad])
-                            for c, x in head.items()}})
-
-    rows = collect_rows(ds.map_batches(first, batch_format="pyarrow"))
-    w_fin, w_neg, w_pos, n_neg = (float(sum(r[c] for r in rows))
-                                  for c in ("wsum", "wneg", "wpos", "nneg"))
-    W = w_fin + w_neg + w_pos
-    samples = np.asarray([r["s"] for r in rows if not math.isnan(r["s"])],
-                         np.float64)
-    if W <= 0.0:
-        return pd.DataFrame({"q": pd.Series(qs, dtype="float64"),
-                             "value": np.full(len(qs), np.nan)})
-    # state per q: [lo, hi, base_w, rows_in_ival(None=unknown), resolved];
-    # the -inf mass sits below every finite value, the +inf mass above
-    state: dict[float, list] = {}
-    for q in sorted(set(qs)):
-        t = q * W
-        inf = -math.inf if n_neg and w_neg >= t else \
-            math.inf if w_neg + w_fin < t or len(samples) == 0 else None
-        state[q] = [-math.inf, math.inf, w_neg, None, inf]
-    P = 32
-
-    def active():
-        return [(q, s) for q, s in sorted(state.items())
-                if s[4] is None and (s[3] is None or s[3] > collect_cap)]
-
-    bounds0 = np.unique(np.quantile(samples,
-                                    np.linspace(0, 1, P + 1)[1:-1])) \
-        if len(samples) else np.zeros(0)
-    subs: dict[int, np.ndarray] = {0: bounds0}
-    ivals = [(-math.inf, math.inf)]
-    act_qs = [q for q, _ in active()]
-    for _round in range(max_rounds):
-        if not act_qs:
-            break
-
-        def counts(t: pa.Table, ivals=tuple(ivals),
-                   subs=dict(subs)) -> pa.Table:
-            v, w = vw(t)
-            oi, ob, ow, oc = [], [], [], []
-            for i, (lo, hi) in enumerate(ivals):
-                vv, ww = in_ival(v, w, lo, hi)
-                sb = subs[i]
-                reg = np.searchsorted(sb, vv, side="right")
-                nb = len(sb) + 1
-                wreg = np.bincount(reg, weights=ww, minlength=nb)
-                creg = np.bincount(reg, minlength=nb)
-                eqw = np.asarray([ww[vv == x].sum() for x in sb])
-                oi.extend([i] * (nb + len(sb)))
-                ob.extend(range(nb))
-                ow.extend(wreg.tolist())
-                oc.extend(creg.tolist())
-                ob.extend(range(-1, -len(sb) - 1, -1))
-                ow.extend(eqw.tolist())
-                oc.extend([0] * len(sb))
-            return pa.table({"i": pa.array(oi, pa.int64()),
-                             "b": pa.array(ob, pa.int64()),
-                             "w": pa.array(ow, pa.float64()),
-                             "c": pa.array(oc, pa.int64())})
-
-        aggw: dict[tuple, float] = {}
-        aggc: dict[tuple, int] = {}
-        for r in collect_rows(ds.map_batches(counts,
-                                             batch_format="pyarrow")):
-            key = (r["i"], r["b"])
-            aggw[key] = aggw.get(key, 0.0) + r["w"]
-            aggc[key] = aggc.get(key, 0) + r["c"]
-        for i, q in enumerate(act_qs):
-            # several qs can share interval index i in round 0
-            ii = min(i, len(ivals) - 1)
-            lo, hi, base, _cnt, _ = state[q]
-            sb = subs[ii]
-            if len(sb) == 0:
-                state[q][3] = aggc.get((ii, 0), 0)
-                continue
-            nb = len(sb) + 1
-            wreg = np.asarray([aggw.get((ii, b), 0.0) for b in range(nb)])
-            creg = np.asarray([aggc.get((ii, b), 0) for b in range(nb)],
-                              dtype=np.int64)
-            eqw = np.asarray([aggw.get((ii, -(j + 1)), 0.0)
-                              for j in range(len(sb))])
-            target = q * W
-            cum = base  # weight of values < current region's left edge
-            resolved = False
-            for b in range(nb):
-                # region b = [sb[b-1], sb[b]) — wreg[b] includes its left
-                # edge's equality mass eqw[b-1] (searchsorted side=right)
-                if b > 0 and cum < target and cum + eqw[b - 1] >= target:
-                    # the crossing lands ON the sampled edge: exact answer
-                    state[q] = [lo, hi, base, state[q][3], float(sb[b - 1])]
-                    resolved = True
-                    break
-                nxt = cum + wreg[b]
-                if nxt >= target or b == nb - 1:
-                    # crossing is strictly inside (sb[b-1], next edge):
-                    # exclude the resolved left-edge mass from the bracket
-                    nlo = lo if b == 0 \
-                        else float(np.nextafter(sb[b - 1], math.inf))
-                    nbase = cum if b == 0 else cum + float(eqw[b - 1])
-                    nhi = hi if b == nb - 1 else float(sb[b])
-                    # creg[b] still counts the left-edge rows — a safe
-                    # overestimate for the collect_cap check only
-                    state[q] = [nlo, nhi, nbase, int(creg[b]), None]
-                    resolved = True
-                    break
-                cum = nxt
-            if not resolved:  # unreachable: b == nb-1 always narrows
-                state[q] = [lo, hi, base, state[q][3], float(sb[-1])]
-
-        nxt_act = active()
-        if not nxt_act:
-            break
-        # refine: fresh per-interval samples
-        ivals = [(s[0], s[1]) for _, s in nxt_act]
-        act_qs = [q for q, _ in nxt_act]
-
-        def refine(t: pa.Table, ivals=tuple(ivals)) -> pa.Table:
-            v, w = vw(t)
-            oi, os_ = [], []
-            for i, (lo, hi) in enumerate(ivals):
-                vv, _ = in_ival(v, w, lo, hi)
-                if len(vv) > sample_per_block:
-                    vv = np.sort(vv)[np.linspace(0, len(vv) - 1,
-                                                 sample_per_block)
-                                     .astype(np.int64)]
-                oi.extend([i] * len(vv))
-                os_.extend(vv.tolist())
-            return pa.table({"i": pa.array(oi, pa.int64()),
-                             "s": pa.array(os_, pa.float64())})
-
-        buf: dict[int, list] = {i: [] for i in range(len(ivals))}
-        for r in collect_rows(ds.map_batches(refine,
-                                             batch_format="pyarrow")):
-            buf[r["i"]].append(r["s"])
-        subs = {i: (np.unique(np.quantile(np.asarray(b),
-                                          np.linspace(0, 1, P + 1)[1:-1]))
-                    if b else np.zeros(0)) for i, b in buf.items()}
-    if active():
-        raise RuntimeError("weighted_global_quantiles: selection did not "
-                           f"converge in {max_rounds} rounds")
-
-    # final sliver: per-q collect + per-unique-value fold
-    pend = [(q, s) for q, s in sorted(state.items()) if s[4] is None]
-    if pend:
-        ivals = [(s[0], s[1]) for _, s in pend]
-
-        def collect(t: pa.Table, ivals=tuple(ivals)) -> pa.Table:
-            v, w = vw(t)
-            oi, ov, ow = [], [], []
-            for i, (lo, hi) in enumerate(ivals):
-                vv, ww = in_ival(v, w, lo, hi)
-                oi.extend([i] * len(vv))
-                ov.extend(vv.tolist())
-                ow.extend(ww.tolist())
-            return pa.table({"i": pa.array(oi, pa.int64()),
-                             "v": pa.array(ov, pa.float64()),
-                             "w": pa.array(ow, pa.float64())})
-
-        acc: dict[int, list] = {i: ([], []) for i in range(len(ivals))}
-        for r in collect_rows(ds.map_batches(collect,
-                                             batch_format="pyarrow")):
-            acc[r["i"]][0].append(r["v"])
-            acc[r["i"]][1].append(r["w"])
-        for i, (q, s) in enumerate(pend):
-            v = np.asarray(acc[i][0], np.float64)
-            w = np.asarray(acc[i][1], np.float64)
-            target = q * W
-            if len(v) == 0:
-                # interval emptied: answer is the max value <= lo — only
-                # reachable when target sits exactly on the interval's
-                # base; fall back to the interval edge
-                state[q][4] = s[0]
-                continue
-            order = np.argsort(v, kind="stable")
-            v, w = v[order], w[order]
-            uv, idx = np.unique(v, return_index=True)
-            runs = np.add.reduceat(w, idx)          # per-unique-value sums
-            cum = s[2] + np.cumsum(runs)
-            pos = int(np.searchsorted(cum, target, side="left"))
-            state[q][4] = float(uv[min(pos, len(uv) - 1)])
+    W, at = _select(ds, extract, lambda W: {q * W for q in qs},
+                    collect_cap=collect_cap,
+                    sample_per_block=sample_per_block)
     return pd.DataFrame({
         "q": pd.Series(qs, dtype="float64"),
-        "value": pd.Series([state[q][4] for q in qs], dtype="float64")})
+        "value": pd.Series([at[q * W] if at else math.nan for q in qs],
+                           dtype="float64")})
 
 
 def winsorize(ds, value_column: str, p_lo: float = 0.01,

@@ -464,8 +464,14 @@ def test_hash_part_matches_partition_hash():
 
 def test_exchange_idiom_lives_in_one_module():
     """The coarse hash exchange (map_groups over tagged partials) and its
-    width helpers exist only in stages/exchange.py."""
+    width helpers exist only in stages/exchange.py; the sample-sort
+    cut-point idiom (thin each batch to evenly spaced order statistics,
+    then take the distinct quantiles) only in sketches' `_thin` and
+    `_cut_points`."""
+    import inspect
     import pathlib
+
+    from gojsonschema_ray.stages.sketches import _cut_points, _thin
 
     root = pathlib.Path(__file__).resolve().parents[1]
     files = [*sorted((root / "gojsonschema_ray").rglob("*.py")),
@@ -476,6 +482,10 @@ def test_exchange_idiom_lives_in_one_module():
                  for needle in (".map_groups(", "_next_pow2", "_shuffle_parts")
                  if needle in f.read_text()]
     assert offenders == []
+    for helper, needle in ((_thin, "np.linspace(0, len("),
+                           (_cut_points, "np.linspace(0, 1, ")):
+        assert sum(f.read_text().count(needle) for f in files) == 1, needle
+        assert needle in inspect.getsource(helper)
 
 
 def test_jsonl_source_validation(ray_session, tmp_path):
@@ -3670,6 +3680,8 @@ def test_exact_global_quantiles_infinities(ray_session):
         ([-inf, -inf, 5.0, nan], 2, 262_144),
         ([1.0, 2.0, inf, None, inf], 3, 262_144),
         ([inf, inf], 1, 262_144),
+        ([5.0] * 50 + [6.0] * 50, 2, 4),                 # point-mass min
+        (np.arange(50.0).tolist() + [60.0] * 50, 2, 4),  # point-mass max
     ]
     for vals, blocks, cap in cases:
         t = pa.table({"v": pa.array(vals, pa.float64())})
@@ -4876,7 +4888,9 @@ def test_weighted_global_quantiles_infinities(ray_session):
             ([1.0, 2.0, 3.0, inf, inf, inf, -inf, float("nan"), None],
              [1.0] * 9),
             ([5.0, -inf, inf, 7.0], [1.0, 3.0, 2.0, 4.0]),
-            ([-inf, inf, -inf], [1.0, 1.0, 2.0])):
+            ([-inf, inf, -inf], [1.0, 1.0, 2.0]),
+            ([5.0] * 50 + [6.0] * 50, [1.0] * 100),  # point-mass minimum
+            ([5.0] * 50 + np.arange(6.0, 56.0).tolist(), [1.0] * 100)):
         df = pd.DataFrame({"v": pd.Series(vals, dtype="float64"), "w": ws})
         got = weighted_global_quantiles(
             rd.from_pandas(df).repartition(2), "v", "w", qs,
