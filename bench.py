@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Benchmark harness (driver contract + BASELINE.md scaling evidence).
+"""Throughput benchmark of the `__ray_entry__.py` pipelines and the clips check.
 
 Default: run the headline pipelines over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) under ray.init(address="local",
@@ -18,53 +18,19 @@ noise the third pass usually removes.
 The first pass pays one-off costs a long-running production job amortizes
 (Ray worker-pool ramp, numpy first-touch page faults, import time); the
 minimum is the pipeline's repeatable throughput.
-
---scaling: run the headline clips-validation in FRESH subprocesses at
-num_cpus=N and num_cpus=4N (default 8 and 32 — BASELINE.md's acceptance
-row; this VM's <8-CPU phases swing +/-25% on a pure-CPU control, see
-BENCH/BASELINE.md round 3) on the SAME input (the sandbox
-proxy for N- vs 4N-node clusters) and report throughput at both plus scaling
-efficiency (= (rate_4N/rate_N)/4); also appends the result to
-BENCH/BASELINE.md. Measurement is INTERLEAVED PAIRS: three (N, 4N) pairs run
-back-to-back, each level a fresh process that primes the page cache and runs
-one untimed quarter-scale warm-up before its single timed run; the reported
-figure is the MEDIAN of the three pairwise efficiencies. Rationale: round 2's
-spread (0.891/1.22/1.45 on identical code) came from this VM's conditions
-drifting between a ~4-minute 4-CPU phase and a ~45 s 16-CPU phase measured
-many minutes apart — pairing keeps the two points of each efficiency sample
-temporally adjacent, so drift moves a whole pair, not the ratio.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import subprocess
-import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 CLIPS_N = int(os.environ.get("GRAFT_CLIPS_N", "600000"))
 CLIPS_CAP_MS = 20
-# The scaling criterion needs a compute-dominated job: efficiency
-# (T_N/T_4N)/4 >= 0.8 requires total compute ~90x the fixed per-run cost
-# (actor ramp-up, shuffle barriers, driver glue), so the scaling run uses
-# more clips and a longer audio cap than the per-round throughput bench.
-SCALING_CLIPS_N = int(os.environ.get("GRAFT_SCALING_CLIPS_N", "800000"))
-SCALING_CAP_MS = int(os.environ.get("GRAFT_SCALING_CAP_MS", "50"))
-# N and 4N parallelism levels (driver instruction allows any N vs 4N pair).
-# 4 vs 16 keeps the high end clear of this box's memory-bandwidth knee at
-# ~32 busy FFT workers, so the measurement reflects the engine's scaling,
-# not the single-socket bandwidth ceiling a real 4N-node cluster wouldn't hit.
-SCALING_CPUS_LOW = int(os.environ.get("GRAFT_SCALING_CPUS_LOW", "8"))
-SCALING_CPUS_HIGH = 4 * SCALING_CPUS_LOW
 CLIPS_ROWS_PER_FILE = 8192  # many small files -> read parallelism
-
-
-def _clips_cache(n: int, cap_ms: int) -> str:
-    return f"/tmp/graft_clips_{n}_{cap_ms}_{CLIPS_ROWS_PER_FILE}"
 
 
 def _init_ray(num_cpus: int):
@@ -80,30 +46,28 @@ def _init_ray(num_cpus: int):
     ctx.execution_options.verbose_progress = False
 
 
-def _ensure_clips(n: int = CLIPS_N, cap_ms: int = CLIPS_CAP_MS) -> str:
+def _ensure_clips() -> str:
     """Deterministic clips parquet, written once and cached across runs
     (generation cost must not pollute the measured validation time)."""
     from gojsonschema_ray.datagen import write_clips_parquet
 
-    path = _clips_cache(n, cap_ms)
-    write_clips_parquet(path, n, audio_cap_ms=cap_ms,
+    path = f"/tmp/graft_clips_{CLIPS_N}_{CLIPS_CAP_MS}_{CLIPS_ROWS_PER_FILE}"
+    write_clips_parquet(path, CLIPS_N, audio_cap_ms=CLIPS_CAP_MS,
                         rows_per_file=CLIPS_ROWS_PER_FILE)
     return path
 
 
-def bench_clips_validate(num_cpus: int, n: int = CLIPS_N,
-                         cap_ms: int = CLIPS_CAP_MS) -> dict:
+def bench_clips_validate(num_cpus: int) -> dict:
     """Headline: full constraint-eval throughput on the clips table —
     fused schema + audio/PCM pass (stateless tasks) + uniqueness shuffle.
 
     The fused checker runs as stateless tasks over native read blocks, so
-    every parallelism level shares all CPUs between read decode and PCM
-    checks — resources stay exactly proportional between scaling runs."""
+    read decode and PCM checks share all CPUs."""
     import ray.data as rd
 
     from gojsonschema_ray.pipelines.flagship import AUDIO_COLUMNS, validate_clips
 
-    path = _ensure_clips(n, cap_ms)
+    path = _ensure_clips()
     t0 = time.time()
     ds = rd.read_parquet(path, columns=AUDIO_COLUMNS)
     # pruned key scan in ~#CPUs consolidated blocks: per-task overhead on a
@@ -112,11 +76,11 @@ def bench_clips_validate(num_cpus: int, n: int = CLIPS_N,
                              override_num_blocks=num_cpus)
     viol = validate_clips(ds, with_audio=True, with_uniqueness=True,
                           audio_batch_size=None,  # native blocks
-                          audio_cap_ms=cap_ms,
+                          audio_cap_ms=CLIPS_CAP_MS,
                           uniqueness_ds=key_ds)
     n_viol = viol.count()
     dt = time.time() - t0
-    return {"sec": dt, "clips": n, "clips_per_sec": n / dt,
+    return {"sec": dt, "clips": CLIPS_N, "clips_per_sec": CLIPS_N / dt,
             "violations": n_viol}
 
 
@@ -203,209 +167,8 @@ def run_main() -> dict:
     return result
 
 
-def run_scaling_worker(num_cpus: int) -> dict:
-    """One parallelism level, fresh Ray session, ONE timed run. Steady-state
-    recipe: prime the page cache, run one UNTIMED quarter-scale warm-up
-    (worker ramp, numpy pools, codec paths), then time a single full run.
-    run_scaling() calls this in alternating (N, 4N) pairs so each pairwise
-    efficiency compares temporally adjacent conditions."""
-    _init_ray(num_cpus)
-    _warm_files(_clips_cache(SCALING_CLIPS_N, SCALING_CAP_MS))
-    bench_clips_validate(num_cpus, SCALING_CLIPS_N // 4, SCALING_CAP_MS)
-    run = bench_clips_validate(num_cpus, SCALING_CLIPS_N, SCALING_CAP_MS)
-    import ray
-
-    ray.shutdown()
-    return {"num_cpus": num_cpus, **run}
-
-
-SCALING_PAIRS = int(os.environ.get("GRAFT_SCALING_PAIRS", "3"))
-
-
-def _control_worker(dur_s: float, kernel: str, q):
-    """One control process: loop the SNR kernel over pre-decoded clips.
-
-    No Ray, no reads, cache-resident working set — measures what THIS HOST
-    delivers for perfectly-parallel compute at a given process count. The
-    pipeline's scaling efficiency is bounded above by this number. `kernel`
-    picks the scalar per-clip kernel or the batched one the pipeline ships —
-    the ceiling is KERNEL-DEPENDENT on this box (faster kernels demand more
-    from the shared socket and scale worse), so the control must match."""
-    import glob
-
-    import pyarrow.parquet as pq
-
-    from gojsonschema_ray.stages.audio import (best_fit_sine_snr,
-                                               best_fit_sine_snr_batch,
-                                               decode_raw_s16le, decode_wav)
-
-    f = sorted(glob.glob(os.path.join(
-        _clips_cache(SCALING_CLIPS_N, SCALING_CAP_MS), "*.parquet")))[0]
-    t = pq.read_table(f)
-    dec = {"wav": lambda b, s: decode_wav(b), "pcm_s16le": decode_raw_s16le}
-    pcms = []
-    for b, s, c in zip(t["bytes"].to_pylist()[:2000],
-                       t["sr_hz"].to_pylist()[:2000],
-                       t["codec"].to_pylist()[:2000]):
-        try:
-            pcm, _ = dec[c](b, s)
-            if len(pcm) >= 16:
-                pcms.append((pcm, int(s)))
-        except Exception:  # noqa: BLE001 — control skips undecodable rows
-            pass
-    for p, s in pcms[:200]:  # warm numpy pools / caches
-        best_fit_sine_snr(p, s)
-    xs = [p for p, _ in pcms]
-    ss = [s for _, s in pcms]
-    best_fit_sine_snr_batch(xs[:500], ss[:500])
-    n = 0
-    t0 = time.time()
-    while time.time() - t0 < dur_s:
-        if kernel == "batched":
-            best_fit_sine_snr_batch(xs, ss)
-        else:
-            for p, s in pcms:
-                best_fit_sine_snr(p, s)
-        n += len(pcms)
-    q.put(n / (time.time() - t0))
-
-
-def run_scaling_control(dur_s: float = 12.0) -> dict:
-    """HOST-CEILING CONTROL for the scaling criterion: the audio SNR kernel
-    (the dominant per-clip cost of the headline pipeline) run in K plain
-    worker processes — no Ray, no I/O, no shuffles — at N and 4N processes,
-    interleaved, for BOTH kernel variants. The pairwise efficiency of this
-    control is the maximum any engine could measure on this box for that
-    per-clip workload; compare the pipeline's --scaling median against the
-    BATCHED row (the kernel the pipeline ships) to separate engine overhead
-    from host contention."""
-    import multiprocessing as mp
-
-    _init_ray(32)
-    _ensure_clips(SCALING_CLIPS_N, SCALING_CAP_MS)
-    import ray
-
-    ray.shutdown()
-
-    def level(k: int, kernel: str) -> float:
-        q = mp.Queue()
-        ps = [mp.Process(target=_control_worker, args=(dur_s, kernel, q))
-              for _ in range(k)]
-        for p in ps:
-            p.start()
-        rate = sum(q.get() for _ in ps)
-        for p in ps:
-            p.join()
-        return rate
-
-    lo, hi = SCALING_CPUS_LOW, SCALING_CPUS_HIGH
-    out = {}
-    for kernel in ("batched", "scalar"):
-        pairs = []
-        for _ in range(2):
-            r_lo, r_hi = level(lo, kernel), level(hi, kernel)
-            pairs.append({"rate_low": round(r_lo, 1),
-                          "rate_high": round(r_hi, 1),
-                          "eff": round((r_hi / r_lo) / (hi / lo), 3)})
-        out[kernel] = {"value": max(p["eff"] for p in pairs), "pairs": pairs}
-    return {
-        "metric": f"HOST CONTROL kernel-only efficiency {lo}->{hi} procs",
-        "unit": "efficiency",
-        "kernels": out,
-        "note": "upper bound per kernel: no Ray, no I/O — pure per-process "
-                "SNR kernels (batched = the one the pipeline ships)",
-    }
-
-
-def run_scaling() -> dict:
-    """Interleaved (N, 4N) pairs in fresh processes on the same cached input
-    (the sandbox proxy for N- vs 4N-node clusters, per driver instruction).
-    Reports the median of the pairwise efficiencies."""
-    # generate the caches once, at full parallelism (outside both measured
-    # runs): the timed input plus the quarter-scale warm-up input
-    _init_ray(32)
-    _ensure_clips(SCALING_CLIPS_N, SCALING_CAP_MS)
-    _ensure_clips(SCALING_CLIPS_N // 4, SCALING_CAP_MS)
-    import ray
-
-    ray.shutdown()
-
-    def _one(cpus: int) -> dict:
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--scaling-worker",
-             str(cpus)],
-            capture_output=True, text=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)), timeout=3600,
-        )
-        line = [l for l in out.stdout.strip().split("\n")
-                if l.startswith("{")][-1]
-        return json.loads(line)
-
-    lo, hi = SCALING_CPUS_LOW, SCALING_CPUS_HIGH
-    pairs = []
-    for _ in range(SCALING_PAIRS):
-        res_lo = _one(lo)
-        res_hi = _one(hi)
-        pairs.append({
-            "rate_low": round(res_lo["clips_per_sec"], 1),
-            "rate_high": round(res_hi["clips_per_sec"], 1),
-            "sec_low": round(res_lo["sec"], 2),
-            "sec_high": round(res_hi["sec"], 2),
-            "eff": round((res_hi["clips_per_sec"] / res_lo["clips_per_sec"])
-                         / (hi / lo), 3),
-        })
-    med = sorted(pairs, key=lambda p: p["eff"])[len(pairs) // 2]
-    report = {
-        "metric": f"scaling efficiency {lo}->{hi} cpus (proxy for N->4N nodes)",
-        "value": med["eff"],
-        "unit": "efficiency",
-        "clips_n": SCALING_CLIPS_N,
-        "cap_ms": SCALING_CAP_MS,
-        "cpus_low": lo,
-        "cpus_high": hi,
-        "rate_low": med["rate_low"],
-        "rate_high": med["rate_high"],
-        "sec_low": med["sec_low"],
-        "sec_high": med["sec_high"],
-        "pairs": pairs,
-        "timing": "median_of_interleaved_pairs",
-    }
-    _append_baseline(report)
-    return report
-
-
-def _append_baseline(report: dict):
-    os.makedirs("BENCH", exist_ok=True)
-    path = os.path.join("BENCH", "BASELINE.md")
-    lines = []
-    if not os.path.exists(path):
-        lines.append("# BENCH/BASELINE — measured numbers\n")
-        lines.append("| clips | cpus N->4N | rate@N (clips/s) | rate@4N (clips/s) | "
-                     "efficiency (r4N/rN)/4 |\n")
-        lines.append("|---|---|---|---|---|\n")
-    pair_note = "; ".join(f"{p['eff']} ({p['rate_low']}/{p['rate_high']})"
-                          for p in report.get("pairs", []))
-    lines.append(f"| {report['clips_n']} | {report['cpus_low']}->{report['cpus_high']} | "
-                 f"{report['rate_low']} | {report['rate_high']} | {report['value']} | "
-                 f"pairs: {pair_note} |\n")
-    with open(path, "a") as f:
-        f.writelines(lines)
-
-
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--scaling", action="store_true")
-    ap.add_argument("--scaling-worker", type=int, default=None)
-    ap.add_argument("--scaling-control", action="store_true")
-    args, _ = ap.parse_known_args()
-    if args.scaling_worker is not None:
-        print(json.dumps(run_scaling_worker(args.scaling_worker)))
-    elif args.scaling_control:
-        print(json.dumps(run_scaling_control()))
-    elif args.scaling:
-        print(json.dumps(run_scaling()))
-    else:
-        print(json.dumps(run_main()))
+    print(json.dumps(run_main()))
 
 
 if __name__ == "__main__":

@@ -152,7 +152,13 @@ def binary_column_views(col) -> tuple | None:
 
 
 _HANNING_CACHE: dict[int, np.ndarray] = {}
-_PAD_CACHE: dict[int, np.ndarray] = {}
+# bytes of one (m, nfft) float64 pad block of _peak_frequencies; m follows
+# from it. The rfft output and its magnitudes are fresh temporaries of about
+# the same size, and temporaries above glibc's mmap threshold re-fault on
+# every call, which is slow where first-touch page faults are (CLAUDE.md
+# fact 7 has the measurement behind this value), so blocks stay small.
+_FFT_BLOCK_BYTES = 1 << 18
+_PAD_CACHE: dict[int, list] = {}
 _SCRATCH: dict[tuple, tuple] = {}
 _IDX_CACHE: dict[int, np.ndarray] = {}
 
@@ -165,12 +171,27 @@ def _hanning(n: int) -> np.ndarray:
     return w
 
 
-def _pad_buf(nfft: int) -> np.ndarray:
-    b = _PAD_CACHE.get(nfft)
-    if b is None:
-        b = np.zeros(nfft, np.float32)
-        _PAD_CACHE[nfft] = b
-    return b
+def _nfft(n: int) -> int:
+    """FFT size of the peak search: 4x zero padding, at least 4096."""
+    return 1 << max(12, int(np.ceil(np.log2(4 * n))))
+
+
+def _pad_block(n: int, nfft: int) -> np.ndarray:
+    """(m, nfft) float64 pad buffer whose columns from n on are zero; the
+    caller writes only columns [:n]. Reused per nfft while it fits the
+    block budget; a one-row block for a longer nfft (a long clip's
+    `pcm_features`) is fresh, so a worker keeps no buffer of that size."""
+    m = _FFT_BLOCK_BYTES // (8 * nfft)
+    if m <= 1:
+        return np.zeros((1, nfft))
+    e = _PAD_CACHE.get(nfft)
+    if e is None:
+        e = _PAD_CACHE[nfft] = [np.zeros((m, nfft)), 0]
+    P, dirty = e  # columns [:dirty] may hold an earlier, longer signal
+    if dirty > n:
+        P[:, n:dirty] = 0
+    e[1] = n
+    return P
 
 
 def _idx(n: int) -> np.ndarray:
@@ -195,95 +216,49 @@ def _scratch(m: int, n: int) -> tuple:
     return s
 
 
-def _peak_frequency(xf: np.ndarray, sr: int) -> float:
-    """FFT-peak frequency of a (mean-removed float) signal: 4x zero-padded
-    Hann spectrum argmax + parabolic interpolation on the mainlobe — the
-    same estimator best_fit_sine_snr seeds its least-squares fit with.
+def _peak_frequencies(X: np.ndarray, sr: int, nfft: int) -> np.ndarray:
+    """FFT-peak frequency of each row of a (k, n) stack of mean-removed
+    signals: Hann window, zero padding to nfft, magnitude argmax (DC
+    excluded) + a 3-point parabola on the mainlobe, no parabola at Nyquist
+    or on a flat top. One rfft per block of rows of the reused pad buffer.
 
-    float32 throughout (half the FFT bandwidth of float64): magnitude
-    argmax + a 3-point parabola need nowhere near float64 precision."""
-    n = len(xf)
-    nfft = 1 << max(12, int(np.ceil(np.log2(4 * n))))
-    buf = _pad_buf(nfft)
-    np.multiply(xf, _hanning(n), out=buf[:n])
-    buf[n:] = 0
-    spec = np.abs(np.fft.rfft(buf))
-    k = int(np.argmax(spec[1:])) + 1
-    if 1 <= k < len(spec) - 1:
-        a, b, c = (float(spec[k - 1]), float(spec[k]), float(spec[k + 1]))
-        denom = a - 2 * b + c
-        delta = 0.5 * (a - c) / denom if denom != 0 else 0.0
-        delta = float(np.clip(delta, -0.5, 0.5))
-    else:
-        delta = 0.0
-    return (k + delta) * sr / nfft
+    The windowed product is rounded to float32 (computed in float32 for
+    float32 rows, in float64 for float64 rows) and the rfft runs in
+    float64, so every row's frequency is bit-identical to a one-row call."""
+    k, n = X.shape
+    P = _pad_block(n, nfft)
+    m = P.shape[0]
+    h = _hanning(n)
+    freq = np.empty(k)
+    for r0 in range(0, k, m):
+        b = min(m, k - r0)
+        if X.dtype == np.float32:
+            np.multiply(X[r0:r0 + b], h, out=P[:b, :n], dtype=np.float32)
+        else:
+            P[:b, :n] = np.multiply(X[r0:r0 + b], h).astype(np.float32)
+        spec = np.abs(np.fft.rfft(P[:b], axis=1))
+        top = spec.shape[1] - 1
+        pk = np.argmax(spec[:, 1:], axis=1) + 1
+        rows = np.arange(b)
+        a = spec[rows, pk - 1]
+        c = spec[rows, np.minimum(pk + 1, top)]
+        denom = a - 2 * spec[rows, pk] + c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.where(denom != 0, 0.5 * (a - c) / denom, 0.0)
+        delta = np.where(pk < top, np.clip(delta, -0.5, 0.5), 0.0)
+        freq[r0:r0 + b] = (pk + delta) * sr / nfft
+    return freq
+
+
+def _peak_frequency(xf: np.ndarray, sr: int) -> float:
+    """`_peak_frequencies` of one signal."""
+    return float(_peak_frequencies(xf[None, :], sr, _nfft(len(xf)))[0])
 
 
 def best_fit_sine_snr(x: np.ndarray, sr: int) -> float:
-    """SNR (dB) of x against its least-squares best single-sine fit.
-
-    Frequency from a ZERO-PADDED FFT peak (4x padding + parabolic
-    interpolation on the smooth window mainlobe gives the frequency to a
-    small fraction of a bin), then closed-form [sin, cos, 1] least-squares
-    fits at the estimate ±δ. This replaces a 15-candidate basis search with
-    3 candidates — the sin/cos basis evaluation is the memory+compute hot
-    spot of the whole audio pass, and cutting it 5x is what lets 32 cores
-    scale (the wide search was memory-bandwidth-bound). A pure sine scores
-    very high; a corrupted or non-sinusoidal payload scores low."""
-    n = len(x)
-    if n < 16:
-        return -np.inf
-    # float32 signal/basis with float64 solve: the sin/cos basis is the
-    # memory-bandwidth hot spot of the whole audio pass and float32 halves
-    # it. Precision floor: float32 phase error ~eps*|w| caps measurable SNR
-    # near ~67 dB — far above the 30 dB threshold, far below the scores of
-    # corrupted payloads, so verdicts are unchanged.
-    xf = x.astype(np.float32)
-    xf -= np.float32(x.mean(dtype=np.float64))
-    nfft = 1 << max(12, int(np.ceil(np.log2(4 * n))))
-    freq = _peak_frequency(xf, sr)
-    pad_res = sr / nfft
-
-    def snr_batch(freqs: np.ndarray) -> np.ndarray:
-        """Closed-form least-squares sine fit per candidate frequency:
-        basis [sin, cos, 1], 3x3 normal equations solved in a stack —
-        O(n) per candidate, no SVD; all (m, n) work in reused float32
-        scratch buffers, in place."""
-        m = len(freqs)
-        W, S, C = _scratch(m, n)
-        np.multiply((2 * np.pi / sr * freqs).astype(np.float32)[:, None],
-                    _idx(n)[None, :], out=W)
-        np.sin(W, out=S)
-        np.cos(W, out=C)
-        G = np.empty((m, 3, 3))
-        G[:, 0, 0] = np.einsum("ij,ij->i", S, S)
-        G[:, 0, 1] = G[:, 1, 0] = np.einsum("ij,ij->i", S, C)
-        G[:, 0, 2] = G[:, 2, 0] = S.sum(1)
-        G[:, 1, 1] = np.einsum("ij,ij->i", C, C)
-        G[:, 1, 2] = G[:, 2, 1] = C.sum(1)
-        G[:, 2, 2] = n
-        b = np.stack([S @ xf, C @ xf,
-                      np.full(m, xf.sum(dtype=np.float64))], axis=1) \
-            .astype(np.float64)
-        try:
-            coef = np.linalg.solve(G, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            coef = np.stack([np.linalg.lstsq(G[i], b[i], rcond=None)[0]
-                             for i in range(m)])
-        energy = float(np.einsum("i,i->", xf, xf, dtype=np.float64))
-        fit_energy = (coef * b).sum(1)
-        noise = np.maximum(energy - fit_energy, 0.0)
-        with np.errstate(divide="ignore"):
-            return 10 * np.log10(np.maximum(fit_energy, 1e-30)
-                                 / np.maximum(noise, 1e-30))
-
-    # the padded-FFT estimate is accurate to ~pad_res/10; bracket it and,
-    # if the generator used an integral frequency, try that exactly too
-    cands = [freq - 0.3 * pad_res, freq, freq + 0.3 * pad_res]
-    r = round(freq)
-    if abs(freq - r) < 2 * pad_res:
-        cands.append(float(r))
-    return float(snr_batch(np.unique(np.array(cands))).max())
+    """SNR (dB) of one clip against its least-squares best single-sine fit
+    (`best_fit_sine_snr_batch` of one clip)."""
+    return float(best_fit_sine_snr_batch([x], [sr], chunk=1)[0])
 
 
 _XBUF: dict[tuple, np.ndarray] = {}
@@ -300,25 +275,28 @@ def _xbuf(k: int, n: int) -> np.ndarray:
 
 def best_fit_sine_snr_batch(pcms: list, srs: list, chunk: int = 512
                             ) -> np.ndarray:
-    """Vectorized `best_fit_sine_snr` across MANY clips: same math, same
-    candidate set — the per-clip padded-FFT peak estimate stays per clip
-    (its temporaries are small and live in the reused _pad_buf), while the
-    closed-form [sin, cos, 1] least-squares fit runs as ONE stacked pass
-    per (length, sample-rate) group instead of ~20 numpy calls per clip.
+    """SNR (dB) of each clip against its least-squares best single-sine fit.
 
-    EVERY multi-megabyte buffer here is cached and reused (_xbuf/_scratch):
-    inside Ray workers, fresh numpy temporaries above glibc's mmap
-    threshold are re-faulted on every batch, and this VM's first-touch page
-    faults are pathological (BASELINE.md note 7) — a naive fully-batched
-    variant with a fresh (k, nfft) FFT workspace ran 10x SLOWER under
-    32-way Ray concurrency than per-clip code, despite being 1.7x faster
-    single-process.
+    Frequency from a zero-padded FFT peak (4x padding + parabolic
+    interpolation on the smooth window mainlobe gives it to a small
+    fraction of a bin, `_peak_frequencies`), then closed-form [sin, cos, 1]
+    least-squares fits at the estimate ±0.3·pad_res and, where the estimate
+    is near-integral, at the rounded frequency; the best fit wins. A pure
+    sine scores very high; a corrupted or non-sinusoidal payload scores low.
 
-    Entries shorter than 16 samples (or None/zero-rate) return -inf,
-    matching the scalar kernel's guard. Results agree with the scalar
-    kernel to float32 rounding (different summation order only) — verdicts
-    at the 30 dB threshold are unchanged; tests/test_stages.py asserts
-    parity."""
+    Clips are grouped by (length, sample rate) and each group runs as
+    stacked passes of at most `chunk` rows. Every multi-megabyte buffer is
+    cached and reused (_xbuf/_scratch/_pad_block): inside Ray workers,
+    fresh numpy temporaries above glibc's mmap threshold are re-faulted on
+    every batch, and first-touch page faults can be very slow (CLAUDE.md
+    fact 7).
+
+    float32 signal/basis with float64 solve: the sin/cos basis is the
+    memory-bandwidth hot spot of the whole audio pass and float32 halves
+    it. Precision floor: float32 phase error ~eps*|w| caps measurable SNR
+    near ~67 dB — far above the 30 dB threshold, far below the scores of
+    corrupted payloads. Entries shorter than 16 samples (or None/zero-rate)
+    return -inf."""
     out = np.full(len(pcms), -np.inf)
     groups: dict[tuple, list] = {}
     for i, (p, s) in enumerate(zip(pcms, srs)):
@@ -338,21 +316,15 @@ def best_fit_sine_snr_batch(pcms: list, srs: list, chunk: int = 512
 
 def _snr_group(X: np.ndarray, sr: int, n: int, scratch_k: int) -> np.ndarray:
     """SNR for a (k, n) stack of mean-removed float32 clips sharing one
-    sample rate: per-clip FFT peak (reused pad buffer), then batched
-    closed-form fits at the estimate ±0.3·pad_res and, where the estimate
-    is near-integral, the rounded frequency — identical candidates to the
-    scalar kernel, max over candidates."""
+    sample rate: batched FFT peaks, then batched closed-form fits at the
+    estimate ±0.3·pad_res and, where the estimate is near-integral, the
+    rounded frequency; max over candidates."""
     k = X.shape[0]
-    nfft = 1 << max(12, int(np.ceil(np.log2(4 * n))))
+    nfft = _nfft(n)
     pad_res = sr / nfft
-    freq = np.empty(k)
-    for j in range(k):
-        freq[j] = _peak_frequency(X[j], sr)
-
+    freq = _peak_frequencies(X, sr, nfft)
     r = np.round(freq)
-    use_r = np.abs(freq - r) < 2 * pad_res  # 4th candidate gate (scalar parity)
-    cands = np.stack([freq - 0.3 * pad_res, freq, freq + 0.3 * pad_res, r],
-                     axis=1)  # (k, 4)
+    use_r = np.abs(freq - r) < 2 * pad_res  # 4th candidate gate
 
     idx = _idx(n)
     energy = np.einsum("ij,ij->i", X, X, dtype=np.float64)
@@ -360,8 +332,9 @@ def _snr_group(X: np.ndarray, sr: int, n: int, scratch_k: int) -> np.ndarray:
     best = np.full(k, -np.inf)
     # scratch keyed on the FULL chunk size so tail chunks reuse it too
     W, S, C = (b[:k] for b in _scratch(scratch_k, n))
-    for j in range(cands.shape[1]):
-        np.multiply((2 * np.pi / sr * cands[:, j]).astype(np.float32)[:, None],
+    for j, f in enumerate((freq - 0.3 * pad_res, freq, freq + 0.3 * pad_res,
+                           r)):
+        np.multiply((2 * np.pi / sr * f).astype(np.float32)[:, None],
                     idx[None, :], out=W)
         np.sin(W, out=S)
         np.cos(W, out=C)
@@ -383,11 +356,10 @@ def _snr_group(X: np.ndarray, sr: int, n: int, scratch_k: int) -> np.ndarray:
         fit = (coef * bv).sum(1)
         noise = np.maximum(energy - fit, 0.0)
         with np.errstate(divide="ignore"):
-            snr_j = 10 * np.log10(np.maximum(fit, 1e-30)
-                                  / np.maximum(noise, 1e-30))
-        if j == 3:
-            snr_j = np.where(use_r, snr_j, -np.inf)
-        best = np.maximum(best, snr_j)
+            snr = 10 * np.log10(np.maximum(fit, 1e-30)
+                                / np.maximum(noise, 1e-30))
+        best = np.maximum(best, np.where(use_r, snr, -np.inf) if j == 3
+                          else snr)
     return best
 
 

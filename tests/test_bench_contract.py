@@ -51,3 +51,27 @@ def test_flagship_writes_through_one_ray_data_write(ray_session, tmp_path,
     out = str(tmp_path / "out")
     run_flagship(inp, out, files_per_partition=2, audio_cap_ms=20)
     assert writes == [os.path.join(out, "violations", "__global__")]
+
+
+def test_rows_job_reports_read_map_exchange_walls(ray_session, tmp_path):
+    """A rows job with duplicate keys executes a Ray Data read, map and
+    exchange: the benchmark's traced run takes `ray_data.op_wall_s.read`,
+    `.map` and `.exchange` from the stats of the datasets it returns, and
+    the uniqueness check's exchange is the only exchange among them."""
+    from perfbench.jobs import Job
+    from perfbench.layers import op_walls
+    from perfbench.workloads import SPECS, generate
+
+    from gojsonschema_ray.schema import compile_schema
+
+    spec = SPECS["rows_dirty"]
+    assert spec.dup_rate > 0
+    inputs = generate(spec, 3, 4_000, str(tmp_path / "cache"))
+    work = tmp_path / "work"
+    work.mkdir()
+    job = Job(inputs, compile_schema(inputs.ruleset), 4, str(work))
+    out = job.run()
+    assert out.mismatch(inputs) is None
+    walls = op_walls([d._get_stats_summary() for d in out.datasets])
+    assert {"ray_data.op_wall_s.read", "ray_data.op_wall_s.map",
+            "ray_data.op_wall_s.exchange"} <= walls.keys()

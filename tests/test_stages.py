@@ -160,8 +160,67 @@ def test_wav_payload_view_edges():
         wav_payload_view(np.frombuffer(blob[:44 + 9], np.uint8))
 
 
+def _peak_frequency_reference(xf, sr):
+    """The per-clip FFT-peak estimator the batched `_peak_frequencies`
+    replaced: 4x zero-padded Hann spectrum of one signal in a float32 pad
+    buffer, argmax (DC excluded) + 3-point parabola."""
+    n = len(xf)
+    nfft = 1 << max(12, int(np.ceil(np.log2(4 * n))))
+    buf = np.zeros(nfft, np.float32)
+    np.multiply(xf, np.hanning(n).astype(np.float32), out=buf[:n])
+    spec = np.abs(np.fft.rfft(buf))
+    k = int(np.argmax(spec[1:])) + 1
+    if 1 <= k < len(spec) - 1:
+        a, b, c = (float(spec[k - 1]), float(spec[k]), float(spec[k + 1]))
+        denom = a - 2 * b + c
+        delta = 0.5 * (a - c) / denom if denom != 0 else 0.0
+        delta = float(np.clip(delta, -0.5, 0.5))
+    else:
+        delta = 0.0
+    return (k + delta) * sr / nfft
+
+
+def _best_fit_sine_snr_reference(x, sr):
+    """The scalar one-clip SNR kernel: FFT-peak frequency, closed-form
+    [sin, cos, 1] least-squares fits at the estimate ±0.3·pad_res and, when
+    near-integral, at the rounded frequency; best fit wins."""
+    n = len(x)
+    if n < 16:
+        return -np.inf
+    xf = x.astype(np.float32)
+    xf -= np.float32(x.mean(dtype=np.float64))
+    nfft = 1 << max(12, int(np.ceil(np.log2(4 * n))))
+    freq = _peak_frequency_reference(xf, sr)
+    pad_res = sr / nfft
+    cands = [freq - 0.3 * pad_res, freq, freq + 0.3 * pad_res]
+    r = round(freq)
+    if abs(freq - r) < 2 * pad_res:
+        cands.append(float(r))
+    freqs = np.unique(np.array(cands))
+    W = np.multiply((2 * np.pi / sr * freqs).astype(np.float32)[:, None],
+                    np.arange(n, dtype=np.float32)[None, :])
+    S, C = np.sin(W), np.cos(W)
+    G = np.empty((len(freqs), 3, 3))
+    G[:, 0, 0] = np.einsum("ij,ij->i", S, S)
+    G[:, 0, 1] = G[:, 1, 0] = np.einsum("ij,ij->i", S, C)
+    G[:, 0, 2] = G[:, 2, 0] = S.sum(1)
+    G[:, 1, 1] = np.einsum("ij,ij->i", C, C)
+    G[:, 1, 2] = G[:, 2, 1] = C.sum(1)
+    G[:, 2, 2] = n
+    b = np.stack([S @ xf, C @ xf,
+                  np.full(len(freqs), xf.sum(dtype=np.float64))],
+                 axis=1).astype(np.float64)
+    coef = np.linalg.solve(G, b[..., None])[..., 0]
+    energy = float(np.einsum("i,i->", xf, xf, dtype=np.float64))
+    fit = (coef * b).sum(1)
+    noise = np.maximum(energy - fit, 0.0)
+    with np.errstate(divide="ignore"):
+        return float((10 * np.log10(np.maximum(fit, 1e-30)
+                                    / np.maximum(noise, 1e-30))).max())
+
+
 def test_snr_batch_matches_scalar():
-    """The batched SNR kernel agrees with the scalar one clip-by-clip:
+    """The batched SNR kernel agrees with the scalar reference clip-by-clip:
     identical verdicts at the 30 dB threshold and tight dB agreement below
     the clamped near-zero-noise regime (where both kernels' log10 of a
     1e-30-clamped residual is numerically meaningless but hugely positive)."""
@@ -186,10 +245,101 @@ def test_snr_batch_matches_scalar():
         if p is None or len(p) < 16:
             assert batch[i] == -np.inf
             continue
-        scalar = best_fit_sine_snr(p, s)
+        scalar = _best_fit_sine_snr_reference(p, s)
         assert (scalar >= 30) == (batch[i] >= 30)
         if min(scalar, batch[i]) < 60:  # below the clamp regime
             assert abs(scalar - batch[i]) < 0.5
+        assert best_fit_sine_snr(p, s) == batch[i]  # one-clip call
+
+
+def _peak_cases():
+    """(name, (k, n) float32 stack, sr) cases for the peak search: every
+    datagen rate at 30 and 50 ms with k around the block size, a peak at
+    bin 1 and at Nyquist, a flat top, and clips under 16 samples."""
+    from gojsonschema_ray.stages.audio import _nfft, _pad_block
+
+    rng = np.random.default_rng(11)
+    for sr in datagen.SR_CYCLE:
+        for cap in (30, 50):
+            n = sr * cap // 1000
+            m = _pad_block(n, _nfft(n)).shape[0]
+            t = np.arange(n) / sr
+            for k in (m - 1, m, m + 1):
+                if k < 1:
+                    continue
+                f = rng.uniform(50, sr / 2 - 50, k)
+                X = np.sin(2 * np.pi * f[:, None] * t) \
+                    + 0.1 * rng.standard_normal((k, n))
+                yield f"sr{sr}-{cap}ms-k{k}", X.astype(np.float32), sr
+    n = 480
+    yield "bin1", np.ones((3, n), np.float32), 16000  # DC leaks into bin 1
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    yield "nyquist", np.tile(alt, (3, 1)).astype(np.float32), 16000
+    # short rows right after longer ones of the same nfft: a pad buffer
+    # shared across lengths would leave a dirty tail
+    for n in (5, 15):
+        yield f"n{n}", rng.standard_normal((4, n)).astype(np.float32), 8000
+    yield "flat", np.zeros((2, 480), np.float32), 16000  # denom == 0
+
+
+def test_peak_frequencies_bit_exact():
+    """One rfft per block of rows gives each row the bit-identical
+    frequency of a one-signal peak search, float32 rows (the SNR kernel)
+    and float64 rows (pcm_features) alike."""
+    from gojsonschema_ray.stages.audio import (_nfft, _peak_frequencies,
+                                               _peak_frequency)
+
+    bins = {}
+    for name, X, sr in _peak_cases():
+        nfft = _nfft(X.shape[1])
+        # float64 rows off the float32 grid, as pcm_features passes them
+        for rows in (X, X.astype(np.float64) / 3):
+            ref = np.array([_peak_frequency_reference(x, sr) for x in rows])
+            assert np.array_equal(_peak_frequencies(rows, sr, nfft), ref), name
+            assert _peak_frequency(rows[0], sr) == ref[0], name
+        bins[name] = ref[0] * nfft / sr
+    assert 0.5 <= bins["bin1"] <= 1.5  # argmax bin 1, parabola toward DC
+    assert bins["nyquist"] == 4096 // 2  # edge bin: no parabola
+
+
+def test_snr_batch_bit_exact_on_datagen(monkeypatch):
+    """best_fit_sine_snr_batch on a datagen fragment equals, bit for bit,
+    the same kernel with one peak search per clip."""
+    from gojsonschema_ray.stages import audio
+
+    t = datagen.clips_batch(0, 600, 30)
+    dec = audio.base_decoders()
+    pcms, srs = [], []
+    for b, sr, codec in zip(t["bytes"].to_pylist(), t["sr_hz"].to_pylist(),
+                            t["codec"].to_pylist()):
+        try:
+            pcms.append(dec[codec](b, sr)[0])
+        except Exception:  # noqa: BLE001 — undecodable rows stay None
+            pcms.append(None)
+        srs.append(sr)
+    batched = audio.best_fit_sine_snr_batch(pcms, srs)
+    monkeypatch.setattr(audio, "_peak_frequencies", lambda X, sr, nfft: np.array(
+        [_peak_frequency_reference(x, sr) for x in X]))
+    per_clip = audio.best_fit_sine_snr_batch(pcms, srs)
+    assert np.isfinite(batched).sum() > 500
+    assert np.array_equal(batched, per_clip)
+
+
+def test_long_one_row_peak_search_is_not_cached():
+    """A one-row block (nfft past the block budget, as a long clip's
+    pcm_features needs) is not kept per worker, and its peak is unchanged."""
+    from gojsonschema_ray.stages import audio
+
+    sr, n = 16000, 10000
+    nfft = audio._nfft(n)
+    assert audio._FFT_BLOCK_BYTES // (8 * nfft) <= 1
+    t = np.arange(n) / sr
+    pcm = (8000 * np.sin(2 * np.pi * 441.3 * t)).astype(np.int16)
+    xf = pcm.astype(np.float64)
+    est = audio.pcm_features(pcm, sr)["est_freq_hz"]
+    assert nfft not in audio._PAD_CACHE
+    assert est == _peak_frequency_reference(xf - xf.mean(), sr)
+    assert abs(est - 441.3) < 0.5
 
 
 def test_tdigest_quantiles():
