@@ -2,12 +2,12 @@
 `format` checker generalized to binary payloads (SURVEY.md §2.6; BASELINE.json
 input_hint: "decoded-PCM allclose (SNR>=30dB) + transcript equality").
 
-AudioInvariantChecker is a stateless batch payload: its decoder table is
-built once in __init__ on the driver (the reference's compile-once pattern,
-README.md:126-136) and ships with the instance to Ray tasks — fused with the
-schema predicates in pipelines.flagship (CombinedClipChecker). Audio rows are
-wide: a small batch_size keeps batch × concurrent tasks inside the worker
-heap.
+AudioInvariantChecker is a stateless batch payload, fused with the schema
+predicates in pipelines.flagship (CombinedClipChecker). It and every other
+audio stage decode through `decode_clips`, the one decode walk, so a clip
+decodes the same way in every stage and for every Arrow column type. Audio
+rows are wide: a small batch_size keeps batch × concurrent tasks inside the
+worker heap.
 
 Checks per row:
 - decode:      bytes parse under the declared codec (wav container / raw s16le)
@@ -26,9 +26,7 @@ payload signature, batch sizing, violation layout) is real and tested.
 
 from __future__ import annotations
 
-import io
 import math
-import wave
 
 import numpy as np
 import pyarrow as pa
@@ -41,36 +39,26 @@ class CodecUnavailable(Exception):
     pass
 
 
-def decode_wav(blob: bytes) -> tuple[np.ndarray, int]:
-    with wave.open(io.BytesIO(blob), "rb") as w:
-        sr = w.getframerate()
-        n = w.getnframes()
-        raw = w.readframes(n)
-        if w.getsampwidth() != 2 or w.getnchannels() != 1:
-            raise ValueError("expected mono s16")
-    return np.frombuffer(raw, dtype="<i2"), sr
+def _decode_wav(blob, sr) -> tuple[np.ndarray, int]:
+    """WAV container -> (int16 PCM view, the header's rate); `sr` unused."""
+    return wav_payload_view(np.frombuffer(blob, np.uint8))
 
 
-def decode_raw_s16le(blob: bytes, sr: int) -> tuple[np.ndarray, int]:
-    if len(blob) % 2 != 0:
+def decode_raw_s16le(blob, sr) -> tuple[np.ndarray, int]:
+    b = np.frombuffer(blob, np.uint8)
+    if len(b) % 2:
         raise ValueError("odd byte count for s16le payload")
-    return np.frombuffer(blob, dtype="<i2"), sr
-
-
-def _decode_wav_ignore_sr(blob: bytes, sr: int) -> tuple[np.ndarray, int]:
-    """decode_wav under the (blob, sr) dispatch arity — module-level (not a
-    lambda) so stage instances stay picklable end-to-end."""
-    return decode_wav(blob)
+    return _i16_view(b, 0, len(b)), sr
 
 
 def base_decoders() -> dict:
-    """The shared codec -> (blob, sr) -> (pcm, sr) dispatch table every
-    audio stage starts from: container WAV, raw s16le, and the G.711
-    telephony pair (mu-law / A-law, exact ITU integer decode via 256-entry
-    LUTs — functions/g711.py). Returned fresh so a stage can extend its
-    own copy without leaking decoders into siblings."""
+    """The codec -> (blob, sr) -> (pcm, sr) dispatch table of
+    `decode_clips`: container WAV, raw s16le, and the G.711 telephony pair
+    (mu-law / A-law, exact ITU integer decode via 256-entry LUTs —
+    functions/g711.py). `blob` is bytes or a uint8 view; the headerless
+    codecs return the `sr` they are given, WAV its header's rate."""
     return {
-        "wav": _decode_wav_ignore_sr,
+        "wav": _decode_wav,
         "pcm_s16le": decode_raw_s16le,
         "ulaw": g711.decode_ulaw,
         "alaw": g711.decode_alaw,
@@ -94,11 +82,11 @@ def _u32(b: np.ndarray, off: int) -> int:
 def wav_payload_view(b: np.ndarray) -> tuple[np.ndarray, int]:
     """Zero-copy RIFF/WAVE parse over a uint8 view → (int16 PCM view, sr).
 
-    Mirrors the stdlib-`wave` semantics decode_wav relied on (same branch →
-    same violation keyword downstream): malformed/truncated headers and
-    non-mono/non-16-bit formats raise ValueError (→ `decode`); a truncated
-    data chunk returns the surviving whole samples (→ `pcm_length`) but an
-    odd surviving byte count raises (→ `decode`, as np.frombuffer did)."""
+    Accepts what stdlib `wave` accepts: malformed/truncated headers,
+    non-PCM format tags and non-mono/non-16-bit formats raise ValueError
+    (→ `decode`); a truncated data chunk returns the surviving whole
+    samples (→ `pcm_length`) but an odd surviving byte count raises
+    (→ `decode`)."""
     if len(b) < 12 or b[:4].tobytes() != b"RIFF" \
             or b[8:12].tobytes() != b"WAVE":
         raise ValueError("not a RIFF/WAVE container")
@@ -130,25 +118,61 @@ def wav_payload_view(b: np.ndarray) -> tuple[np.ndarray, int]:
     raise ValueError("no data chunk")
 
 
-def binary_column_views(col) -> tuple | None:
-    """(offsets, flat uint8 data, is_null) for an Arrow binary column —
-    the zero-copy alternative to `to_pylist()` (which materializes every
+def binary_column_views(col) -> tuple:
+    """(offsets, flat uint8 data, is_null) of a payload column — the
+    zero-copy alternative to `to_pylist()` (which materializes every
     payload as a Python bytes object; at audio widths that copy dominates
-    the worker's memory traffic). Returns None when the column isn't a
-    plain (large_)binary array — callers fall back to the bytes path."""
-    import pyarrow as _pa
-
-    arr = col.combine_chunks() if hasattr(col, "num_chunks") else col
-    if not (_pa.types.is_binary(arr.type) or _pa.types.is_large_binary(arr.type)):
-        return None
+    the worker's memory traffic). A column that is not one `binary` array
+    is first normalised to one: `pc.cast` for null, string, fixed-size and
+    large binary; binary_view and string_view, which pyarrow 16 cannot
+    cast, through one `pa.array(to_pylist())`."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if pa.types.is_binary_view(arr.type) or pa.types.is_string_view(arr.type):
+        arr = pa.array(arr.to_pylist(), pa.binary())
+    elif not pa.types.is_binary(arr.type):
+        arr = pc.cast(arr, pa.binary())
     bufs = arr.buffers()
-    odt = np.int64 if _pa.types.is_large_binary(arr.type) else np.int32
-    offs = np.frombuffer(bufs[1], odt, count=len(arr) + 1,
-                         offset=arr.offset * np.dtype(odt).itemsize)
+    offs = np.frombuffer(bufs[1], np.int32, count=len(arr) + 1,
+                         offset=arr.offset * 4)
     data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None \
         else np.empty(0, np.uint8)
-    isnull = arr.is_null().to_numpy(zero_copy_only=False)
-    return offs, data, isnull
+    return offs, data, arr.is_null().to_numpy(zero_copy_only=False)
+
+
+def decode_clips(col, codecs: list):
+    """The one decode walk of every audio stage: yields ``(i, pcm,
+    file_sr, status)`` for each row of the payload column `col`, in order,
+    decoding row i under ``codecs[i]`` (`base_decoders`).
+
+    ``status`` is "ok", "null" (no payload), "codec" (no decoder for the
+    row's codec) or the decode exception's type name; ``pcm`` (int16, a
+    view of the Arrow buffer where alignment allows) and ``file_sr`` (the
+    WAV header's rate, None for the headerless codecs) are None unless
+    the row is ok. Each stage applies its own rate rule on top."""
+    offs, data, isnull = binary_column_views(col)
+    offs, isnull = offs.tolist(), isnull.tolist()
+    decoders = base_decoders()
+    for i, codec in enumerate(codecs):
+        if isnull[i]:
+            yield i, None, None, "null"
+            continue
+        dec = decoders.get(codec)
+        if dec is None:
+            yield i, None, None, "codec"
+            continue
+        try:
+            pcm, file_sr = dec(data[offs[i]:offs[i + 1]], None)
+        except Exception as e:  # noqa: BLE001 — any decode failure is a status
+            yield i, None, None, type(e).__name__
+            continue
+        yield i, pcm, file_sr, "ok"
+
+
+def _failed_row(schema: pa.Schema, clip_id) -> dict:
+    """The row a degrade-to-row stage emits for a clip it cannot process:
+    decode_ok False, every other column null."""
+    return {**dict.fromkeys(schema.names), "clip_id": clip_id,
+            "decode_ok": False}
 
 
 _HANNING_CACHE: dict[int, np.ndarray] = {}
@@ -377,7 +401,6 @@ class AudioInvariantChecker:
         self.snr_db = snr_db
         self.audio_cap_ms = audio_cap_ms
         self.check_transcript = check_transcript
-        self.decoders = base_decoders()
 
     def _length_checked(self, clip_id, pcm, sr, dur_ms, out):
         expected_n = int(sr * min(dur_ms, self.audio_cap_ms) / 1000) \
@@ -388,48 +411,6 @@ class AudioInvariantChecker:
             return None
         return pcm
 
-    def _decode_row(self, clip_id, blob, sr, dur_ms, codec, out):
-        """Decode + structural checks for one row (bytes path). Returns the
-        PCM array when the row should proceed to the (batched) SNR check,
-        else None after appending the decode/pcm_length violation."""
-        dec = self.decoders.get(codec)
-        if dec is None:
-            out.append((clip_id, "decode", "(root).bytes",
-                        "decodable codec", str(codec)))
-            return None
-        try:
-            pcm, file_sr = dec(blob, sr)
-        except Exception as e:  # noqa: BLE001 — any decode failure is a violation
-            out.append((clip_id, "decode", "(root).bytes",
-                        f"{codec} decodes", type(e).__name__))
-            return None
-        return self._length_checked(clip_id, pcm, sr, dur_ms, out)
-
-    def _decode_view(self, clip_id, seg, sr, dur_ms, codec, out):
-        """Zero-copy decode of one row's uint8 view — same branch →
-        violation mapping as _decode_row, without materializing a Python
-        bytes object per blob (to_pylist on the audio column was the
-        dominant per-worker copy). Codecs beyond the two built-ins fall
-        back to the registered bytes decoder on a one-row copy."""
-        if codec not in self.decoders:
-            out.append((clip_id, "decode", "(root).bytes",
-                        "decodable codec", str(codec)))
-            return None
-        try:
-            if codec == "wav":
-                pcm, _sr = wav_payload_view(seg)
-            elif codec == "pcm_s16le":
-                if len(seg) % 2:
-                    raise ValueError("odd byte count for s16le payload")
-                pcm = _i16_view(seg, 0, len(seg))
-            else:
-                pcm, _sr = self.decoders[codec](seg.tobytes(), sr)
-        except Exception as e:  # noqa: BLE001 — any decode failure is a violation
-            out.append((clip_id, "decode", "(root).bytes",
-                        f"{codec} decodes", type(e).__name__))
-            return None
-        return self._length_checked(clip_id, pcm, sr, dur_ms, out)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["clip_id"].to_pylist()
         srs = batch["sr_hz"].to_pylist()
@@ -437,41 +418,39 @@ class AudioInvariantChecker:
         codecs = batch["codec"].to_pylist()
         txts = batch["transcript"].to_pylist() if "transcript" in batch.column_names \
             else [None] * batch.num_rows
-        # zero-copy views over the audio column when it's a plain binary
-        # array (the usual case); bytes fallback otherwise
-        views = binary_column_views(batch["bytes"])
-        blobs = batch["bytes"].to_pylist() if views is None else None
         out: list[tuple] = []
         n = batch.num_rows
-        # phase 1: decode + structural checks + transcript equality; collect
-        # decodable PCM for the batched SNR kernel (82% of per-clip cost —
-        # one vectorized pass over the whole batch instead of ~30 numpy
-        # calls per clip)
+        # phase 1: decode status + structural checks + transcript equality;
+        # collect decodable PCM for the batched SNR kernel (82% of per-clip
+        # cost — one vectorized pass over the whole batch instead of ~30
+        # numpy calls per clip)
         pcms: list = [None] * n
         snr_srs: list = [None] * n
-        for i, (clip_id, sr, dur_ms, codec, transcript) in enumerate(
-                zip(ids, srs, durs, codecs, txts)):
-            if (views[2][i] if views is not None else blobs[i] is None):
+        for i, pcm, _, status in decode_clips(batch["bytes"], codecs):
+            clip_id, sr, codec = ids[i], srs[i], codecs[i]
+            if status == "null":
                 out.append((clip_id, "required", "(root).bytes",
                             "required bytes", ""))
                 continue
-            if views is not None:
-                seg = views[1][int(views[0][i]):int(views[0][i + 1])]
-                pcm = self._decode_view(clip_id, seg, sr, dur_ms, codec, out)
-            else:
-                pcm = self._decode_row(clip_id, blobs[i], sr, dur_ms, codec,
-                                       out)
-            if pcm is None:
+            if status == "codec":
+                out.append((clip_id, "decode", "(root).bytes",
+                            "decodable codec", str(codec)))
+                continue
+            if status != "ok":
+                out.append((clip_id, "decode", "(root).bytes",
+                            f"{codec} decodes", status))
+                continue
+            if self._length_checked(clip_id, pcm, sr, durs[i], out) is None:
                 continue
             pcms[i] = pcm
             snr_srs[i] = sr
             if self.check_transcript and isinstance(clip_id, str) \
                     and clip_id.startswith("clip-") and clip_id[5:].isdigit():
                 ref = reference_transcript(int(clip_id[5:]))
-                if ref is not None and transcript != ref:
+                if ref is not None and txts[i] != ref:
                     out.append((clip_id, "transcript", "(root).transcript",
                                 "reference transcript",
-                                "" if transcript is None else transcript[:64]))
+                                "" if txts[i] is None else txts[i][:64]))
         # phase 2: batched SNR over every decodable clip (rows under 16
         # samples come back -inf and are skipped, matching the scalar guard)
         if any(p is not None for p in pcms):
@@ -552,51 +531,28 @@ FEATURE_SCHEMA = pa.schema([
 class AudioFeatureStage:
     """Actor-pool map_batches payload: decode + per-clip feature extraction.
 
-    Same deployment shape as AudioInvariantChecker (stateful decode table in
-    __init__, small batches — audio rows are wide); a row that fails to
-    decode emits decode_ok=False with null features instead of failing the
-    batch, so a corrupt shard degrades to filterable rows, not a dead task."""
+    Same deployment shape as AudioInvariantChecker (the `decode_clips`
+    walk, small batches — audio rows are wide); a row that fails to decode
+    or to compute emits decode_ok=False with null features instead of
+    failing the batch, so a corrupt shard degrades to filterable rows, not
+    a dead task."""
 
     def __init__(self, audio_cap_ms: int | None = None):
         self.audio_cap_ms = audio_cap_ms
-        self.decoders = base_decoders()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["clip_id"].to_pylist()
         srs = batch["sr_hz"].to_pylist()
-        codecs = batch["codec"].to_pylist()
-        views = binary_column_views(batch["bytes"])
-        blobs = batch["bytes"].to_pylist() if views is None else None
         rows = []
-        for i, (cid, sr, codec) in enumerate(zip(ids, srs, codecs)):
-            dec = self.decoders.get(codec)
-            null = views[2][i] if views is not None else blobs[i] is None
-            feat = None
-            if dec is not None and not null:
-                try:
-                    if views is not None:
-                        seg = views[1][int(views[0][i]):int(views[0][i + 1])]
-                        if codec == "wav":
-                            pcm, file_sr = wav_payload_view(seg)
-                        elif codec == "pcm_s16le":
-                            if len(seg) % 2:
-                                raise ValueError("odd byte count")
-                            pcm, file_sr = _i16_view(seg, 0, len(seg)), sr
-                        else:
-                            pcm, file_sr = dec(seg.tobytes(), sr)
-                    else:
-                        pcm, file_sr = dec(blobs[i], sr)
-                    feat = pcm_features(pcm, int(file_sr or sr))
-                except Exception:  # noqa: BLE001 — any decode failure → row
-                    feat = None
-            if feat is None:
-                rows.append({"clip_id": cid, "decode_ok": False,
-                             "n_samples": None, "rms_dbfs": None,
-                             "peak_dbfs": None, "zcr_hz": None,
-                             "spectral_centroid_hz": None,
-                             "clipped_frac": None, "est_freq_hz": None})
-            else:
-                rows.append({"clip_id": cid, "decode_ok": True, **feat})
+        for i, pcm, file_sr, _ in decode_clips(batch["bytes"],
+                                               batch["codec"].to_pylist()):
+            try:
+                feat = None if pcm is None \
+                    else pcm_features(pcm, int(file_sr or srs[i]))
+            except Exception:  # noqa: BLE001 — compute failure → row
+                feat = None
+            rows.append(_failed_row(FEATURE_SCHEMA, ids[i]) if feat is None
+                        else {"clip_id": ids[i], "decode_ok": True, **feat})
         return pa.Table.from_pylist(rows, schema=FEATURE_SCHEMA)
 
 
@@ -750,9 +706,9 @@ class AudioTransformStage:
     standardize-the-corpus pass of an audio training pipeline; ops are
     applied in that fixed order and each is optional).
 
-    Same deployment shape as AudioFeatureStage: stateful decoder table in
-    __init__, zero-copy WAV/PCM views per batch, decode failures degrade
-    to decode_ok=False rows with null payload instead of a dead task.
+    Same deployment shape as AudioFeatureStage: the `decode_clips` walk,
+    decode failures and rows without sr_hz degrade to decode_ok=False
+    rows with null payload instead of a dead task.
     Scale note: output bytes ~= input bytes * (target_sr / sr) — size
     batch_size so decoded float64 temporaries (n * 8 bytes * batch) fit
     the worker heap."""
@@ -779,41 +735,16 @@ class AudioTransformStage:
         self.gain_mode = gain_mode
         self.trim_threshold_dbfs = trim_threshold_dbfs
         self.frame_ms = frame_ms
-        self.decoders = base_decoders()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["clip_id"].to_pylist()
         srs = batch["sr_hz"].to_pylist()
-        codecs = batch["codec"].to_pylist()
-        views = binary_column_views(batch["bytes"])
-        blobs = batch["bytes"].to_pylist() if views is None else None
         rows = []
-        for i, (cid, sr, codec) in enumerate(zip(ids, srs, codecs)):
-            dec = self.decoders.get(codec)
-            null = views[2][i] if views is not None else blobs[i] is None
-            pcm = file_sr = None
-            if dec is not None and not null and sr:
-                try:
-                    if views is not None:
-                        seg = views[1][int(views[0][i]):int(views[0][i + 1])]
-                        if codec == "wav":
-                            pcm, file_sr = wav_payload_view(seg)
-                        elif codec == "pcm_s16le":
-                            if len(seg) % 2:
-                                raise ValueError("odd byte count")
-                            pcm, file_sr = _i16_view(seg, 0, len(seg)), sr
-                        else:
-                            pcm, file_sr = dec(seg.tobytes(), sr)
-                    else:
-                        pcm, file_sr = dec(blobs[i], sr)
-                except Exception:  # noqa: BLE001 — degrade, don't die
-                    pcm = None
-            if pcm is None:
-                rows.append({"clip_id": cid, "decode_ok": False,
-                             "sr_hz": None, "n_samples_in": None,
-                             "n_samples_out": None, "gain_db": None,
-                             "lead_trim_ms": None, "trail_trim_ms": None,
-                             "codec": None, "bytes": None})
+        for i, pcm, file_sr, _ in decode_clips(batch["bytes"],
+                                               batch["codec"].to_pylist()):
+            cid, sr = ids[i], srs[i]
+            if pcm is None or not sr:
+                rows.append(_failed_row(TRANSFORM_SCHEMA, cid))
                 continue
             cur_sr = int(file_sr or sr)
             n_in = len(pcm)
@@ -878,49 +809,23 @@ FINGERPRINT_SCHEMA = pa.schema([
 
 
 class AudioFingerprintStage:
-    """Actor-pool map_batches payload: decode (zero-copy views where the
-    block allows) + one fingerprint per clip. Same degrade-to-rows error
+    """Actor-pool map_batches payload: decode (`decode_clips`) + one
+    fingerprint per clip. Same degrade-to-rows error
     contract as AudioFeatureStage — a corrupt clip emits decode_ok=False,
     never a dead task."""
 
     def __init__(self, frames: int = 33):
         self.frames = frames
-        self.decoders = base_decoders()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["clip_id"].to_pylist()
-        srs = batch["sr_hz"].to_pylist()
-        codecs = batch["codec"].to_pylist()
-        views = binary_column_views(batch["bytes"])
-        blobs = batch["bytes"].to_pylist() if views is None else None
         rows = []
-        for i, (cid, sr, codec) in enumerate(zip(ids, srs, codecs)):
-            dec = self.decoders.get(codec)
-            null = views[2][i] if views is not None else blobs[i] is None
-            pcm = None
-            if dec is not None and not null:
-                try:
-                    if views is not None:
-                        seg = views[1][int(views[0][i]):int(views[0][i + 1])]
-                        if codec == "wav":
-                            pcm, _ = wav_payload_view(seg)
-                        elif codec == "pcm_s16le":
-                            if len(seg) % 2:
-                                raise ValueError("odd byte count")
-                            pcm = _i16_view(seg, 0, len(seg))
-                        else:
-                            pcm, _ = dec(seg.tobytes(), sr)
-                    else:
-                        pcm, _ = dec(blobs[i], sr)
-                except Exception:  # noqa: BLE001 — decode failure → row
-                    pcm = None
-            if pcm is None:
-                rows.append({"clip_id": cid, "decode_ok": False,
-                             "fp": None, "n_samples": None})
-            else:
-                rows.append({"clip_id": cid, "decode_ok": True,
-                             "fp": energy_fingerprint(pcm, self.frames),
-                             "n_samples": len(pcm)})
+        for i, pcm, _, _ in decode_clips(batch["bytes"],
+                                         batch["codec"].to_pylist()):
+            rows.append(_failed_row(FINGERPRINT_SCHEMA, ids[i]) if pcm is None
+                        else {"clip_id": ids[i], "decode_ok": True,
+                              "fp": energy_fingerprint(pcm, self.frames),
+                              "n_samples": len(pcm)})
         return pa.Table.from_pylist(rows, schema=FINGERPRINT_SCHEMA)
 
 
@@ -1048,8 +953,8 @@ ACTIVITY_SCHEMA = pa.schema([
 
 
 class AudioActivityStage:
-    """map_batches payload: decode (zero-copy views where the block
-    allows) + activity segmentation per clip. Same degrade-to-rows error
+    """map_batches payload: decode (`decode_clips`) + activity
+    segmentation per clip. Same degrade-to-rows error
     contract as AudioFeatureStage — a corrupt clip emits decode_ok=False,
     never a dead task."""
 
@@ -1058,90 +963,40 @@ class AudioActivityStage:
         self.frame_ms = frame_ms
         self.threshold_dbfs = threshold_dbfs
         self.hang_frames = hang_frames
-        self.decoders = base_decoders()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["clip_id"].to_pylist()
         srs = batch["sr_hz"].to_pylist()
-        codecs = batch["codec"].to_pylist()
-        views = binary_column_views(batch["bytes"])
-        blobs = batch["bytes"].to_pylist() if views is None else None
         rows = []
-        for i, (cid, sr, codec) in enumerate(zip(ids, srs, codecs)):
-            dec = self.decoders.get(codec)
-            null = views[2][i] if views is not None else blobs[i] is None
-            out = None
-            if dec is not None and not null:
-                try:
-                    if views is not None:
-                        seg = views[1][int(views[0][i]):int(views[0][i + 1])]
-                        if codec == "wav":
-                            pcm, file_sr = wav_payload_view(seg)
-                        elif codec == "pcm_s16le":
-                            if len(seg) % 2:
-                                raise ValueError("odd byte count")
-                            pcm, file_sr = _i16_view(seg, 0, len(seg)), sr
-                        else:
-                            pcm, file_sr = dec(seg.tobytes(), sr)
-                    else:
-                        pcm, file_sr = dec(blobs[i], sr)
-                    out = activity_segments(
-                        pcm, int(file_sr or sr), frame_ms=self.frame_ms,
-                        threshold_dbfs=self.threshold_dbfs,
-                        hang_frames=self.hang_frames)
-                except Exception:  # noqa: BLE001 — decode failure → row
-                    out = None
-            if out is None:
-                rows.append({"clip_id": cid, "decode_ok": False,
-                             "n_frames": None, "n_active_frames": None,
-                             "active_ratio": None, "n_segments": None,
-                             "longest_ms": None, "total_active_ms": None})
-            else:
-                rows.append({"clip_id": cid, "decode_ok": True, **out})
+        for i, pcm, file_sr, _ in decode_clips(batch["bytes"],
+                                               batch["codec"].to_pylist()):
+            try:
+                out = None if pcm is None else activity_segments(
+                    pcm, int(file_sr or srs[i]), frame_ms=self.frame_ms,
+                    threshold_dbfs=self.threshold_dbfs,
+                    hang_frames=self.hang_frames)
+            except Exception:  # noqa: BLE001 — compute failure → row
+                out = None
+            rows.append(_failed_row(ACTIVITY_SCHEMA, ids[i]) if out is None
+                        else {"clip_id": ids[i], "decode_ok": True, **out})
         return pa.Table.from_pylist(rows, schema=ACTIVITY_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
-# shared decode walk for the newer stages (the older stages inline the
-# identical views/blobs pattern — see AudioFeatureStage.__call__)
+# decode_clips under one rate rule, for the stages below
 # ---------------------------------------------------------------------------
 def decoded_pcm_rows(batch: pa.Table):
     """Yield ``(row_idx, clip_id, sr_eff, pcm)`` for every row of a clips
-    batch — ``pcm`` is ``None`` when the payload is null / corrupt / an
-    unknown codec, so callers degrade to rows instead of dead tasks (the
-    module's error contract). Zero-copy where the block allows: WAV and
-    raw-PCM payloads are sliced as int16 VIEWS of the Arrow binary buffer
-    (`binary_column_views`), never materialized as Python bytes."""
+    batch (`decode_clips`), with ``sr_eff`` the WAV header rate or else
+    sr_hz. ``pcm`` is ``None`` when the payload is null / corrupt / an
+    unknown codec or ``sr_eff`` is not positive, so callers degrade to rows
+    instead of dead tasks (the module's error contract)."""
     ids = batch["clip_id"].to_pylist()
     srs = batch["sr_hz"].to_pylist()
-    codecs = batch["codec"].to_pylist()
-    views = binary_column_views(batch["bytes"])
-    blobs = batch["bytes"].to_pylist() if views is None else None
-    decoders = base_decoders()
-    for i, (cid, sr, codec) in enumerate(zip(ids, srs, codecs)):
-        dec = decoders.get(codec)
-        null = views[2][i] if views is not None else blobs[i] is None
-        pcm = file_sr = None
-        if dec is not None and not null:
-            try:
-                if views is not None:
-                    seg = views[1][int(views[0][i]):int(views[0][i + 1])]
-                    if codec == "wav":
-                        pcm, file_sr = wav_payload_view(seg)
-                    elif codec == "pcm_s16le":
-                        if len(seg) % 2:
-                            raise ValueError("odd byte count")
-                        pcm, file_sr = _i16_view(seg, 0, len(seg)), sr
-                    else:
-                        pcm, file_sr = dec(seg.tobytes(), sr)
-                else:
-                    pcm, file_sr = dec(blobs[i], sr)
-            except Exception:  # noqa: BLE001 — decode failure → null row
-                pcm = None
-        sr_eff = int(file_sr or sr or 0)
-        if pcm is not None and sr_eff <= 0:
-            pcm = None  # a clip without a usable rate can't be processed
-        yield i, cid, sr_eff, pcm
+    for i, pcm, file_sr, _ in decode_clips(batch["bytes"],
+                                           batch["codec"].to_pylist()):
+        sr_eff = int(file_sr or srs[i] or 0)
+        yield i, ids[i], sr_eff, pcm if sr_eff > 0 else None
 
 
 # ---------------------------------------------------------------------------

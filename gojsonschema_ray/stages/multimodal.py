@@ -3,7 +3,7 @@
 stages with SMALL batch sizes (wide rows × concurrency must fit worker heap).
 
 Decode status by modality:
-- audio: REAL (stdlib wav / raw s16le — stages/audio.py);
+- audio: REAL (wav / raw s16le / G.711 — stages/audio.decode_clips);
 - image: REAL for uncompressed formats (binary PPM/PGM, 24/32-bit BMP —
   pure-numpy codecs in functions/imaging.py, the default backend);
   JPEG/PNG need Pillow, which this container does not ship — backend='pil'
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .audio import CodecUnavailable, decode_raw_s16le, decode_wav
+from .audio import CodecUnavailable, decode_clips
 
 IMAGE_FEATURES_SCHEMA = pa.schema([
     ("id", pa.string()),
@@ -163,42 +163,30 @@ class FrameSampleStage:
 
 
 class AudioFeatureStage:
-    """REAL audio feature extraction: decode (wav/s16le) → frame RMS energy
-    vector — the multimodal feature-extract pattern on the audio payload."""
+    """REAL audio feature extraction: decode (`decode_clips`) → frame RMS
+    energy vector — the multimodal feature-extract pattern on the audio
+    payload. Null, empty, undecodable and unknown-codec payloads and clips
+    shorter than `n_frames` samples are skipped."""
 
     def __init__(self, bytes_column: str = "bytes", id_column: str = "clip_id",
-                 codec_column: str = "codec", sr_column: str = "sr_hz",
-                 n_frames: int = 16):
+                 codec_column: str = "codec", n_frames: int = 16):
         self.bytes_column = bytes_column
         self.id_column = id_column
         self.codec_column = codec_column
-        self.sr_column = sr_column
         self.n_frames = n_frames
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch[self.id_column].to_pylist()
-        blobs = batch[self.bytes_column].to_pylist()
-        codecs = batch[self.codec_column].to_pylist()
-        srs = batch[self.sr_column].to_pylist()
         out_id, out_feat = [], []
-        for cid, blob, codec, sr in zip(ids, blobs, codecs, srs):
-            if not blob:
-                continue
-            try:
-                if codec == "wav":
-                    pcm, _ = decode_wav(blob)
-                elif codec == "pcm_s16le":
-                    pcm, _ = decode_raw_s16le(blob, sr)
-                else:
-                    continue
-            except Exception:
-                continue
-            if len(pcm) < self.n_frames:
+        for i, pcm, _, _ in decode_clips(
+                batch[self.bytes_column],
+                batch[self.codec_column].to_pylist()):
+            if pcm is None or not len(pcm) or len(pcm) < self.n_frames:
                 continue
             x = pcm.astype(np.float64) / 32768.0
             frames = np.array_split(x, self.n_frames)
             rms = [float(np.sqrt((f * f).mean())) for f in frames]
-            out_id.append(str(cid))
+            out_id.append(str(ids[i]))
             out_feat.append(rms)
         return pa.table({
             "clip_id": pa.array(out_id),

@@ -1397,15 +1397,7 @@ def _select(ds, extract, targets, *, collect_cap: int,
     the samples), and a bracket holding <= `collect_cap` rows is fetched
     in one final pass and folded per UNIQUE value, ascending, so the
     crossing test is addend-order-free: with integer weights every
-    cumulative sum is exact in float64.
-
-    The unit-weight finisher `exact_global_quantiles` interpolates finite
-    neighbours as ``lo + d*(hi-lo)``, not DuckDB's ``lo*(1-d) + hi*d``:
-    the two differ in the last bit on about 20% of random cases, and
-    `test_exact_global_quantiles` pins the first bit-for-bit against
-    ``np.quantile`` on its data. (NumPy itself computes
-    ``hi - (1-d)*(hi-lo)`` when d >= 0.5, so on other data the two can
-    differ in the last bit.)"""
+    cumulative sum is exact in float64."""
     def within(v: np.ndarray, w: np.ndarray, ivals) -> list:
         f = np.isfinite(v)
         v, w = v[f], w[f]
@@ -1530,10 +1522,11 @@ def exact_global_quantiles(ds, column: str, qs, *,
     quantile_cont semantics: h = q*(n-1); the result interpolates the
     floor(h)-th and ceil(h)-th order statistics (0-indexed), i.e. the
     selections at ranks floor(h)+1 and ceil(h)+1. NULL/NaN excluded (SQL
-    drops NULLs). -inf/+inf are the lowest/highest order statistics. An
-    interpolation with an infinite end takes DuckDB's ``lo*(1-d) + hi*d``
-    form (-inf next to a finite value stays -inf, -inf next to +inf is
-    NaN); between finite values it is ``lo + d*(hi-lo)`` (see `_select`).
+    drops NULLs). -inf/+inf are the lowest/highest order statistics.
+    Every interpolation takes DuckDB's ``lo*(1-d) + hi*d`` form, so
+    values are bit-identical to DuckDB's (-inf next to a finite value
+    stays -inf, -inf next to +inf is NaN; ``lo + d*(hi-lo)`` and NumPy's
+    form differ from it in the last bit on about a fifth of random cases).
     Returns a DataFrame (q, value); NaN value on an empty column."""
     import pandas as pd
 
@@ -1559,12 +1552,7 @@ def exact_global_quantiles(ds, column: str, qs, *,
         h = q * (n - 1)
         k0, k1 = math.floor(h), math.ceil(h)
         v0, v1, d = at[k0 + 1], at[k1 + 1], h - k0
-        if k0 == k1:
-            out.append(v0)
-        elif math.isinf(v0) or math.isinf(v1):
-            out.append(v0 * (1 - d) + v1 * d)
-        else:
-            out.append(v0 + d * (v1 - v0))
+        out.append(v0 if k0 == k1 else v0 * (1 - d) + v1 * d)
     return pd.DataFrame({"q": pd.Series(qs, dtype="float64"),
                          "value": pd.Series(out, dtype="float64")})
 

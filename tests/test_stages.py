@@ -3779,9 +3779,12 @@ def test_slugify(ray_session):
 
 
 def test_exact_global_quantiles(ray_session):
-    """Distributed selection equals np.quantile (quantile_cont semantics)
-    bit-for-bit, including q=0/1, heavy point masses with a tiny collect
-    cap (forcing refinement rounds), NaN/null exclusion, and validation."""
+    """Distributed selection equals DuckDB's quantile_cont bit-for-bit,
+    including q=0/1, heavy point masses with a tiny collect cap (forcing
+    refinement rounds), NaN/null exclusion, and validation. (np.quantile
+    interpolates as hi - (1-d)*(hi-lo) for d >= 0.5 and quantile_cont as
+    lo*(1-d) + hi*d, so the two can differ in the last bit.)"""
+    import duckdb
     import pandas as pd
     import pytest
     import ray.data as rd
@@ -3799,8 +3802,10 @@ def test_exact_global_quantiles(ray_session):
     qs = [0.0, 0.1, 0.5, 0.6, 0.99, 1.0]
     got = exact_global_quantiles(
         rd.from_pandas(df).repartition(6), "v", qs, collect_cap=400)
-    exp = np.quantile(clean, qs)
-    assert np.array_equal(got["value"].to_numpy(), exp)
+    t = pa.table({"v": clean})
+    exp = [duckdb.sql(f"SELECT quantile_cont(v, {q}) FROM t").fetchone()[0]
+           for q in qs]
+    assert np.array_equal(got["value"].to_numpy(), np.asarray(exp))
 
     empty = exact_global_quantiles(
         rd.from_pandas(pd.DataFrame({"v": [np.nan]})), "v", [0.5])
