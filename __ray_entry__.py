@@ -969,8 +969,7 @@ def q_orders_validate_changed(sf_dir: str) -> pd.DataFrame:
     over ONLY the added/changed delta (broadcast key set + per-batch
     filter) instead of the whole corpus. Oracle: the diff CTEs + CASE
     counts over the same delta."""
-    import ray as _ray
-
+    from gojsonschema_ray.stages.exchange import broadcast
     from gojsonschema_ray.stages.integrity import snapshot_diff
     from gojsonschema_ray.util import collect_rows
 
@@ -1001,10 +1000,10 @@ def q_orders_validate_changed(sf_dir: str) -> pd.DataFrame:
                          "o_orderkey", ["o_totalprice", "o_orderstatus"])
     delta_keys = {r["o_orderkey"] for r in collect_rows(diff)
                   if r["status"] in ("added", "changed")}
-    keys_ref = _ray.put(np.fromiter(sorted(delta_keys), dtype=np.int64))
+    keys_ref = broadcast(np.fromiter(sorted(delta_keys), dtype=np.int64))
 
     def only_delta(t: pa.Table) -> pa.Table:
-        keys = _ray.get(keys_ref)
+        keys = keys_ref.get()
         k = t["o_orderkey"].to_numpy(zero_copy_only=False)
         if len(keys) == 0:
             return t.filter(pa.array(np.zeros(len(k), dtype=bool)))
@@ -2165,13 +2164,13 @@ def q_documents_bigram_logprob(sf_dir: str) -> pd.DataFrame:
 
 
 def q_documents_dup_lines(sf_dir: str) -> pd.DataFrame:
-    """CORPUS-WIDE duplicate-line fractions (functions/text.dup_line_stats,
-    broadcast strategy) — the cross-document half of Gopher's repetition
-    filtering (Rae et al. 2021 §A1.1; documents_repetition covers the
-    within-doc half). These documents are single-line, so the word
-    delimiter ' ' exercises the segment semantics; min_count=900 splits
-    this corpus's vocabulary (17 of 31 words qualify at sf0.01). Fractions
-    are single IEEE divisions of exact int64 counts — bit-exact vs SQL."""
+    """CORPUS-WIDE duplicate-line fractions (functions/text.dup_line_stats)
+    — the cross-document half of Gopher's repetition filtering (Rae et al.
+    2021 §A1.1; documents_repetition covers the within-doc half). These
+    documents are single-line, so the word delimiter ' ' exercises the
+    segment semantics; min_count=900 splits this corpus's vocabulary (17 of
+    31 words qualify at sf0.01). Fractions are single IEEE divisions of
+    exact int64 counts — bit-exact vs SQL."""
     from gojsonschema_ray.functions.text import dup_line_stats
     from gojsonschema_ray.util import collect_rows
 
@@ -2192,8 +2191,8 @@ def q_documents_dup_lines(sf_dir: str) -> pd.DataFrame:
 
 
 def q_documents_dup_spans(sf_dir: str) -> pd.DataFrame:
-    """CORPUS-WIDE duplicated-substring stats (functions/text.dup_span_stats,
-    broadcast strategy) — the exact-substring dedup signal of Lee et al.
+    """CORPUS-WIDE duplicated-substring stats (functions/text.dup_span_stats)
+    — the exact-substring dedup signal of Lee et al.
     2022 (ExactSubstr): every char 30-window is hash-counted corpus-wide
     via ONE coarse exchange, dup hashes broadcast once, the corpus streams
     through a searchsorted probe + interval-union coverage. The oracle

@@ -20,9 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.exchange import (
-    exchange, exchange_parts, hash_part, shuffle_width,
-)
+from ..stages.exchange import broadcast, exchange_parts, hash_part
 
 _WS = re.compile(r"\s+")
 # BPE-ish subword segmentation: words, numbers, punctuation runs
@@ -752,7 +750,7 @@ def unigram_logprob(ds, text_column: str, id_column: str, *,
          partials, ONE coarse hash exchange — vocab-sized result). At web
          scale pass min_count>1 so the broadcast table stays bounded;
          dropped tail tokens score as OOV with the floor ln(1/total).
-      2. ray.put the vocabulary as (sorted token-hash uint64[], logp
+      2. broadcast the vocabulary as (sorted token-hash uint64[], logp
          float64[]) — two zero-copy numpy arrays, shipped ONCE, read by
          every task — then a streaming map_batches scores each doc:
          split (RE2) -> hash (the engine's one partitioning hash) ->
@@ -765,8 +763,6 @@ def unigram_logprob(ds, text_column: str, id_column: str, *,
     differs across libm implementations at ulp scale, so full precision is
     not oracle-reproducible (the engine's own determinism is unaffected).
     """
-    import ray
-
     from ..stages.sketches import hash_arrow_array
     from ..util import collect_rows
 
@@ -777,11 +773,11 @@ def unigram_logprob(ds, text_column: str, id_column: str, *,
     total = float(cnts.sum())
     h = hash_arrow_array(toks)
     order = np.argsort(h)
-    vocab_ref = ray.put((h[order], np.log(cnts[order] / total)))
+    vocab_ref = broadcast((h[order], np.log(cnts[order] / total)))
     oov_logp = float(np.log(1.0 / total)) if total else 0.0
 
     def score(batch: pa.Table) -> pa.Table:
-        vh, vlogp = ray.get(vocab_ref)
+        vh, vlogp = vocab_ref.get()
         col = batch[text_column]
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         txt = pc.utf8_trim_whitespace(pc.cast(col, pa.string()))
@@ -965,8 +961,6 @@ def bm25_scores(ds, text_column: str, id_column: str,
     the per-(doc, term) contribution rows (id, term, tf, dl,
     contribution) instead of per-doc sums — the hash-stable form (a
     cross-term SUM's addend order is engine-defined; SQL's isn't)."""
-    import ray
-
     from ..util import collect_table
 
     q = sorted(set(query_terms))
@@ -1020,11 +1014,10 @@ def bm25_scores(ds, text_column: str, id_column: str,
     df_tot = parts.dropna(subset=["term"]).groupby("term")["df"].sum()
     df_vec = df_tot.reindex(q).fillna(0).to_numpy(dtype=np.int64)
     idf = np.log((n_docs - df_vec + 0.5) / (df_vec + 0.5) + 1.0)
-    state_ref = ray.put((idf, avgdl))
+    state_ref = broadcast((idf, avgdl))
 
     def score(batch: pa.Table) -> pa.Table:
-        st = ray.get(state_ref) if hasattr(state_ref, "hex") else state_ref
-        idf_v, adl = st
+        idf_v, adl = state_ref.get()
         col = batch[text_column]
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
             else col
@@ -1232,11 +1225,27 @@ def _explode_segments(batch: pa.Table, text_column: str, delimiter: str):
     return flat, did_all[seg_keep], row_valid
 
 
+def _broadcast_dup_hashes(counts):
+    """Broadcast of the sorted uint64 hashes of an (h, n) counts Dataset:
+    the dup-hash set the dup-line and dup-span stages probe, bounded by
+    DISTINCT duplicated lines or windows (8 bytes each), not corpus size."""
+    from ..util import collect_table
+
+    h = collect_table(counts)["h"].to_numpy(zero_copy_only=False)
+    return broadcast(np.sort(np.asarray(h, dtype=np.uint64)))
+
+
+def _in_sorted(dup: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Membership of each hash of `h` in the sorted uint64 array `dup`."""
+    if not len(dup):
+        return np.zeros(len(h), dtype=bool)
+    return dup[np.minimum(np.searchsorted(dup, h), len(dup) - 1)] == h
+
+
 class _DupLineScoreStage:
-    """map_batches payload for dup_line_stats' broadcast path: per-batch
-    explode + hash + searchsorted membership probe into the ray.put dup-hash
-    array (shipped once, read per task) — the n-gram-decontamination
-    pattern. No per-row Python."""
+    """map_batches payload for dup_line_stats: per-batch explode + hash +
+    membership probe into the broadcast dup-hash array (read once per
+    task) — the n-gram-decontamination pattern. No per-row Python."""
 
     def __init__(self, dup_ref, text_column: str, id_column: str,
                  delimiter: str):
@@ -1244,19 +1253,10 @@ class _DupLineScoreStage:
         self.text_column = text_column
         self.id_column = id_column
         self.delimiter = delimiter
-        self._d = None
-
-    def _dup_hashes(self) -> np.ndarray:
-        if self._d is None:
-            import ray
-            r = self.dup_ref
-            self._d = ray.get(r) if hasattr(r, "hex") else r
-        return self._d
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..stages.sketches import hash_arrow_array
 
-        dup = self._dup_hashes()  # sorted unique uint64
         flat, did, _ = _explode_segments(batch, self.text_column,
                                          self.delimiter)
         ids = batch[self.id_column]
@@ -1267,12 +1267,7 @@ class _DupLineScoreStage:
                              "n_dup_lines": pa.array([], pa.int64()),
                              "dup_line_frac": pa.array([], pa.float64()),
                              "dup_char_frac": pa.array([], pa.float64())})
-        h = hash_arrow_array(flat)
-        if len(dup):
-            pos = np.minimum(np.searchsorted(dup, h), len(dup) - 1)
-            is_dup = dup[pos] == h
-        else:
-            is_dup = np.zeros(len(h), dtype=bool)
+        is_dup = _in_sorted(self.dup_ref.get(), hash_arrow_array(flat))
         chars = np.asarray(pc.utf8_length(flat).to_numpy(
             zero_copy_only=False), dtype=np.int64)
         n_rows = batch.num_rows
@@ -1384,8 +1379,7 @@ def _dup_line_hash_counts(ds, text_column: str, delimiter: str,
 
 
 def dup_line_stats(ds, text_column: str, id_column: str, *,
-                   delimiter: str = "\n", min_count: int = 2,
-                   strategy: str = "broadcast"):
+                   delimiter: str = "\n", min_count: int = 2):
     """Per-document CORPUS-WIDE duplicate-line fractions — the
     cross-document half of Gopher's repetition filtering (Rae et al. 2021
     §A1.1 dup-line / dup-line-char fractions; `repetition_stats` covers the
@@ -1399,97 +1393,21 @@ def dup_line_stats(ds, text_column: str, id_column: str, *,
     defined fractions). Fractions are single IEEE divisions of exact int64
     counts — bit-identical in numpy and DuckDB, no rounding contract.
 
-    Two scale shapes:
-      - strategy="broadcast" (default): segment-hash corpus counts via
-        per-batch combiner partials + ONE coarse hash exchange, then the
-        duplicated hashes (bounded by DISTINCT duplicated lines, not corpus
-        size) are ray.put ONCE as a sorted uint64 array and the corpus
-        streams through a searchsorted membership probe — the
-        n-gram-decontamination pattern. Assumption: the dup-hash set fits
-        the driver/worker heap (8 bytes per distinct duplicated line).
-      - strategy="shuffle": no broadcast-size assumption. Per-batch
-        (id, h, cnt, chars) partials exchange on hash(line) — every
-        occurrence of a line co-locates, so corpus counts are exact
-        in-partition — then per-doc partials exchange on hash(id) and sum.
-        Two coarse exchanges, both over collapsed partials.
+    Scale shape: segment-hash corpus counts via per-batch combiner
+    partials + ONE coarse hash exchange, then the duplicated hashes are
+    broadcast ONCE as a sorted uint64 array and the corpus streams through
+    a searchsorted membership probe — the n-gram-decontamination pattern.
+    Assumption: the dup-hash set fits the driver/worker heap (8 bytes per
+    distinct duplicated line).
 
     Line identity is the engine's 64-bit partitioning hash (collisions
     ~n²/2⁶⁴ — negligible; the oracle counts exact strings and stays
     hash-green at test scale)."""
-    import ray
-
-    from ..stages.sketches import hash_arrow_array
-    from ..util import collect_table
-
-    if strategy == "broadcast":
-        counts = _dup_line_hash_counts(ds, text_column, delimiter,
-                                       min_count)
-        dup_t = collect_table(counts)
-        dup = np.sort(np.asarray(dup_t["h"].to_numpy(zero_copy_only=False),
-                                 dtype=np.uint64))
-        dup_ref = ray.put(dup)
-        return ds.map_batches(
-            _DupLineScoreStage(dup_ref, text_column, id_column, delimiter),
-            batch_format="pyarrow")
-
-    if strategy != "shuffle":
-        raise ValueError(f"dup_line_stats: strategy={strategy!r} — "
-                         "pass 'broadcast' or 'shuffle'")
-
-    P = shuffle_width()
-
-    def partial(batch: pa.Table) -> pa.Table:
-        flat, did, _ = _explode_segments(batch, text_column, delimiter)
-        ids = batch[id_column]
-        ids = ids.combine_chunks() if isinstance(ids, pa.ChunkedArray) else ids
-        h = hash_arrow_array(flat) if len(flat) \
-            else np.zeros(0, dtype=np.uint64)
-        chars = np.asarray(pc.utf8_length(flat).to_numpy(
-            zero_copy_only=False), dtype=np.int64) if len(flat) \
-            else np.zeros(0, dtype=np.int64)
-        # collapse per (row, h) — bounds the exchange by distinct lines
-        # per doc, and every occurrence of one line has one char length
-        df = pd.DataFrame({"_row": did, "h": h, "chars": chars})
-        g = df.groupby(["_row", "h"], sort=False, as_index=False) \
-            .agg(cnt=("h", "size"), chars=("chars", "first"))
-        out_ids = ids.take(pa.array(g["_row"].to_numpy(dtype=np.int64)))
-        return pa.table({
-            id_column: out_ids,
-            "h": pa.array(g["h"].to_numpy(dtype=np.uint64)),
-            "cnt": pa.array(g["cnt"].to_numpy(dtype=np.int64)),
-            "chars": pa.array(g["chars"].to_numpy(dtype=np.int64)),
-            "part": pa.array((g["h"].to_numpy(dtype=np.uint64)
-                              % np.uint64(P)).astype(np.int32)),
-        })
-
-    def per_hash_part(df: pd.DataFrame) -> pd.DataFrame:
-        # all occurrences of a hash co-locate here -> exact corpus counts
-        totals = df.groupby("h", sort=False)["cnt"].transform("sum")
-        dup = (totals >= min_count).to_numpy()
-        cnt = df["cnt"].to_numpy()
-        ch = df["chars"].to_numpy() * cnt
-        agg = pd.DataFrame({
-            id_column: df[id_column].to_numpy(),
-            "nl": cnt, "nd": np.where(dup, cnt, 0),
-            "nc": ch, "ndc": np.where(dup, ch, 0),
-        }).groupby(id_column, sort=False, as_index=False).sum()
-        agg["part"] = hash_part(agg[id_column], P)
-        return agg
-
-    def per_doc_part(df: pd.DataFrame) -> pd.DataFrame:
-        agg = df.groupby(id_column, sort=False, as_index=False) \
-            [["nl", "nd", "nc", "ndc"]].sum()
-        return pd.DataFrame({
-            id_column: agg[id_column],
-            "n_lines": agg["nl"].astype("int64"),
-            "n_dup_lines": agg["nd"].astype("int64"),
-            "dup_line_frac": agg["nd"].to_numpy() / agg["nl"].to_numpy(),
-            "dup_char_frac": agg["ndc"].to_numpy() / agg["nc"].to_numpy(),
-        })
-
-    doc_partials = exchange(ds.map_batches(partial, batch_format="pyarrow"),
-                            per_hash_part, P)
-    return exchange(doc_partials, per_doc_part, P)
+    counts = _dup_line_hash_counts(ds, text_column, delimiter, min_count)
+    return ds.map_batches(
+        _DupLineScoreStage(_broadcast_dup_hashes(counts), text_column,
+                           id_column, delimiter),
+        batch_format="pyarrow")
 
 
 class _DropDupLineStage:
@@ -1505,27 +1423,13 @@ class _DropDupLineStage:
         self.text_column = text_column
         self.id_column = id_column
         self.delimiter = delimiter
-        self._d = None
-
-    def _dup_hashes(self) -> np.ndarray:
-        if self._d is None:
-            import ray
-            r = self.dup_ref
-            self._d = ray.get(r) if hasattr(r, "hex") else r
-        return self._d
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..stages.sketches import hash_arrow_array
 
-        dup = self._dup_hashes()
         flat, did, row_valid = _explode_segments(
             batch, self.text_column, self.delimiter)
-        if len(flat) and len(dup):
-            h = hash_arrow_array(flat)
-            pos = np.minimum(np.searchsorted(dup, h), len(dup) - 1)
-            keep = dup[pos] != h
-        else:
-            keep = np.ones(len(flat), dtype=bool)
+        keep = ~_in_sorted(self.dup_ref.get(), hash_arrow_array(flat))
         kept_vals = flat.filter(pa.array(keep))
         n_rows = batch.num_rows
         per_row = np.bincount(did[keep], minlength=n_rows)
@@ -1552,20 +1456,13 @@ def drop_duplicate_lines(ds, text_column: str, id_column: str, *,
 
     Returns a Dataset of (id, text). Scale shape: the broadcast pattern of
     dup_line_stats — corpus counts via ONE coarse hash exchange, dup hashes
-    ray.put once (bounded by distinct duplicated lines), then one streaming
-    pass; reassembly is offsets arithmetic + one pc.binary_join per batch,
-    no per-row Python."""
-    import ray
-
-    from ..util import collect_table
-
+    broadcast once (bounded by distinct duplicated lines), then one
+    streaming pass; reassembly is offsets arithmetic + one pc.binary_join
+    per batch, no per-row Python."""
     counts = _dup_line_hash_counts(ds, text_column, delimiter, min_count)
-    dup_t = collect_table(counts)
-    dup = np.sort(np.asarray(dup_t["h"].to_numpy(zero_copy_only=False),
-                             dtype=np.uint64))
-    dup_ref = ray.put(dup)
     return ds.map_batches(
-        _DropDupLineStage(dup_ref, text_column, id_column, delimiter),
+        _DropDupLineStage(_broadcast_dup_hashes(counts), text_column,
+                          id_column, delimiter),
         batch_format="pyarrow")
 
 
@@ -1628,24 +1525,16 @@ def _span_coverage(lens: np.ndarray, doc: np.ndarray, rel: np.ndarray,
 
 
 class _DupSpanScoreStage:
-    """map_batches payload for dup_span_stats' broadcast path: per-batch
-    vectorized window hashing, searchsorted membership probe into the
-    ray.put dup-hash array, per-doc counts via bincount and covered-char
-    interval arithmetic — no per-row Python."""
+    """map_batches payload for dup_span_stats: per-batch vectorized window
+    hashing, searchsorted membership probe into the broadcast dup-hash
+    array, per-doc counts via bincount and covered-char interval
+    arithmetic — no per-row Python."""
 
     def __init__(self, dup_ref, text_column: str, id_column: str, k: int):
         self.dup_ref = dup_ref
         self.text_column = text_column
         self.id_column = id_column
         self.k = k
-        self._d = None
-
-    def _dup_hashes(self) -> np.ndarray:
-        if self._d is None:
-            import ray
-            r = self.dup_ref
-            self._d = ray.get(r) if hasattr(r, "hex") else r
-        return self._d
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..stages.dedup import gram_hashes_batch
@@ -1659,12 +1548,7 @@ class _DupSpanScoreStage:
                            dtype=np.int64, count=n)
         h, seg = gram_hashes_batch(texts, k)
         nw = np.diff(seg)
-        dup = self._dup_hashes()  # sorted unique uint64
-        if len(h) and len(dup):
-            pos = np.minimum(np.searchsorted(dup, h), len(dup) - 1)
-            is_dup = dup[pos] == h
-        else:
-            is_dup = np.zeros(len(h), dtype=bool)
+        is_dup = _in_sorted(self.dup_ref.get(), h)
         doc = np.repeat(np.arange(n, dtype=np.int64), nw)
         ndw = np.bincount(doc[is_dup], minlength=n)
         idxs = np.flatnonzero(is_dup)
@@ -1682,7 +1566,7 @@ class _DupSpanScoreStage:
 
 
 def dup_span_stats(ds, text_column: str, id_column: str, *, k: int = 30,
-                   min_count: int = 2, strategy: str = "broadcast"):
+                   min_count: int = 2):
     """Per-document CORPUS-WIDE duplicated-substring statistics — the
     exact-substring dedup signal of Lee et al. 2022 (`dup_line_stats` is
     the line-level variant; this one catches near-verbatim reuse that
@@ -1695,104 +1579,16 @@ def dup_span_stats(ds, text_column: str, id_column: str, *, k: int = 30,
     covered_frac); docs shorter than k chars are dropped (no windows).
     Fractions are single IEEE divisions of exact int64 counts.
 
-    Two scale shapes:
-      - strategy="broadcast" (default): window-hash corpus counts via
-        per-batch combiner partials + ONE coarse hash exchange; duplicated
-        hashes (bounded by DISTINCT duplicated windows — i.e. by the
-        duplicated content, not corpus size) are ray.put ONCE sorted, and
-        the corpus streams through a searchsorted probe.
-      - strategy="shuffle": no broadcast-size assumption, at the honest
-        price ExactSubstr pays (its suffix array is an all-to-all sort of
-        every corpus position): window-LEVEL rows (id, rel, len) exchange
-        on hash(window) so corpus counts are exact in-partition, then
-        duplicated windows + per-doc count partials exchange on hash(id)
-        where coverage is computed. Both exchanges carry collapsed or
-        content-bounded rows only after the first."""
-    import ray
-
-    from ..stages.dedup import gram_hashes_batch
-    from ..util import collect_table
-
-    if strategy == "broadcast":
-        counts = _dup_window_hash_counts(ds, text_column, k, min_count)
-        dup_t = collect_table(counts)
-        dup = np.sort(np.asarray(dup_t["h"].to_numpy(zero_copy_only=False),
-                                 dtype=np.uint64))
-        dup_ref = ray.put(dup)
-        return ds.map_batches(
-            _DupSpanScoreStage(dup_ref, text_column, id_column, k),
-            batch_format="pyarrow")
-
-    if strategy != "shuffle":
-        raise ValueError(f"dup_span_stats: strategy={strategy!r} — "
-                         "pass 'broadcast' or 'shuffle'")
-
-    P = shuffle_width()
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ids = batch[id_column]
-        ids = ids.combine_chunks() if isinstance(ids, pa.ChunkedArray) else ids
-        texts = batch[text_column].to_pylist()
-        n = len(texts)
-        lens = np.fromiter(((len(t) if t else 0) for t in texts),
-                           dtype=np.int64, count=n)
-        h, seg = gram_hashes_batch(texts, k)
-        nw = np.diff(seg)
-        doc = np.repeat(np.arange(n, dtype=np.int64), nw)
-        rel = np.arange(len(h), dtype=np.int64) - seg[doc]
-        return pa.table({
-            id_column: ids.take(pa.array(doc)),
-            "h": pa.array(h),
-            "rel": pa.array(rel),
-            "len": pa.array(lens[doc]),
-            "part": pa.array((h % np.uint64(P)).astype(np.int32)),
-        })
-
-    def per_hash_part(df: pd.DataFrame) -> pd.DataFrame:
-        # all occurrences of a window hash co-locate -> exact corpus counts
-        totals = df.groupby("h", sort=False)["h"].transform("size")
-        dup = (totals >= min_count).to_numpy()
-        ids = df[id_column].to_numpy()
-        # duplicated windows keep their position for coverage ...
-        dup_rows = pd.DataFrame({
-            id_column: ids[dup],
-            "rel": df["rel"].to_numpy()[dup],
-            "nw": np.zeros(int(dup.sum()), dtype=np.int64),
-            "len": df["len"].to_numpy()[dup],
-        })
-        # ... and every doc emits one collapsed count partial (rel = -1)
-        cnt = pd.DataFrame({id_column: ids, "len": df["len"].to_numpy()}) \
-            .groupby(id_column, sort=False, as_index=False) \
-            .agg(nw=(id_column, "size"), len=("len", "first"))
-        cnt["rel"] = np.int64(-1)
-        out = pd.concat([dup_rows, cnt[[id_column, "rel", "nw", "len"]]],
-                        ignore_index=True)
-        out["part"] = hash_part(out[id_column], P)
-        return out
-
-    def per_doc_part(df: pd.DataFrame) -> pd.DataFrame:
-        ids, inv = np.unique(df[id_column].to_numpy(), return_inverse=True)
-        n = len(ids)
-        rel = df["rel"].to_numpy()
-        is_win = rel >= 0
-        nw = np.bincount(inv, weights=df["nw"].to_numpy(),
-                         minlength=n).astype(np.int64)
-        ndw = np.bincount(inv[is_win], minlength=n)
-        lens = np.zeros(n, dtype=np.int64)
-        lens[inv] = df["len"].to_numpy()
-        covered = _span_coverage(lens, inv[is_win], rel[is_win], k)
-        return pd.DataFrame({
-            id_column: ids,
-            "n_windows": nw,
-            "n_dup_windows": ndw,
-            "dup_window_frac": ndw / nw,
-            "covered_chars": covered,
-            "covered_frac": covered / lens,
-        })
-
-    doc_partials = exchange(ds.map_batches(partial, batch_format="pyarrow"),
-                            per_hash_part, P)
-    return exchange(doc_partials, per_doc_part, P)
+    Scale shape: window-hash corpus counts via per-batch combiner partials
+    + ONE coarse hash exchange; duplicated hashes (bounded by DISTINCT
+    duplicated windows — i.e. by the duplicated content, not corpus size)
+    are broadcast ONCE sorted, and the corpus streams through a
+    searchsorted probe."""
+    counts = _dup_window_hash_counts(ds, text_column, k, min_count)
+    return ds.map_batches(
+        _DupSpanScoreStage(_broadcast_dup_hashes(counts), text_column,
+                           id_column, k),
+        batch_format="pyarrow")
 
 
 class _DropDupSpanStage:
@@ -1805,14 +1601,6 @@ class _DropDupSpanStage:
         self.text_column = text_column
         self.id_column = id_column
         self.k = k
-        self._d = None
-
-    def _dup_hashes(self) -> np.ndarray:
-        if self._d is None:
-            import ray
-            r = self.dup_ref
-            self._d = ray.get(r) if hasattr(r, "hex") else r
-        return self._d
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..stages.dedup import gram_hashes_batch
@@ -1824,12 +1612,7 @@ class _DropDupSpanStage:
                            dtype=np.int64, count=n)
         h, seg = gram_hashes_batch(texts, k)
         nw = np.diff(seg)
-        dup = self._dup_hashes()
-        if len(h) and len(dup):
-            pos = np.minimum(np.searchsorted(dup, h), len(dup) - 1)
-            is_dup = dup[pos] == h
-        else:
-            is_dup = np.zeros(len(h), dtype=bool)
+        is_dup = _in_sorted(self.dup_ref.get(), h)
         doc = np.repeat(np.arange(n, dtype=np.int64), nw)
         idxs = np.flatnonzero(is_dup)
         d = doc[idxs]
@@ -1871,19 +1654,12 @@ def drop_duplicate_spans(ds, text_column: str, id_column: str, *,
 
     Returns (id, text, n_chars_removed, n_chars_kept). Scale shape: the
     broadcast pattern of dup_span_stats — ONE coarse hash exchange for the
-    counts, dup hashes ray.put once (bounded by distinct duplicated
+    counts, dup hashes broadcast once (bounded by distinct duplicated
     windows), one streaming rebuild pass."""
-    import ray
-
-    from ..util import collect_table
-
     counts = _dup_window_hash_counts(ds, text_column, k, min_count)
-    dup_t = collect_table(counts)
-    dup = np.sort(np.asarray(dup_t["h"].to_numpy(zero_copy_only=False),
-                             dtype=np.uint64))
-    dup_ref = ray.put(dup)
     return ds.map_batches(
-        _DropDupSpanStage(dup_ref, text_column, id_column, k),
+        _DropDupSpanStage(_broadcast_dup_hashes(counts), text_column,
+                          id_column, k),
         batch_format="pyarrow")
 
 
@@ -1905,7 +1681,7 @@ def bigram_logprob(ds, text_column: str, id_column: str, *,
     token_frequencies combiner + ONE coarse exchange, results bounded by
     vocabulary not corpus size; pass min_count>1 at web scale to bound the
     bigram table — dropped tails score through the smoothing path), then
-    the broadcast pattern: (sorted hash, count) arrays ray.put ONCE, one
+    the broadcast pattern: (sorted hash, count) arrays broadcast ONCE, one
     streaming scoring pass — RE2 split, the SAME shifted-slice
     binary_join_element_wise bigram construction as token_frequencies(n=2)
     so both phases build identical grams, searchsorted lookups, per-doc
@@ -1914,8 +1690,6 @@ def bigram_logprob(ds, text_column: str, id_column: str, *,
     Returns (id, n_tokens, avg_logp); zero-token docs are dropped.
     avg_logp is rounded to 6 decimals (ln() is ulp-dependent across libm
     implementations; the engine's own determinism is unaffected)."""
-    import ray
-
     from ..stages.sketches import hash_arrow_array
     from ..util import collect_rows
 
@@ -1931,7 +1705,7 @@ def bigram_logprob(ds, text_column: str, id_column: str, *,
     uh, uc = _count_arrays(1)
     bh, bc = _count_arrays(2)
     total = float(uc.sum())
-    vocab_ref = ray.put((uh, uc, bh, bc))
+    vocab_ref = broadcast((uh, uc, bh, bc))
     T = total if total else 1.0
     a = float(alpha)
 
@@ -1942,7 +1716,7 @@ def bigram_logprob(ds, text_column: str, id_column: str, *,
         return np.where(sh[pos] == h, sc[pos], 0.0)
 
     def score(batch: pa.Table) -> pa.Table:
-        vuh, vuc, vbh, vbc = ray.get(vocab_ref)
+        vuh, vuc, vbh, vbc = vocab_ref.get()
         col = batch[text_column]
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         txt = pc.utf8_trim_whitespace(pc.cast(col, pa.string()))
@@ -2043,7 +1817,6 @@ def pmi_bigrams(ds, text_column: str, *, min_count: int = 5, top: int = 50,
     over exact ints, so DuckDB reproduces it bit-for-bit. Returns a
     DataFrame (gram, w1, w2, c_xy, c_x, c_y, pmi) by pmi desc, gram asc."""
     import pandas as pd
-    import ray
 
     from ..util import collect_table
 
@@ -2088,11 +1861,10 @@ def pmi_bigrams(ds, text_column: str, *, min_count: int = 5, top: int = 50,
     split = bdf["gram"].str.split(" ", n=1, expand=True)
     bdf["w1"], bdf["w2"] = split[0], split[1]
     needed = sorted(set(bdf["w1"]) | set(bdf["w2"]))
-    need_ref = ray.put(pa.array(needed, pa.string()))
+    need_ref = broadcast(pa.array(needed, pa.string()))
 
     def pick(t: pa.Table) -> pa.Table:
-        ns = ray.get(need_ref) if hasattr(need_ref, "hex") else need_ref
-        return t.filter(pc.is_in(t["gram"], value_set=ns))
+        return t.filter(pc.is_in(t["gram"], value_set=need_ref.get()))
 
     uni = collect_table(
         token_frequencies(ds, text_column, min_count=1, n=1,

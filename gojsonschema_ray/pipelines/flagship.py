@@ -56,7 +56,7 @@ import ray
 from ..schema.compile import CompiledSchema, compile_schema
 from ..sources.io import fragment_row_count, list_fragments, read_fragment
 from ..stages.audio import AudioInvariantChecker
-from ..stages.exchange import exchange_parts
+from ..stages.exchange import broadcast, exchange_parts
 from ..stages.sketches import SketchStage, merge_sketch_partials
 from ..stages.uniqueness import (
     KeyCountStage, stored_key_count_violations, uniqueness_violations,
@@ -171,8 +171,9 @@ def _fragment_pass(input_dir: str, fragment: str, columns: list[str],
     """run_flagship's pass over one fragment: one read, then violations
     (`checker`) and the KeyCountStage partial written as
     violations|keycounts/<part>/<j>.parquet, and the rows seen, violation
-    count and SketchStage partials returned."""
-    checker, keys, sketch = stages
+    count and SketchStage partials returned. `stages` is the broadcast
+    (checker, keys, sketch) triple, fetched once per task."""
+    checker, keys, sketch = stages.get()
     t = read_fragment(input_dir, fragment, columns, fragment_reader)
     viol = checker(t)
     name = f"{j:06d}.parquet"
@@ -213,7 +214,7 @@ def _run_pass(input_dir: str, out_dir: str,
     todo = [(pi, j, f) for pi, (_, frag) in enumerate(pending)
             for j, f in enumerate(frag)]
     recs = [[None] * len(frag) for _, frag in pending]
-    stages = ray.put(stages)
+    stages = broadcast(stages)
     window = 2 * exchange_parts()
     running: dict = {}  # task ref -> (partition index, fragment index)
     launched = committed = 0

@@ -27,7 +27,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import list_column_to_matrix
-from .exchange import exchange, exchange_parts, hash_part, shuffle_width
+from .exchange import (broadcast, exchange, exchange_parts, hash_part,
+                       shuffle_width)
 
 _LOG = logging.getLogger(__name__)
 
@@ -579,16 +580,14 @@ def _pair_texts(ds, pairs_ds, text_column: str, id_column: str):
 
     Returns a Dataset of (id_a, id_b, jid, text): two rows per surviving
     pair, one per side."""
-    import ray
-
     from .sketches import hash_arrow_array
 
     P = shuffle_width()
     n_pairs = pairs_ds.count()
-    bloom_ref = ray.put(_candidate_id_bloom(pairs_ds, n_pairs))
+    bloom_ref = broadcast(_candidate_id_bloom(pairs_ds, n_pairs))
 
     def text_rows(t: pa.Table) -> pa.Table:
-        bloom = ray.get(bloom_ref)
+        bloom = bloom_ref.get()
         ids = t[id_column]
         keep = np.nonzero(bloom.contains_hashes(hash_arrow_array(ids)))[0]
         idx = pa.array(keep, type=pa.int64())
@@ -980,15 +979,13 @@ def embedding_near_duplicates(ds, embedding_column: str, id_column: str,
         import ray.data as rd
 
         return rd.from_pandas(_empty_pairs())
-    # broadcast the hot-bucket key set via ray.put (same pattern as the
-    # MinHash Bloom): at duplicate-dense scale the hot set is exactly what
-    # grows, and a closure-captured Array would be re-pickled into every task
-    import ray
-
-    hot_ref = ray.put(hot)
+    # broadcast the hot-bucket key set (same pattern as the MinHash Bloom):
+    # at duplicate-dense scale the hot set is exactly what grows, and a
+    # closure-captured Array would be re-pickled into every task
+    hot_ref = broadcast(hot)
 
     def keep_hot(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["key"], value_set=ray.get(hot_ref)))
+        return t.filter(pc.is_in(t["key"], value_set=hot_ref.get()))
 
     bucketed = ds.map_batches(
         HyperplaneLSHStage(**kwargs, with_embedding=True),
@@ -1087,7 +1084,6 @@ def near_dup_clusters(pairs_ds, id_a: str = "id_a", id_b: str = "id_b", *,
     partitions; driver_cap guards the degenerate case with a logged
     overflow (raise it, or pre-collapse exact duplicates first — identical
     docs are the bulk of real dup mass and collapse in step 1)."""
-    import ray
     import ray.data as rd
 
     from ..util import collect_rows
@@ -1148,10 +1144,10 @@ def near_dup_clusters(pairs_ds, id_a: str = "id_a", id_b: str = "id_b", *,
         nodes, roots = _cc_labels(eu, ev)
         froot = {n: r for n, r in zip(nodes.tolist(), roots.tolist())
                  if n != r}
-    froot_ref = ray.put(froot)
+    froot_ref = broadcast(froot)
 
     def finalize(t: pa.Table) -> pa.Table:
-        f = ray.get(froot_ref)
+        f = froot_ref.get()
         keep = t.filter(pc.equal(t["kind"], 0))
         roots = keep["b"].to_pandas()
         if f:
@@ -1168,23 +1164,14 @@ def near_dup_clusters(pairs_ds, id_a: str = "id_a", id_b: str = "id_b", *,
 
 
 class _DropSetFilter:
-    """map_batches payload: anti-filter on a ray.put-broadcast id set."""
+    """map_batches payload: anti-filter on a broadcast id set."""
 
     def __init__(self, drop_ref, id_column: str):
         self.drop_ref = drop_ref
         self.id_column = id_column
-        self._d = None
-
-    def _drops(self):
-        if self._d is None:
-            import ray
-
-            h = self.drop_ref
-            self._d = ray.get(h) if hasattr(h, "hex") else h
-        return self._d
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        drops = self._drops()
+        drops = self.drop_ref.get()
         if drops is None or len(drops) == 0:
             return batch
         hit = pc.fill_null(
@@ -1205,8 +1192,6 @@ def keep_one_per_cluster(corpus, labels_ds, id_column: str):
     object store; for a pathological corpus that is mostly duplicates,
     hash-join the labels instead (stages/joins.hash_join_shuffle
     how="anti")."""
-    import ray
-
     from ..util import collect_table
 
     drops_t = collect_table(labels_ds.map_batches(
@@ -1214,8 +1199,7 @@ def keep_one_per_cluster(corpus, labels_ds, id_column: str):
             pc.not_equal(t["doc_id"], t["cluster_id"])),
         batch_format="pyarrow"))
     drop_arr = drops_t["doc_id"].combine_chunks() if drops_t.num_rows else None
-    ref = ray.put(drop_arr)
-    return corpus.map_batches(_DropSetFilter(ref, id_column),
+    return corpus.map_batches(_DropSetFilter(broadcast(drop_arr), id_column),
                               batch_format="pyarrow")
 
 
@@ -1461,9 +1445,7 @@ class _PrefixTokenStage:
         self.df_ref = df_ref
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import ray
-
-        dfh, dfc = ray.get(self.df_ref)
+        dfh, dfc = self.df_ref.get()
         h, seg = _doc_token_hashes(t[self.text_column])
         sizes = np.diff(seg)
         n = len(sizes)
@@ -1502,7 +1484,6 @@ def jaccard_token_join(ds, text_column: str, id_column: str, *,
     text fetch, per-pair exact set intersection. Empty-token docs emit no
     keys and never pair (document `length(tokens) > 0` in oracles).
     Returns (id_a, id_b, jaccard)."""
-    import ray
     import ray.data as rd
 
     from ..util import collect_rows
@@ -1533,7 +1514,7 @@ def jaccard_token_join(ds, text_column: str, id_column: str, *,
             f"jaccard_token_join: {len(dfh)} distinct tokens exceed "
             f"max_vocab={max_vocab}; shard the df table or raise the cap")
     order = np.argsort(dfh)
-    df_ref = ray.put((dfh[order], dfc[order]))
+    df_ref = broadcast((dfh[order], dfc[order]))
 
     sigs = ds.map_batches(
         _PrefixTokenStage(text_column, id_column, threshold, df_ref),

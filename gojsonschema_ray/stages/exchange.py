@@ -23,6 +23,17 @@ took 1.19 s at P=32 and 0.32 s at P=4. Callers with high-cardinality keys
 distinct bigrams ran faster at P=4 than at P=8, but the largest worker's
 peak RSS rose by about a third. Merging the two policies has not been
 measured.
+
+Small state that every task reads whole — a sorted hash set, a Bloom
+filter, a reference table, the flagship's compiled stages — ships by
+:func:`broadcast` instead: ONE ``ray.put`` on the driver, and a
+:class:`Broadcast` handle captured by the stage or closure. ``.get()``
+fetches the value at most once per deserialized handle, i.e. once per
+task (or per actor) that unpickles the stage, however many batches it
+then sees. The handle never pickles its cached value, so a handle already
+read on the driver still ships as a bare ref. There is deliberately no
+module-level cache keyed by ref: one would pin every broadcast object in
+long-lived workers for the life of the process.
 """
 
 from __future__ import annotations
@@ -78,3 +89,38 @@ def exchange(partials, reduce, P: int, *, by: str = "part",
     materialize after it is enough; blocks spill if needed."""
     return partials.repartition(P).materialize().groupby(by) \
         .map_groups(reduce, batch_format=batch_format)
+
+
+_UNSET = object()
+
+
+class Broadcast:
+    """Picklable handle of one :func:`broadcast` value: ``.get()`` fetches
+    it from the object store on first use and caches it on this copy of
+    the handle only."""
+
+    __slots__ = ("ref", "_value")
+
+    def __init__(self, ref):
+        self.ref = ref
+        self._value = _UNSET
+
+    def get(self):
+        if self._value is _UNSET:
+            import ray
+
+            self._value = ray.get(self.ref)
+        return self._value
+
+    def __reduce__(self):
+        # ship the ref only: a value cached on the driver never rides
+        # along inside every task's pickled stage
+        return Broadcast, (self.ref,)
+
+
+def broadcast(value) -> Broadcast:
+    """Put ``value`` in the object store ONCE and return its handle — the
+    engine's only ``ray.put``."""
+    import ray
+
+    return Broadcast(ray.put(value))

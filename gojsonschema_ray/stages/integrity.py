@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import exchange, hash_part, shuffle_width
+from .exchange import broadcast, exchange, hash_part, shuffle_width
 
 
 class BloomFilter:
@@ -97,31 +97,20 @@ def build_key_set(ref_ds, pk: str, approx_threshold: int = 5_000_000):
 
 class FKProbeStage:
     """map_batches payload: emit FK violation rows for keys absent from the
-    broadcast reference set. The set rides in the Ray object store via the
-    closure (ray.put happens once at pipeline build)."""
+    broadcast reference set (a pa.Array of keys, or a BloomFilter)."""
 
     def __init__(self, fk: str, ref_handle, kind: str, ref_name: str = "ref"):
         self.fk = fk
         self.kind = kind
-        self.ref_handle = ref_handle  # ObjectRef | raw set/bloom
+        self.ref_handle = ref_handle  # exchange.Broadcast
         self.ref_name = ref_name
-        self._resolved = None
-
-    def _ref(self):
-        if self._resolved is None:
-            import ray
-
-            h = self.ref_handle
-            self._resolved = ray.get(h) if hasattr(h, "hex") else h
-        return self._resolved
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ref = self._ref()
+        ref = self.ref_handle.get()
         col = batch[self.fk]
         present = pc.is_valid(col).to_numpy(zero_copy_only=False)
         if self.kind == "exact":
-            vs = pa.array(list(ref)) if not isinstance(ref, pa.Array) else ref
-            ok = pc.is_in(col, value_set=vs).to_numpy(zero_copy_only=False)
+            ok = pc.is_in(col, value_set=ref).to_numpy(zero_copy_only=False)
         else:
             ok = ref.contains_hashes(_hash_col(col))
         bad = present & ~np.asarray(ok, dtype=bool)
@@ -140,14 +129,12 @@ class FKProbeStage:
 
 def referential_violations(ds, fk: str, ref_ds, pk: str, ref_name: str = "ref"):
     """Anti-join ds.fk ∉ ref_ds.pk as a violations Dataset (broadcast probe)."""
-    import ray
-
     kind, payload = build_key_set(ref_ds, pk)
     if kind == "exact":
         payload = pa.array([k for k in payload])
-    handle = ray.put(payload)
-    return ds.map_batches(FKProbeStage(fk, handle, kind, ref_name),
-                          batch_format="pyarrow")
+    return ds.map_batches(
+        FKProbeStage(fk, broadcast(payload), kind, ref_name),
+        batch_format="pyarrow")
 
 
 def snapshot_diff(ds_a, ds_b, key_column: str, compare_columns: list):

@@ -35,7 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_table
-from .exchange import exchange, hash_part, shuffle_width
+from .exchange import broadcast, exchange, hash_part, shuffle_width
 from .sketches import hash_arrow_array
 
 _LOG = logging.getLogger(__name__)
@@ -57,20 +57,11 @@ class _AsofProbe:
         self.by = by
         self.value_columns = value_columns
         self.tolerance_us = tolerance_us
-        self._r = None
-
-    def _right(self):
-        if self._r is None:
-            import ray
-
-            h = self.right_ref
-            self._r = ray.get(h) if hasattr(h, "hex") else h
-        return self._r
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pandas as pd
 
-        right = self._right()  # {key: (ts_sorted, {col: values})}
+        right = self.right_ref.get()  # {key: (ts_sorted, {col: values})}
         ts = _ts_us(batch[self.left_on])
         n = batch.num_rows
         out_vals = {c: np.full(n, np.nan) for c in self.value_columns}
@@ -115,18 +106,9 @@ class _RangeProbe:
         self.ref = ref
         self.on = on
         self.label_column = label_column
-        self._r = None
-
-    def _right(self):
-        if self._r is None:
-            import ray
-
-            h = self.ref
-            self._r = ray.get(h) if hasattr(h, "hex") else h
-        return self._r
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lows, highs, labels = self._right()
+        lows, highs, labels = self.ref.get()
         arr = batch[self.on]
         v = (arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr) \
             .to_numpy(zero_copy_only=False).astype(np.float64)
@@ -144,14 +126,12 @@ def range_join_broadcast(left, right, *, on: str, lo: str, hi: str,
     """Label each left row with the id of the right interval [lo, hi)
     containing `on` (-1 when uncovered). Intervals must be non-overlapping;
     the right side is small and broadcast (dimension-table shape)."""
-    import ray
-
     rt = collect_table(right)
     lows = rt[lo].to_numpy(zero_copy_only=False).astype(np.float64)
     highs = rt[hi].to_numpy(zero_copy_only=False).astype(np.float64)
     labels = rt[label].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(lows, kind="stable")
-    ref = ray.put((lows[order], highs[order], labels[order]))
+    ref = broadcast((lows[order], highs[order], labels[order]))
     return left.map_batches(_RangeProbe(ref, on, label_column),
                             batch_format="pyarrow")
 
@@ -165,10 +145,8 @@ def asof_join_broadcast(left, right, *, left_on: str, right_on: str,
     key when given), plus an `asof_matched` flag.
 
     Right side: collected once on the driver, per-key sorted numpy arrays,
-    broadcast via ray.put. Value columns must be numeric — they are coerced
+    broadcast once. Value columns must be numeric — they are coerced
     to float64 (NaN = unmatched; see module docstring)."""
-    import ray
-
     rt = collect_table(right)
     r_ts = _ts_us(rt[right_on])
     keys = rt[by].to_pylist() if by is not None else [None] * rt.num_rows
@@ -184,7 +162,7 @@ def asof_join_broadcast(left, right, *, left_on: str, right_on: str,
     final = {k: (np.asarray(tss, dtype=np.int64),
                  {c: np.asarray(v) for c, v in cv.items()})
              for k, (tss, cv) in packed.items()}
-    ref = ray.put(final)
+    ref = broadcast(final)
     tol = int(tolerance_s * 1_000_000) if tolerance_s is not None else None
     return left.map_batches(
         _AsofProbe(ref, left_on, by, value_columns, tol),
@@ -223,8 +201,6 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
     down if a single cell is hot. Value columns are coerced to float64
     (see module docstring). Returns `left_keep` + `r_<col>` + `asof_matched`.
     """
-    import ray
-
     W = int(bucket_s * 1_000_000)
     P = shuffle_width()
     tol = int(tolerance_s * 1_000_000) if tolerance_s is not None else None
@@ -271,7 +247,7 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
     tails_final = {k: (np.asarray(tss, dtype=np.int64),
                        {c: np.asarray(v) for c, v in cv.items()})
                    for k, (tss, cv) in tails.items()}
-    tails_ref = ray.put(tails_final)
+    tails_ref = broadcast(tails_final)
 
     # ---- pass 2: union co-partition on hash(key, bucket) -----------------
     base = left.schema().base_schema
@@ -313,7 +289,7 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
         return pa.table(cols)
 
     def per_part(t: pa.Table) -> pa.Table:
-        tails_bc = ray.get(tails_ref) if hasattr(tails_ref, "hex") else tails_ref
+        tails_bc = tails_ref.get()
         import pandas as pd
 
         kind = t["kind"].to_numpy(zero_copy_only=False)
@@ -398,20 +374,12 @@ class _BroadcastJoinProbe:
         self.right_ref = right_ref
         self.on = on
         self.how = how
-        self._r = None
-
-    def _right(self):
-        if self._r is None:
-            import ray
-
-            h = self.right_ref
-            self._r = ray.get(h) if hasattr(h, "hex") else h
-        return self._r
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pandas as pd
 
-        r_keys, r_tbl = self._right()  # key frame (on, __ri) / value columns
+        # key frame (on, __ri) / value columns
+        r_keys, r_tbl = self.right_ref.get()
         kdf = pd.DataFrame({self.on: batch[self.on].to_pandas(),
                             "__li": np.arange(batch.num_rows, dtype=np.int64)})
         ok = kdf[self.on].notna()
@@ -441,8 +409,6 @@ def hash_join_broadcast(left, right, *, on: str, how: str = "inner",
     Partitioning assumption (documented): the right side fits in the object
     store — dimension tables (region/nation/customer), lookups, vocab maps.
     Use `hash_join_shuffle` when both sides are fact-table sized."""
-    import ray
-
     if how not in ("inner", "left"):
         raise ValueError(f"hash_join_broadcast: how={how!r}")
     rt = collect_table(right)
@@ -455,7 +421,7 @@ def hash_join_broadcast(left, right, *, on: str, how: str = "inner",
         [f"{c}_r" if c in l_names else c for c in val_names])
     r_keys = rt.select([on]).to_pandas()
     r_keys["__ri"] = np.arange(rt.num_rows, dtype=np.int64)
-    ref = ray.put((r_keys, r_tbl))
+    ref = broadcast((r_keys, r_tbl))
     return left.map_batches(_BroadcastJoinProbe(ref, on, how),
                             batch_format="pyarrow")
 

@@ -37,7 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_table
-from .exchange import exchange, shuffle_width
+from .exchange import broadcast, exchange, shuffle_width
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 
@@ -67,8 +67,6 @@ def running_offsets(ds, *, order_column: str, weight_column: str,
     the distributed scan behind pack_sequences (two passes, one exchange;
     see module docstring). Returns a Dataset of `keep_columns` +
     (order, weight, offset) rows."""
-    import ray
-
     P = shuffle_width()
     keep = keep_columns or []
     reserved = {"part", "_w", "_b", "offset", "weight"} \
@@ -95,7 +93,7 @@ def running_offsets(ds, *, order_column: str, weight_column: str,
     starts_arr = np.concatenate([[0], np.cumsum(totals)[:-1]]) \
         if len(totals) else np.zeros(0, np.int64)
     starts = {int(b): int(s) for b, s in zip(pdf.index, starts_arr)}
-    starts_ref = ray.put(starts)
+    starts_ref = broadcast(starts)
 
     # ---- pass 2: co-partition whole buckets, local sort + cumsum --------
     def add_part(t: pa.Table) -> pa.Table:
@@ -110,8 +108,7 @@ def running_offsets(ds, *, order_column: str, weight_column: str,
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        bstarts = ray.get(starts_ref) if hasattr(starts_ref, "hex") \
-            else starts_ref
+        bstarts = starts_ref.get()
         outs = []
         for b, g in df.groupby("_b", sort=False):
             g = g.sort_values(order_column, kind="stable")

@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_rows, list_column_to_matrix
+from .exchange import broadcast
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -26,25 +27,16 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 class BruteForceTopKStage:
     """map_batches payload (task-pool instance): per-batch cosine top-k
-    against the ray.put-broadcast query matrix."""
+    against the broadcast query matrix."""
 
     def __init__(self, embedding_column: str, id_column: str, queries_ref, k: int):
         self.embedding_column = embedding_column
         self.id_column = id_column
         self.queries_ref = queries_ref
         self.k = k
-        self._q = None
-
-    def _queries(self) -> np.ndarray:
-        if self._q is None:
-            import ray
-
-            q = self.queries_ref
-            self._q = ray.get(q) if hasattr(q, "hex") else q
-        return self._q
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        q = self._queries()  # (nq, d) already normalized
+        q = self.queries_ref.get()  # (nq, d) already normalized
         if batch.num_rows == 0:  # filtered-out IVF block: keep the schema
             return pa.table({
                 "query": pa.array([], pa.int32()),
@@ -73,10 +65,8 @@ def ann_brute_force(ds, embedding_column: str, id_column: str,
                     concurrency: int = 4) -> pd.DataFrame:
     """Exact cosine top-k for each query row; returns a pandas DataFrame
     (query, id, cosine) sorted by (query, -cosine)."""
-    import ray
-
     qn = _normalize(np.asarray(queries, dtype=np.float64))
-    ref = ray.put(qn)  # broadcast ONCE; each task ray.get()s the same object
+    ref = broadcast(qn)  # ONCE; each task reads the same object
     # task-pool instance: the read fuses into the scan and all CPUs share it
     # (`concurrency` kept for API compatibility; Ray sizes the task pool)
     del concurrency
@@ -121,22 +111,13 @@ class _DecontaminateStage:
         self.embedding_column = embedding_column
         self.threshold = threshold
         self.mode = mode
-        self._r = None
-
-    def _reference(self) -> np.ndarray:
-        if self._r is None:
-            import ray
-
-            r = self.ref
-            self._r = ray.get(r) if hasattr(r, "hex") else r
-        return self._r
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch if self.mode == "keep" \
                 else batch.append_column("top_cos",
                                          pa.array([], pa.float64()))
-        R = self._reference()  # (r, d) normalized
+        R = self.ref.get()  # (r, d) normalized
         emb = _normalize(list_column_to_matrix(batch[self.embedding_column]))
         top = (emb @ R.T).max(axis=1)
         hit = top >= self.threshold
@@ -162,8 +143,6 @@ def decontaminate_cosine(corpus, reference, *, embedding_column: str = "embeddin
     path). `mode="keep"` returns the clean corpus; `mode="removed"`
     returns the contaminated rows with their best reference cosine
     (`top_cos`) for audit."""
-    import ray
-
     if mode not in ("keep", "removed"):
         raise ValueError(f"decontaminate_cosine: mode={mode!r}")
     if isinstance(reference, np.ndarray):
@@ -171,7 +150,7 @@ def decontaminate_cosine(corpus, reference, *, embedding_column: str = "embeddin
     else:
         rt = reference.to_pandas()
         R = np.stack(rt[embedding_column].to_numpy()).astype(np.float64)
-    ref = ray.put(_normalize(R))
+    ref = broadcast(_normalize(R))
     return corpus.map_batches(
         _DecontaminateStage(ref, embedding_column, threshold, mode),
         batch_format="pyarrow")
@@ -192,20 +171,11 @@ class _NgramDecontaminateStage:
         self.id_column = id_column
         self.k = k
         self.mode = mode
-        self._r = None
-
-    def _ref_hashes(self) -> np.ndarray:
-        if self._r is None:
-            import ray
-
-            r = self.ref
-            self._r = ray.get(r) if hasattr(r, "hex") else r
-        return self._r
 
     def _hit_counts(self, texts: list) -> np.ndarray:
         from .dedup import gram_hashes_batch
 
-        ref = self._ref_hashes()  # sorted unique uint64 (np.unique output)
+        ref = self.ref.get()  # sorted unique uint64 (np.unique output)
         hits = np.zeros(len(texts), dtype=np.int64)
         h, seg = gram_hashes_batch(texts, self.k)
         if len(h) == 0 or len(ref) == 0:
@@ -257,8 +227,6 @@ def decontaminate_ngrams(corpus, reference, *, text_column: str = "text",
     negligible (and re-verifiable by substring search on the removed set)."""
     from .dedup import shingles
 
-    import ray
-
     if mode not in ("keep", "removed"):
         raise ValueError(f"decontaminate_ngrams: mode={mode!r}")
     if isinstance(reference, (list, tuple)):
@@ -269,7 +237,7 @@ def decontaminate_ngrams(corpus, reference, *, text_column: str = "text",
     parts = [shingles(t, k) for t in texts if t]
     ref_hashes = np.unique(np.concatenate(parts)) if parts \
         else np.zeros(0, np.uint64)
-    ref = ray.put(ref_hashes)
+    ref = broadcast(ref_hashes)
     return corpus.map_batches(
         _NgramDecontaminateStage(ref, text_column, id_column, k, mode),
         batch_format="pyarrow")
@@ -538,17 +506,9 @@ class _QuantizedBruteForceStage:
         self.id_column = id_column
         self.queries_ref = queries_ref
         self.k = k
-        self._q = None
-
-    def _queries(self) -> np.ndarray:
-        if self._q is None:
-            import ray
-            r = self.queries_ref
-            self._q = ray.get(r) if hasattr(r, "hex") else r
-        return self._q
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qn = self._queries()  # (Q, d) float64, L2-normalized
+        qn = self.queries_ref.get()  # (Q, d) float64, L2-normalized
         m = list_column_to_matrix(batch[self.embedding_column]) \
             .astype(np.float64)
         scale = np.abs(m).max(axis=1) / 127.0
@@ -576,10 +536,8 @@ def ann_brute_force_quantized(ds, embedding_column: str, id_column: str,
     would store; this operator shows the engine's accuracy/throughput
     at that representation). Same merge contract as `ann_brute_force`:
     per-batch local top-k partials, one vectorized driver merge."""
-    import ray
-
     qn = _normalize(np.asarray(queries, dtype=np.float64))
-    ref = ray.put(qn)
+    ref = broadcast(qn)
     partials = ds.map_batches(
         _QuantizedBruteForceStage(embedding_column, id_column, ref, k),
         batch_format="pyarrow")
@@ -598,12 +556,10 @@ class KMeansModel:
                      out_column: str = "cluster"):
         """map_batches payload appending the nearest-centroid id (the
         broadcast-centroids E-step as a streaming tagger)."""
-        import ray
-
-        ref = ray.put(self.centroids)
+        ref = broadcast(self.centroids)
 
         def assign(batch: pa.Table) -> pa.Table:
-            c = ray.get(ref)
+            c = ref.get()
             x = list_column_to_matrix(batch[embedding_column])
             d2 = ((x * x).sum(1)[:, None] - 2.0 * (x @ c.T)
                   + (c * c).sum(1)[None, :])
@@ -619,7 +575,7 @@ def kmeans_fit(make_ds, embedding_column: str, k: int = 8,
     """Full-corpus distributed Lloyd k-means — the iterative complement of
     IVFIndex.train (which fits on a driver-side random sample): every
     iteration streams the WHOLE corpus once through a fused E+M pass —
-    each batch assigns its rows to the ray.put-broadcast centroids and
+    each batch assigns its rows to the broadcast centroids and
     emits per-cluster (count, sum-vector, sse) partials; the driver folds
     the k×dim partials into new centroids. Euclidean objective; inertia
     (within-cluster SSE) is non-increasing per Lloyd's guarantee and is
@@ -631,8 +587,6 @@ def kmeans_fit(make_ds, embedding_column: str, k: int = 8,
     only k×(dim+2) partials per block reach the driver). Init: seeded
     uniform random-sample rows (positionally unbiased, as IVFIndex.train)
     unless `init_centroids` is given."""
-    import ray
-
     ds0 = make_ds() if callable(make_ds) else make_ds
     if not callable(make_ds):
         make_ds = lambda _d=ds0: _d  # noqa: E731 — re-executed lazily
@@ -656,10 +610,10 @@ def kmeans_fit(make_ds, embedding_column: str, k: int = 8,
     dim = cent.shape[1]
     history: list = []
     for _ in range(iters):
-        ref = ray.put(cent)
+        ref = broadcast(cent)
 
         def partial(batch: pa.Table, _ref=ref) -> pa.Table:
-            c = ray.get(_ref)
+            c = _ref.get()
             x = list_column_to_matrix(batch[embedding_column])
             if x.shape[0] == 0:
                 return pa.table({"cid": pa.array([], pa.int32()),
@@ -751,7 +705,7 @@ def pca_project(ds, embedding_column: str, id_column: str, k: int, *,
     """PCA dimensionality reduction as a two-phase distributed op: FIT from
     the one-pass moment partials (embedding_covariance → driver eigh of
     the d×d matrix — d is small, the corpus is not), then PROJECT the
-    corpus per batch against the ray.put-broadcast (mean, components)
+    corpus per batch against the broadcast (mean, components)
     pair. The 4×-and-more compression stage ahead of ANN/dedup at scale;
     composes with quantize_embeddings for the int8 path.
 
@@ -761,8 +715,6 @@ def pca_project(ds, embedding_column: str, id_column: str, k: int, *,
     variance the k components carry, constant per row for audit SQL).
     Oracle note: eigendecomposition is not SQL-expressible — verify via
     numpy parity tests and the variance-fraction audit column."""
-    import ray
-
     n, mean, cov = embedding_covariance(ds, embedding_column)
     d = cov.shape[0]
     if not 1 <= k <= d:
@@ -774,12 +726,12 @@ def pca_project(ds, embedding_column: str, id_column: str, k: int, *,
                          np.arange(k)])
     comps = comps * flip
     explained = float(w[order].sum() / w.sum()) if w.sum() > 0 else 0.0
-    ref = ray.put((mean, comps))
+    ref = broadcast((mean, comps))
 
     def project(t: pa.Table) -> pa.Table:
         from ..util import list_column_to_matrix
 
-        m, c = ray.get(ref)
+        m, c = ref.get()
         X = list_column_to_matrix(t[embedding_column])
         Y = (X - m) @ c
         return pa.table({
@@ -834,18 +786,16 @@ def cmvn_apply(ds, embedding_column: str, id_column: str, *,
     pipeline streams twice, stats pass then apply pass, never
     materializing the corpus) then normalize each vector to
     (x − mean) / max(std, eps) per dimension against the
-    ray.put-broadcast stats. Zero-variance dimensions pass through as
+    broadcast stats. Zero-variance dimensions pass through as
     0 (the eps floor), matching the standard recipe. Returns
     (id, out_column list<float64>)."""
-    import ray
-
     _, mean, std = cmvn_stats(ds, embedding_column)
-    ref = ray.put((mean, np.maximum(std, eps)))
+    ref = broadcast((mean, np.maximum(std, eps)))
 
     def norm(t: pa.Table) -> pa.Table:
         from ..util import list_column_to_matrix
 
-        m, sd = ray.get(ref)
+        m, sd = ref.get()
         X = list_column_to_matrix(t[embedding_column])
         Y = (X - m) / sd
         return pa.table({

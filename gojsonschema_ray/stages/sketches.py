@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_rows, collect_table
-from .exchange import exchange, hash_part, shuffle_width
+from .exchange import broadcast, exchange, hash_part, shuffle_width
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ def heavy_hitters(ds, column: str, min_count: int,
        CMS never underestimates, so est >= min_count admits every true
        heavy hitter;
     2. recount pass: each batch counts its values, keeps only those the
-       broadcast merged CMS (ray.put once) estimates at >= min_count, and
+       broadcast merged CMS (once) estimates at >= min_count, and
        emits exact partial counts; the driver sums them and applies the
        final exact threshold, dropping CMS false positives.
 
@@ -446,7 +446,6 @@ def heavy_hitters(ds, column: str, min_count: int,
     collisions, tunable via width). Returns a pandas DataFrame (column, n),
     n exact."""
     import pandas as pd
-    import ray
 
     def cms_partial(t: pa.Table) -> pa.Table:
         cms = CountMinSketch(width, depth)
@@ -463,10 +462,10 @@ def heavy_hitters(ds, column: str, min_count: int,
     if merged is None:
         return pd.DataFrame({column: pd.Series([], dtype="object"),
                              "n": pd.Series([], dtype="int64")})
-    cms_ref = ray.put(merged)
+    cms_ref = broadcast(merged)
 
     def recount(t: pa.Table) -> pa.Table:
-        cms = ray.get(cms_ref)
+        cms = cms_ref.get()
         g = t.select([column]).group_by(column) \
             .aggregate([(column, "count")]) \
             .rename_columns([column, "cnt"])
@@ -524,7 +523,7 @@ def normalize_by_group(ds, key_column: str, value_column: str,
     (key, n, mean, M2) partial row per (batch, group) — merged driver-side
     with the Chan et al. parallel-variance combine (numerically stable,
     order-independent up to fp rounding). The merged (key → mean, std) map
-    broadcasts once via ray.put; pass 2 is a streaming vectorized transform.
+    broadcasts once; pass 2 is a streaming vectorized transform.
     Documented assumption: the GROUP set is broadcast-small (the dim-table
     regime — same as hash_join_broadcast's build side); per-group row counts
     are unbounded.
@@ -534,7 +533,6 @@ def normalize_by_group(ds, key_column: str, value_column: str,
     null z (NaN keys can't round-trip a broadcast dict — callers needing
     SQL's PARTITION-BY-NULL grouping should pre-fill the key)."""
     import pandas as pd
-    import ray
 
     from ..util import collect_rows
 
@@ -569,10 +567,10 @@ def normalize_by_group(ds, key_column: str, value_column: str,
             stds[k] = s if s > 0.0 else None
         else:
             stds[k] = None
-    ref = ray.put((means, stds))
+    ref = broadcast((means, stds))
 
     def transform(df: pd.DataFrame) -> pd.DataFrame:
-        mean_map, std_map = ray.get(ref)
+        mean_map, std_map = ref.get()
         mu = df[key_column].map(mean_map)
         sd = df[key_column].map(std_map)
         out = df[[key_column, *keep_columns]].copy()
@@ -642,7 +640,6 @@ def _sample_sort(ds, value_column: str, id_column: str, finish):
     Values keep NaN and ±inf (NaN sorts last). Passes 1-2 move
     O(#blocks × width) rows; pass 3 moves each (id, v) pair once."""
     import pandas as pd
-    import ray
 
     P = shuffle_width()
 
@@ -651,10 +648,10 @@ def _sample_sort(ds, value_column: str, id_column: str, finish):
             zero_copy_only=False), dtype=np.float64)
 
     [bounds] = _sample_cuts(ds, lambda t: [values(t)], 1, P, _RANK_SAMPLE)
-    bref = ray.put(bounds)
+    bref = broadcast(bounds)
 
     def bucket_of(v: np.ndarray) -> np.ndarray:
-        return np.searchsorted(ray.get(bref), v, side="right") \
+        return np.searchsorted(bref.get(), v, side="right") \
             .astype(np.int32)
 
     def counts(t: pa.Table) -> pa.Table:
@@ -665,7 +662,7 @@ def _sample_sort(ds, value_column: str, id_column: str, finish):
     totals = np.bincount(b.astype(np.int64), weights=c,
                          minlength=len(bounds) + 1).astype(np.int64)
     n_total = int(totals.sum())
-    oref = ray.put(np.concatenate([[0], np.cumsum(totals)[:-1]]))
+    oref = broadcast(np.concatenate([[0], np.cumsum(totals)[:-1]]))
 
     def project(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[value_column]))
@@ -674,7 +671,7 @@ def _sample_sort(ds, value_column: str, id_column: str, finish):
                          "part": bucket_of(v)})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(oref)
+        offs = oref.get()
         return pd.concat([pd.DataFrame(finish(
             g["v"].to_numpy(), g[id_column].to_numpy(), int(offs[int(b)]),
             n_total)) for b, g in (list(df.groupby("part", sort=False))
@@ -964,7 +961,6 @@ def percentile_normalize(ds, value_column: str, *,
 
     `ds` is consumed twice (sketch + score) — pass a re-readable pipeline
     or a materialized Dataset. Returns (ds columns + out_column)."""
-    import ray
 
     def partial(t: pa.Table) -> pa.Table:
         d = TDigest(compression)
@@ -977,10 +973,10 @@ def percentile_normalize(ds, value_column: str, *,
     merged = TDigest(compression)
     for r in collect_rows(ds.map_batches(partial, batch_format="pyarrow")):
         merged.merge(TDigest.from_bytes(r["d"]))
-    ref = ray.put(merged.to_bytes())
+    ref = broadcast(merged.to_bytes())
 
     def score(t: pa.Table) -> pa.Table:
-        d = TDigest.from_bytes(ray.get(ref))
+        d = TDigest.from_bytes(ref.get())
         v = np.asarray(t[value_column].to_numpy(zero_copy_only=False),
                        dtype=np.float64)
         out = np.full(len(v), np.nan)
@@ -1642,7 +1638,6 @@ def moments_by_group(ds, key_column: str, value_column: str):
     shape stats. Returns a driver-side pandas DataFrame
     (key, n, mean, skew, kurt) sorted by key."""
     import pandas as pd
-    import ray
 
     def pass1(df: pd.DataFrame) -> pd.DataFrame:
         g = df.dropna(subset=[key_column, value_column]) \
@@ -1656,10 +1651,10 @@ def moments_by_group(ds, key_column: str, value_column: str):
         n0, s0 = sums.get(k, (0, 0.0))
         sums[k] = (n0 + int(r["n"]), s0 + float(r["s"]))
     means = {k: s / n for k, (n, s) in sums.items() if n > 0}
-    ref = ray.put(means)
+    ref = broadcast(means)
 
     def pass2(df: pd.DataFrame) -> pd.DataFrame:
-        mu = ray.get(ref)
+        mu = ref.get()
         df = df.dropna(subset=[key_column, value_column])
         df = df[df[key_column].isin(mu)]
         c = df[value_column].to_numpy(dtype=np.float64) \

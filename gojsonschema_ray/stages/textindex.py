@@ -42,7 +42,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import exchange, hash_part, shuffle_width
+from .exchange import broadcast, exchange, hash_part, shuffle_width
 
 _LOG = logging.getLogger(__name__)
 
@@ -232,10 +232,10 @@ class InvertedTextIndex:
                       parts["df"].to_numpy(zero_copy_only=False))
         idf = np.log((n_docs - df_vec + 0.5) / (df_vec + 0.5) + 1.0)
         k1, b = self.k1, self.b
-        state = ray.put((idf, avgdl))
+        state = broadcast((idf, avgdl))
 
         def contrib(t: pa.Table) -> pa.Table:
-            idf_v, adl = ray.get(state) if hasattr(state, "hex") else state
+            idf_v, adl = state.get()
             tf = t["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
             dl = t["dl"].to_numpy(zero_copy_only=False).astype(np.float64)
             ti = np.searchsorted(q_np, np.asarray(

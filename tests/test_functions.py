@@ -1183,8 +1183,9 @@ def test_dup_line_stats_matches_scalar(ray_session):
     assert got == want
 
 
-def test_dup_line_stats_shuffle_equals_broadcast(ray_session):
-    """The no-broadcast-assumption shuffle path returns identical rows."""
+def test_dup_line_stats_seeded_matches_scalar(ray_session):
+    """On a seeded 200-doc corpus of heavily shared lines, the rows equal
+    the scalar reference at two min_count thresholds."""
     import ray.data as rd
 
     from gojsonschema_ray.functions.text import dup_line_stats
@@ -1195,17 +1196,13 @@ def test_dup_line_stats_shuffle_equals_broadcast(ray_session):
     texts = ["\n".join(rng.choice(lines, size=rng.integers(1, 12)))
              for _ in range(200)]
     t = pa.table({"doc_id": list(range(len(texts))), "text": texts})
-    key = lambda r: r["doc_id"]
     for mc in (2, 5):
-        a = sorted(collect_rows(dup_line_stats(
-            rd.from_arrow(t), "text", "doc_id", min_count=mc,
-            strategy="broadcast")), key=key)
-        b = sorted(collect_rows(dup_line_stats(
-            rd.from_arrow(t), "text", "doc_id", min_count=mc,
-            strategy="shuffle")), key=key)
-        assert a == b
-    with pytest.raises(ValueError, match="strategy"):
-        dup_line_stats(rd.from_arrow(t), "text", "doc_id", strategy="bogus")
+        rows = collect_rows(dup_line_stats(
+            rd.from_arrow(t), "text", "doc_id", min_count=mc))
+        got = {r["doc_id"]: (r["n_lines"], r["n_dup_lines"],
+                             r["dup_line_frac"], r["dup_char_frac"])
+               for r in rows}
+        assert got == _dup_line_expected(texts, "\n", mc)
 
 
 def test_drop_duplicate_lines(ray_session):
@@ -1342,8 +1339,9 @@ def test_dup_span_stats_matches_scalar(ray_session):
     assert got == want
 
 
-def test_dup_span_stats_shuffle_equals_broadcast(ray_session):
-    """The no-broadcast-assumption shuffle path returns identical rows."""
+def test_dup_span_stats_seeded_matches_scalar(ray_session):
+    """On a seeded 150-doc corpus built from 12 shared fragments, the rows
+    equal the scalar reference at two min_count thresholds."""
     import ray.data as rd
 
     from gojsonschema_ray.functions.text import dup_span_stats
@@ -1356,17 +1354,14 @@ def test_dup_span_stats_shuffle_equals_broadcast(ray_session):
         n = rng.integers(1, 5)
         texts.append(" ".join(rng.choice(frags, size=n)))
     t = pa.table({"doc_id": list(range(len(texts))), "text": texts})
-    key = lambda r: r["doc_id"]
     for mc in (2, 4):
-        a = sorted(collect_rows(dup_span_stats(
-            rd.from_arrow(t), "text", "doc_id", k=15, min_count=mc,
-            strategy="broadcast")), key=key)
-        b = sorted(collect_rows(dup_span_stats(
-            rd.from_arrow(t), "text", "doc_id", k=15, min_count=mc,
-            strategy="shuffle")), key=key)
-        assert a == b
-    with pytest.raises(ValueError, match="strategy"):
-        dup_span_stats(rd.from_arrow(t), "text", "doc_id", strategy="bogus")
+        rows = collect_rows(dup_span_stats(
+            rd.from_arrow(t), "text", "doc_id", k=15, min_count=mc))
+        got = {r["doc_id"]: (r["n_windows"], r["n_dup_windows"],
+                             r["dup_window_frac"], r["covered_chars"],
+                             r["covered_frac"])
+               for r in rows}
+        assert got == _dup_span_expected(texts, 15, mc)
 
 
 def test_drop_duplicate_spans(ray_session):

@@ -613,11 +613,12 @@ def test_hash_part_matches_partition_hash():
 
 
 def test_exchange_idiom_lives_in_one_module():
-    """The coarse hash exchange (map_groups over tagged partials) and its
-    width helpers exist only in stages/exchange.py; the sample-sort
-    cut-point idiom (thin each batch to evenly spaced order statistics,
-    then take the distinct quantiles) only in sketches' `_thin` and
-    `_cut_points`."""
+    """The coarse hash exchange (map_groups over tagged partials), its
+    width helpers and the object-store broadcast (`ray.put`) exist only in
+    stages/exchange.py, and no hand-rolled `ray.get(h) if hasattr(h,
+    "hex") else h` resolver remains anywhere; the sample-sort cut-point
+    idiom (thin each batch to evenly spaced order statistics, then take
+    the distinct quantiles) only in sketches' `_thin` and `_cut_points`."""
     import inspect
     import pathlib
 
@@ -629,13 +630,52 @@ def test_exchange_idiom_lives_in_one_module():
     exchange_py = root / "gojsonschema_ray" / "stages" / "exchange.py"
     offenders = [f"{f.relative_to(root)}: {needle}"
                  for f in files if f != exchange_py
-                 for needle in (".map_groups(", "_next_pow2", "_shuffle_parts")
+                 for needle in (".map_groups(", "_next_pow2", "_shuffle_parts",
+                                "ray.put(")
                  if needle in f.read_text()]
+    offenders += [f"{f.relative_to(root)}: hex" for f in files
+                  if '"hex")' in f.read_text()]
     assert offenders == []
     for helper, needle in ((_thin, "np.linspace(0, len("),
                            (_cut_points, "np.linspace(0, 1, ")):
         assert sum(f.read_text().count(needle) for f in files) == 1, needle
         assert needle in inspect.getsource(helper)
+
+
+def test_broadcast_handle(ray_session):
+    """`exchange.broadcast`: a handle read on the driver still pickles as a
+    bare ref (the cached value never rides along), `.get()` returns the
+    value inside a plain task and inside a map_batches UDF, and a None
+    value and an empty array round-trip."""
+    import pickle
+
+    import ray
+    import ray.data as rd
+
+    from gojsonschema_ray.stages.exchange import broadcast
+
+    big = np.arange(1 << 17, dtype=np.int64)  # 1 MiB
+    h = broadcast(big)
+    assert np.array_equal(h.get(), big)
+    assert len(pickle.dumps(h)) < 1024
+
+    @ray.remote
+    def total(handle):
+        return int(handle.get().sum())
+
+    assert ray.get(total.remote(h)) == int(big.sum())
+
+    def tag(t: pa.Table) -> pa.Table:
+        v = h.get()
+        return t.append_column("v", pa.array(v[t["id"].to_numpy()]))
+
+    rows = rd.range(64).map_batches(tag, batch_format="pyarrow").take_all()
+    assert sorted(r["v"] for r in rows) == list(range(64))
+
+    assert broadcast(None).get() is None
+    empty = broadcast(np.zeros(0, np.uint64))
+    assert ray.get(total.remote(empty)) == 0
+    assert pickle.loads(pickle.dumps(empty)).get().dtype == np.uint64
 
 
 def test_jsonl_source_validation(ray_session, tmp_path):
