@@ -1324,13 +1324,9 @@ def q_events_asof_bucketed(sf_dir: str) -> pd.DataFrame:
     per distinct ts via the coarse-partition pattern) is the right side —
     larger than the 100-row left — so the time-bucketed co-partition path
     runs instead of a broadcast (stages/joins.py asof_join_bucketed)."""
-    from gojsonschema_ray.stages.exchange import (
-        exchange, hash_part, shuffle_width,
-    )
+    from gojsonschema_ray.stages.exchange import exchange
     from gojsonschema_ray.stages.joins import asof_join_bucketed
     from gojsonschema_ray.util import collect_rows
-
-    P = shuffle_width()
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "value"])
     left = ds.map_batches(
@@ -1338,15 +1334,14 @@ def q_events_asof_bucketed(sf_dir: str) -> pd.DataFrame:
         batch_format="pyarrow")
 
     def partial(t: pa.Table) -> pa.Table:
-        g = t.select(["ts", "value"]).group_by("ts") \
+        return t.select(["ts", "value"]).group_by("ts") \
             .aggregate([("value", "max")]).rename_columns(["ts", "qv"])
-        return g.append_column("part", hash_part(g["ts"], P))
 
     def reduce_part(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("ts", as_index=False)["qv"].max()
 
     right = exchange(ds.map_batches(partial, batch_format="pyarrow"),
-                     reduce_part, P)
+                     reduce_part, "ts")
     out = asof_join_bucketed(left, right, left_on="ts", right_on="ts",
                              value_columns=["qv"], left_keep=["event_id"],
                              bucket_s=86400.0)
@@ -1362,13 +1357,9 @@ def q_events_asof_by_user(sf_dir: str) -> pd.DataFrame:
     co-partitioned on hash(user_id, day-bucket), right side = whole table.
     Every left row matches itself, so the inner DuckDB ASOF JOIN (per-user)
     is an exact oracle."""
-    from gojsonschema_ray.stages.exchange import (
-        exchange, hash_part, shuffle_width,
-    )
+    from gojsonschema_ray.stages.exchange import exchange
     from gojsonschema_ray.stages.joins import asof_join_bucketed
     from gojsonschema_ray.util import collect_rows
-
-    P = shuffle_width()
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     left = ds.map_batches(
@@ -1377,16 +1368,15 @@ def q_events_asof_by_user(sf_dir: str) -> pd.DataFrame:
         batch_format="pyarrow")
 
     def partial(t: pa.Table) -> pa.Table:
-        g = t.select(["user_id", "ts", "value"]).group_by(["user_id", "ts"]) \
-            .aggregate([("value", "max")]) \
+        return t.select(["user_id", "ts", "value"]) \
+            .group_by(["user_id", "ts"]).aggregate([("value", "max")]) \
             .rename_columns(["user_id", "ts", "qv"])
-        return g.append_column("part", hash_part(g["ts"], P))
 
     def reduce_part(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(["user_id", "ts"], as_index=False)["qv"].max()
 
     right = exchange(ds.map_batches(partial, batch_format="pyarrow"),
-                     reduce_part, P)
+                     reduce_part, "ts")
     out = asof_join_bucketed(left, right, left_on="ts", right_on="ts",
                              by="user_id", value_columns=["qv"],
                              left_keep=["event_id"], bucket_s=86400.0)

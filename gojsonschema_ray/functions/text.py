@@ -20,7 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.exchange import broadcast, exchange_parts, hash_part
+from ..stages.exchange import broadcast
+from ..util import in_sorted, sorted_lookup
 
 _WS = re.compile(r"\s+")
 # BPE-ish subword segmentation: words, numbers, punctuation runs
@@ -293,8 +294,6 @@ def token_frequencies(ds, text_column: str, min_count: int = 1, n: int = 1,
     Returns a Dataset of (gram, n)."""
     from ..stages.uniqueness import aggregate_key_counts
 
-    P = exchange_parts()
-
     def partial(t: pa.Table) -> pa.Table:
         col = t[text_column]
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
@@ -333,12 +332,8 @@ def token_frequencies(ds, text_column: str, min_count: int = 1, n: int = 1,
                 .drop_duplicates()
             grams = pa.array(dd["g"], pa.string())
         vc = pc.value_counts(grams)
-        gram_col = vc.field(0)
-        return pa.table({
-            "gram": gram_col,
-            "cnt": pc.cast(vc.field(1), pa.int64()),
-            "part": hash_part(gram_col, P),
-        })
+        return pa.table({"gram": vc.field(0),
+                         "cnt": pc.cast(vc.field(1), pa.int64())})
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     return aggregate_key_counts(partials, "gram", min_count=min_count)
@@ -803,11 +798,8 @@ def unigram_logprob(ds, text_column: str, id_column: str, *,
                              "avg_logp": pa.array([], pa.float64())})
         tok_keep = np.repeat(keep, raw_lengths)
         th = hash_arrow_array(lists.values)[tok_keep]
-        if len(vh):
-            pos = np.minimum(np.searchsorted(vh, th), len(vh) - 1)
-            logp = np.where(vh[pos] == th, vlogp[pos], oov_logp)
-        else:  # vocab emptied by min_count — every token scores OOV
-            logp = np.full(len(th), oov_logp)
+        # a vocab emptied by min_count scores every token OOV
+        logp = sorted_lookup(vh, vlogp, th, oov_logp)
         ntok = raw_lengths[kept_rows]
         local = np.repeat(np.arange(len(kept_rows)), ntok)
         sums = np.bincount(local, weights=logp, minlength=len(kept_rows))
@@ -1235,13 +1227,6 @@ def _broadcast_dup_hashes(counts):
     return broadcast(np.sort(np.asarray(h, dtype=np.uint64)))
 
 
-def _in_sorted(dup: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Membership of each hash of `h` in the sorted uint64 array `dup`."""
-    if not len(dup):
-        return np.zeros(len(h), dtype=bool)
-    return dup[np.minimum(np.searchsorted(dup, h), len(dup) - 1)] == h
-
-
 class _DupLineScoreStage:
     """map_batches payload for dup_line_stats: per-batch explode + hash +
     membership probe into the broadcast dup-hash array (read once per
@@ -1267,7 +1252,7 @@ class _DupLineScoreStage:
                              "n_dup_lines": pa.array([], pa.int64()),
                              "dup_line_frac": pa.array([], pa.float64()),
                              "dup_char_frac": pa.array([], pa.float64())})
-        is_dup = _in_sorted(self.dup_ref.get(), hash_arrow_array(flat))
+        is_dup = in_sorted(self.dup_ref.get(), hash_arrow_array(flat))
         chars = np.asarray(pc.utf8_length(flat).to_numpy(
             zero_copy_only=False), dtype=np.int64)
         n_rows = batch.num_rows
@@ -1361,18 +1346,13 @@ def _dup_line_hash_counts(ds, text_column: str, delimiter: str,
     from ..stages.sketches import hash_arrow_array
     from ..stages.uniqueness import aggregate_key_counts
 
-    P = exchange_parts()
-
     def partial(batch: pa.Table) -> pa.Table:
         flat, _, _ = _explode_segments(batch, text_column, delimiter)
         h = hash_arrow_array(flat) if len(flat) \
             else np.zeros(0, dtype=np.uint64)
         uh, cnt = np.unique(h, return_counts=True)
-        return pa.table({
-            "h": pa.array(uh),
-            "cnt": pa.array(cnt.astype(np.int64)),
-            "part": pa.array((uh % np.uint64(P)).astype(np.int32)),
-        })
+        return pa.table({"h": pa.array(uh),
+                         "cnt": pa.array(cnt.astype(np.int64))})
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     return aggregate_key_counts(partials, "h", min_count=min_count)
@@ -1429,7 +1409,7 @@ class _DropDupLineStage:
 
         flat, did, row_valid = _explode_segments(
             batch, self.text_column, self.delimiter)
-        keep = ~_in_sorted(self.dup_ref.get(), hash_arrow_array(flat))
+        keep = ~in_sorted(self.dup_ref.get(), hash_arrow_array(flat))
         kept_vals = flat.filter(pa.array(keep))
         n_rows = batch.num_rows
         per_row = np.bincount(did[keep], minlength=n_rows)
@@ -1485,16 +1465,11 @@ def _dup_window_hash_counts(ds, text_column: str, k: int, min_count: int):
     from ..stages.dedup import gram_hashes_batch
     from ..stages.uniqueness import aggregate_key_counts
 
-    P = exchange_parts()
-
     def partial(batch: pa.Table) -> pa.Table:
         h, _ = gram_hashes_batch(batch[text_column].to_pylist(), k)
         uh, cnt = np.unique(h, return_counts=True)
-        return pa.table({
-            "h": pa.array(uh),
-            "cnt": pa.array(cnt.astype(np.int64)),
-            "part": pa.array((uh % np.uint64(P)).astype(np.int32)),
-        })
+        return pa.table({"h": pa.array(uh),
+                         "cnt": pa.array(cnt.astype(np.int64))})
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     return aggregate_key_counts(partials, "h", min_count=min_count)
@@ -1548,7 +1523,7 @@ class _DupSpanScoreStage:
                            dtype=np.int64, count=n)
         h, seg = gram_hashes_batch(texts, k)
         nw = np.diff(seg)
-        is_dup = _in_sorted(self.dup_ref.get(), h)
+        is_dup = in_sorted(self.dup_ref.get(), h)
         doc = np.repeat(np.arange(n, dtype=np.int64), nw)
         ndw = np.bincount(doc[is_dup], minlength=n)
         idxs = np.flatnonzero(is_dup)
@@ -1612,7 +1587,7 @@ class _DropDupSpanStage:
                            dtype=np.int64, count=n)
         h, seg = gram_hashes_batch(texts, k)
         nw = np.diff(seg)
-        is_dup = _in_sorted(self.dup_ref.get(), h)
+        is_dup = in_sorted(self.dup_ref.get(), h)
         doc = np.repeat(np.arange(n, dtype=np.int64), nw)
         idxs = np.flatnonzero(is_dup)
         d = doc[idxs]
@@ -1709,12 +1684,6 @@ def bigram_logprob(ds, text_column: str, id_column: str, *,
     T = total if total else 1.0
     a = float(alpha)
 
-    def _lookup(sh: np.ndarray, sc: np.ndarray, h: np.ndarray) -> np.ndarray:
-        if not len(sh) or not len(h):
-            return np.zeros(len(h), dtype=np.float64)
-        pos = np.minimum(np.searchsorted(sh, h), len(sh) - 1)
-        return np.where(sh[pos] == h, sc[pos], 0.0)
-
     def score(batch: pa.Table) -> pa.Table:
         vuh, vuc, vbh, vbc = vocab_ref.get()
         col = batch[text_column]
@@ -1744,7 +1713,7 @@ def bigram_logprob(ds, text_column: str, id_column: str, *,
         n_tok = len(vals)
         did = np.repeat(np.arange(batch.num_rows, dtype=np.int64),
                         raw_lengths)
-        cw = _lookup(vuh, vuc, hash_arrow_array(vals))
+        cw = sorted_lookup(vuh, vuc, hash_arrow_array(vals), 0.0)
         p_uni = np.where(cw > 0, cw / T, 1.0 / T)
         logp = np.empty(n_tok, dtype=np.float64)
         is_first = np.ones(n_tok, dtype=bool)
@@ -1755,7 +1724,7 @@ def bigram_logprob(ds, text_column: str, id_column: str, *,
             # bigram construction identical to token_frequencies(n=2)
             grams = pc.binary_join_element_wise(
                 vals.slice(0, L), vals.slice(1, L), " ")
-            cbi = _lookup(vbh, vbc, hash_arrow_array(grams))
+            cbi = sorted_lookup(vbh, vbc, hash_arrow_array(grams), 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 lp_bi = np.log((cbi + a * p_uni[1:]) / (cw[:L] + a))
             rest = ~is_first

@@ -20,11 +20,11 @@ Output layout under out_dir:
 
 A file is named by its fragment's index in the partition, so a retried
 task overwrites its own files. A keycounts file is sorted by `part`
-(hash_part(clip_id, P), P = cluster CPUs), one row group per part value,
-with P in its schema metadata (KeyCountStage.write). Key counts live
-outside violations/ because readers treat every directory there as
-violation rows. The driver commits partitions in plan order as soon as a
-partition and every partition before it have reported — fragments, rows,
+(the exchange's partition hash of clip_id at P = cluster CPUs), one row
+group per part value, with P in its schema metadata (KeyCountStage.write).
+Key counts live outside violations/ because readers treat every directory
+there as violation rows. The driver commits partitions in plan order as
+soon as a partition and every partition before it have reported — fragments, rows,
 violation count, sketch digests merged in fragment order — once the rows
 the tasks saw equal the fragments' footer counts. A killed run resumes from the manifest: the resume unit is one
 partition. On any error the driver cancels the outstanding tasks and waits

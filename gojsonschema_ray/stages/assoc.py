@@ -27,7 +27,7 @@ import logging
 
 import numpy as np
 
-from .exchange import exchange, hash_part, shuffle_width
+from .exchange import exchange
 
 logger = logging.getLogger(__name__)
 
@@ -41,16 +41,14 @@ def cooccurrence_pairs(ds, key_column: str, value_column: str, *,
     distinct values are skipped with a logged count (None = no cap)."""
     import pandas as pd
 
-    reserved = {"part", "part2", "v1", "v2", "cnt", "n"} & \
+    reserved = {"part", "v1", "v2", "cnt", "n"} & \
         {key_column, value_column}
     if reserved:  # synthetic exchange/output columns
         raise ValueError(f"cooccurrence_pairs: column names "
                          f"{sorted(reserved)} are reserved")
-    P = shuffle_width()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[[key_column, value_column]].dropna().drop_duplicates()
-        return d.assign(part=hash_part(d[key_column], P))
+        return df[[key_column, value_column]].dropna().drop_duplicates()
 
     def per_key_pairs(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates([key_column, value_column]) \
@@ -76,16 +74,13 @@ def cooccurrence_pairs(ds, key_column: str, value_column: str, *,
         if not a_parts:
             return pd.DataFrame({"v1": pd.Series([], dtype=object),
                                  "v2": pd.Series([], dtype=object),
-                                 "cnt": pd.Series([], dtype="int64"),
-                                 "part2": pd.Series([], dtype="int32")})
+                                 "cnt": pd.Series([], dtype="int64")})
         pairs = pd.DataFrame({"v1": np.concatenate(a_parts),
                               "v2": np.concatenate(b_parts)})
         g = pairs.groupby(["v1", "v2"], sort=False).size() \
             .reset_index(name="cnt")
         g["cnt"] = g["cnt"].astype("int64")
-        return g.assign(
-            part2=hash_part(g["v1"].astype(str) + "\x1f"
-                            + g["v2"].astype(str), P))
+        return g
 
     def per_pair(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["v1", "v2"], sort=False, as_index=False)["cnt"] \
@@ -94,8 +89,8 @@ def cooccurrence_pairs(ds, key_column: str, value_column: str, *,
         return g.rename(columns={"cnt": "n"})
 
     by_key = exchange(ds.map_batches(partial, batch_format="pandas"),
-                      per_key_pairs, P)
-    return exchange(by_key, per_pair, P, by="part2")
+                      per_key_pairs, key_column)
+    return exchange(by_key, per_pair, ["v1", "v2"])
 
 
 def association_support(ds, key_column: str, value_column: str, *,

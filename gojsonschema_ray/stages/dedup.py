@@ -27,8 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import list_column_to_matrix
-from .exchange import (broadcast, exchange, exchange_parts, hash_part,
-                       shuffle_width)
+from .exchange import broadcast, exchange
 
 _LOG = logging.getLogger(__name__)
 
@@ -121,7 +120,8 @@ def exact_duplicate_groups(ds, column: str, by_hash: bool = False):
     ~n²/2⁶⁴ and can be re-verified within groups.
 
     Same coarse-partition exchange as stages/uniqueness.py: per-batch partial
-    counts, one part-keyed shuffle, vectorized per-partition totals."""
+    counts, one exchange keyed on the value, vectorized per-partition
+    totals."""
     from .uniqueness import KeyCountStage, aggregate_key_counts
 
     if by_hash:
@@ -143,21 +143,18 @@ def dedup_exact(ds, column: str, id_column: str):
     """Keep-first exact dedup: one representative id per distinct value.
 
     Same coarse-partition exchange as the count paths: per-batch min-id
-    partials (associative), one part-keyed shuffle, vectorized per-partition
-    min; returns the surviving (column, id) Dataset."""
-    P = shuffle_width()
-
+    partials (associative), one exchange keyed on the value, vectorized
+    per-partition min; returns the surviving (column, id) Dataset."""
     def project(t: pa.Table) -> pa.Table:
-        g = t.select([column, id_column]).group_by(column) \
+        return t.select([column, id_column]).group_by(column) \
             .aggregate([(id_column, "min")]) \
             .rename_columns([column, id_column])
-        return g.append_column("part", hash_part(g[column], P))
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(column, as_index=False, sort=False)[id_column].min()
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, column)
 
 
 def dedup_exact_rows(ds, column: str, id_column: str,
@@ -175,22 +172,16 @@ def dedup_exact_rows(ds, column: str, id_column: str,
     from .uniqueness import add_salted_key, top_hot_keys
 
     hot = top_hot_keys(ds, column) if hot_keys is None else set(hot_keys)
-    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
-        t2 = add_salted_key(t, column, hot, salt_buckets)
-        sk = t2["_shuffle_key"].to_numpy(zero_copy_only=False)
-        part = (np.ascontiguousarray(sk).view(np.uint64)
-                % np.uint64(P)).astype(np.int32)
-        return t2.drop_columns(["_shuffle_key"]).append_column(
-            "part", pa.array(part))
+        return add_salted_key(t, column, hot, salt_buckets)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         idx = df.groupby(column, sort=False, dropna=False)[id_column].idxmin()
-        return df.loc[idx].drop(columns=["part"])
+        return df.loc[idx].drop(columns=["_shuffle_key"])
 
     survivors = exchange(ds.map_batches(project, batch_format="pyarrow"),
-                         per_part, P)
+                         per_part, "_shuffle_key")
     if not hot:
         return survivors
     survivors = survivors.materialize()  # consumed twice below
@@ -395,21 +386,16 @@ def _pairs_from_groups(group: pd.DataFrame, id_column: str,
 
 
 def pairs_by_partition(sig_ds, bucket_fn):
-    """ONE keyed shuffle into shuffle_width() coarse partitions (part = key
-    & mask), then a per-partition pandas groupby('key') applies `bucket_fn`
-    to each bucket with ≥2 rows.
+    """ONE exchange of `sig_ds` (a Dataset or a list of them) keyed on the
+    `key` column into shuffle_width() coarse partitions, then a
+    per-partition pandas groupby('key') applies `bucket_fn` to each bucket
+    with ≥2 rows.
 
     This is the scale shape for bucket-local pair generation: the shuffle
     moves every (fixed-width) signature row exactly once, and Python/Ray
     per-group overhead is paid once per PARTITION (≈ #CPUs), not once per
     bucket (≈ #docs). `bucket_fn(empty_df)` must return a typed empty frame
     so partitions with no pairs keep the schema."""
-    P = shuffle_width()
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.bit_wise_and(t["key"], P - 1)
-        return t.append_column("part", pc.cast(part, pa.int32()))
-
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
         for _, g in df.groupby("key", sort=False):
@@ -420,29 +406,14 @@ def pairs_by_partition(sig_ds, bucket_fn):
         return pd.concat(outs, ignore_index=True) if outs \
             else bucket_fn(df.iloc[:0])
 
-    return exchange(sig_ds.map_batches(add_part, batch_format="pyarrow"),
-                    per_partition, P)
-
-
-def _pair_hash(t: pa.Table) -> np.ndarray:
-    """uint64 hash of the (id_a, id_b) pair columns."""
-    from .sketches import hash_arrow_array
-
-    return (hash_arrow_array(t["id_a"]) * np.uint64(0x9E3779B97F4A7C15)) \
-        ^ hash_arrow_array(t["id_b"])
+    return exchange(sig_ds, per_partition, "key")
 
 
 def _verify_pairs(sided, verify):
-    """ONE hash(pair) exchange of _pair_texts' side rows: both sides of a
-    pair, and every copy found in another band, meet in one `verify` call."""
-    P = shuffle_width()
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        part = (_pair_hash(t) % np.uint64(P)).astype(np.int32)
-        return t.append_column("ppart", pa.array(part))
-
-    return exchange(sided.map_batches(pair_part, batch_format="pyarrow"),
-                    verify, P, by="ppart")
+    """ONE exchange of _pair_texts' side rows keyed on the (id_a, id_b)
+    pair: both sides of a pair, and every copy found in another band, meet
+    in one `verify` call."""
+    return exchange(sided, verify, ["id_a", "id_b"])
 
 
 def unique_pairs(pairs_ds):
@@ -450,8 +421,8 @@ def unique_pairs(pairs_ds):
 
     Ray's sort-based groupby has a high fixed cost over many distinct keys
     (measured here: 205 s for 480 k rows / 30 k pair keys), so this uses the
-    engine's coarse-partition pattern instead: hash the pair to ~#CPU
-    partitions, ONE repartition exchange, vectorized pandas drop_duplicates
+    engine's coarse-partition pattern instead: ONE exchange keyed on the
+    (id_a, id_b) pair into ~#CPU partitions, vectorized pandas drop_duplicates
     per partition (~1 s for the same input). Extra columns (jaccard, hamming,
     cosine) are carried through — duplicate rows of one pair carry identical
     values, so keeping the first is exact. The one exception is the `capped`
@@ -459,22 +430,14 @@ def unique_pairs(pairs_ds):
     star-fallback bucket and an uncapped bucket): it's resolved as
     any(capped) by keeping the capped row first, so coverage detection is
     deterministic."""
-    P = shuffle_width()
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = (_pair_hash(t) % np.uint64(P)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
-
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         if "capped" in df.columns:
             # any(capped) per pair: stable sort floats capped=True rows to
             # the front; other carried columns are identical per pair
             df = df.sort_values("capped", ascending=False, kind="stable")
-        return df.drop_duplicates(subset=["id_a", "id_b"]) \
-            .drop(columns=["part"])
+        return df.drop_duplicates(subset=["id_a", "id_b"])
 
-    return exchange(pairs_ds.map_batches(add_part, batch_format="pyarrow"),
-                    per_part, P)
+    return exchange(pairs_ds, per_part, ["id_a", "id_b"])
 
 
 def hot_bucket_keys(sig_ds, key: str = "key") -> pa.Array:
@@ -582,7 +545,6 @@ def _pair_texts(ds, pairs_ds, text_column: str, id_column: str):
     pair, one per side."""
     from .sketches import hash_arrow_array
 
-    P = shuffle_width()
     n_pairs = pairs_ds.count()
     bloom_ref = broadcast(_candidate_id_bloom(pairs_ds, n_pairs))
 
@@ -596,7 +558,6 @@ def _pair_texts(ds, pairs_ds, text_column: str, id_column: str):
         # (nullable int ids would round-trip through pandas as float64 and
         # lose precision above 2^53)
         return pa.table({
-            "part": hash_part(ids_k, P),
             "kind": pa.array(np.zeros(len(keep), dtype=np.int8)),
             "jid": ids_k,
             "id_a": ids_k,
@@ -613,7 +574,6 @@ def _pair_texts(ds, pairs_ds, text_column: str, id_column: str):
         id_a = t["id_a"].take(idx)
         id_b = t["id_b"].take(idx)
         return pa.table({
-            "part": hash_part(jid, P),
             "kind": pa.array(np.ones(2 * n, dtype=np.int8)),
             "jid": jid,
             "id_a": id_a,
@@ -635,7 +595,7 @@ def _pair_texts(ds, pairs_ds, text_column: str, id_column: str):
             "text": pd.Series(s["jid"].map(lookup).to_numpy(), dtype="object"),
         })
 
-    return exchange(texts.union(sides), attach, P)
+    return exchange([texts, sides], attach, "jid")
 
 
 def minhash_near_duplicates(ds, text_column: str, id_column: str, *,
@@ -1088,22 +1048,15 @@ def near_dup_clusters(pairs_ds, id_a: str = "id_a", id_b: str = "id_b", *,
 
     from ..util import collect_rows
 
-    P = shuffle_width()
-
-    def edge_part(t: pa.Table) -> pa.Table:
-        part = (_pair_hash(t.select([id_a, id_b]).rename_columns(
-            ["id_a", "id_b"])) % np.uint64(P)).astype(np.int32)
-        return pa.table({"u": t[id_a], "v": t[id_b], "part": pa.array(part)})
+    def edges(t: pa.Table) -> pa.Table:
+        return pa.table({"u": t[id_a], "v": t[id_b]})
 
     def local_cc(df: pd.DataFrame) -> pd.DataFrame:
         nodes, roots = _cc_labels(df["u"].to_numpy(), df["v"].to_numpy())
         return pd.DataFrame({"node": nodes, "root": roots})
 
-    mapping = exchange(pairs_ds.map_batches(edge_part, batch_format="pyarrow"),
-                       local_cc, P)
-
-    def node_part(t: pa.Table) -> pa.Table:
-        return t.append_column("npart", hash_part(t["node"], P))
+    mapping = exchange(pairs_ds.map_batches(edges, batch_format="pyarrow"),
+                       local_cc, ["u", "v"])
 
     def per_node(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates(["node", "root"])
@@ -1120,8 +1073,7 @@ def near_dup_clusters(pairs_ds, id_a: str = "id_a", id_b: str = "id_b", *,
                                  eq["root"].to_numpy()]),
         })
 
-    grouped = exchange(mapping.map_batches(node_part, batch_format="pyarrow"),
-                       per_node, P, by="npart") \
+    grouped = exchange(mapping, per_node, "node") \
         .materialize()  # consumed twice: equivalence edges + label pass
     if grouped.count() == 0:
         empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
@@ -1492,15 +1444,12 @@ def jaccard_token_join(ds, text_column: str, id_column: str, *,
     if not 0.0 < threshold <= 1.0:
         raise ValueError(
             f"jaccard_token_join: threshold={threshold} not in (0, 1]")
-    P = exchange_parts()
 
     def df_partial(t: pa.Table) -> pa.Table:
         h, _ = _doc_token_hashes(t[text_column])
         uh, cnt = np.unique(h, return_counts=True)
         return pa.table({"h": pa.array(uh.view(np.int64)),
-                         "cnt": pa.array(cnt.astype(np.int64)),
-                         "part": pa.array((uh % np.uint64(P))
-                                          .astype(np.int32))})
+                         "cnt": pa.array(cnt.astype(np.int64))})
 
     df_rows = collect_rows(aggregate_key_counts(
         ds.map_batches(df_partial, batch_format="pyarrow"), "h",
@@ -1716,8 +1665,8 @@ class MinHashIndex:
                     "side": pa.array(np.full(t.num_rows, v, np.int8))})
             return f
 
-        both = sig_idx.map_batches(side(0), batch_format="pyarrow").union(
-            sig_new.map_batches(side(1), batch_format="pyarrow"))
+        both = [sig_idx.map_batches(side(0), batch_format="pyarrow"),
+                sig_new.map_batches(side(1), batch_format="pyarrow")]
         cap = self.bucket_cap
 
         def cross_pairs(g: pd.DataFrame) -> pd.DataFrame:

@@ -19,38 +19,6 @@ import pyarrow as pa
 from ..util import collect_rows
 
 
-class HistogramStage:
-    """map_batches payload: fixed-edge histogram partial per batch."""
-
-    def __init__(self, column: str, edges: np.ndarray):
-        self.column = column
-        self.edges = np.asarray(edges, dtype=np.float64)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch[self.column]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        v = col.drop_null().to_numpy(zero_copy_only=False).astype(np.float64)
-        v = v[np.isfinite(v)]
-        counts, _ = np.histogram(v, bins=self.edges)
-        below = int((v < self.edges[0]).sum())
-        above = int((v > self.edges[-1]).sum())
-        return pa.table({
-            "bin": pa.array(range(len(counts) + 2), pa.int32()),
-            "count": pa.array([below, *counts.tolist(), above], pa.int64()),
-        })
-
-
-def histogram(ds, column: str, edges: np.ndarray) -> np.ndarray:
-    """Merged histogram (len(edges)+1 bins incl. under/overflow)."""
-    partials = ds.map_batches(HistogramStage(column, edges), batch_format="pyarrow")
-    totals = collect_rows(partials.groupby("bin").sum("count"))
-    out = np.zeros(len(edges) + 1, dtype=np.int64)
-    for r in totals:
-        out[r["bin"]] = r["sum(count)"]
-    return out
-
-
 class MultiHistogramStage:
     """map_batches payload: fixed-edge histogram partials for MANY columns in
     one pass — (column, bin, count) rows per batch, merged on the driver.
@@ -179,8 +147,8 @@ def drift_report(ds_ref, ds_new, columns: list[str], bins: int = 64,
             edges_by_col[c] = edges
     if not edges_by_col:
         return {}
-    # ONE scan per dataset for ALL columns (a per-column histogram() loop
-    # would re-scan each dataset len(columns) times)
+    # ONE scan per dataset for ALL columns (a per-column loop would re-scan
+    # each dataset len(columns) times)
     ha = histograms(ds_ref, edges_by_col)
     hb = histograms(ds_new, edges_by_col)
     report = {}
@@ -197,7 +165,7 @@ def drift_report(ds_ref, ds_new, columns: list[str], bins: int = 64,
 class GroupedHistogramStage:
     """map_batches payload: fixed-edge histogram partials PER GROUP —
     (group, bin, count) rows per batch, merged on the driver. Binning
-    matches HistogramStage/np.histogram exactly: bin 0 = underflow,
+    matches MultiHistogramStage/np.histogram exactly: bin 0 = underflow,
     1..len(edges)-1 = [e_i, e_{i+1}) left-closed with the last interior
     bin right-closed, len(edges) = overflow."""
 

@@ -1,20 +1,20 @@
 """The engine's coarse hash exchange — the one place that sizes, tags and
 runs it.
 
-Combiner-first operators collapse each batch to small (key, partial) rows
-tagged with ``part = hash(key) % P`` (:func:`hash_part`), then run ONE
-:func:`exchange`: ``repartition(P)`` → ``materialize`` →
-``groupby("part").map_groups(reduce)``. Results never depend on P —
-reducers group on the key inside whatever `part` values arrive — so P is
-purely a performance choice, made by one of two width policies:
+Combiner-first operators collapse each batch to small (key, partial) rows,
+then run ONE :func:`exchange` keyed on one or more of their columns: each
+partials block is tagged ``part = hash(key) % P`` (:func:`hash_part`), then
+``repartition(P)`` → ``materialize`` → ``groupby("part").map_groups(reduce)``,
+and ``reduce`` sees each partition without the tag. Results never depend
+on P — reducers group on the key inside whatever partition arrives — so P
+is purely a performance choice, made by one of two width policies:
 
 - :func:`exchange_parts` — one partition per cluster CPU, no floor. Used by
   the key-count exchange (``uniqueness.KeyCountStage`` /
-  ``aggregate_key_counts`` and every producer of their `part` column) and
-  the n-gram / line-hash counts of ``functions.text``.
-- :func:`shuffle_width` — the same CPU count floored at 8 and rounded up to
-  a power of two (callers that tag with a ``bit_wise_and`` mask need the
-  power of two). Used by every other exchange.
+  ``aggregate_key_counts``), which the n-gram / line-hash counts of
+  ``functions.text`` also run through.
+- :func:`shuffle_width` — the same CPU count floored at 8. Used by every
+  other exchange.
 
 Measured on a 4-CPU host: over the 60k partial rows of a uniqueness check
 the reducers are trivial and the cost is per-task overhead — the exchange
@@ -53,42 +53,77 @@ def exchange_parts() -> int:
     return max(1, int(ray.cluster_resources().get("CPU", 8)))
 
 
-def _next_pow2(x: int) -> int:
-    p = 1
-    while p < x:
-        p <<= 1
-    return p
-
-
 def shuffle_width() -> int:
     """Width of every exchange outside the key-count path: about one block
-    per CPU (a groupby over hundreds of micro-blocks is ~10x slower), floored
-    at 8 and rounded up to a power of two."""
-    return _next_pow2(max(8, exchange_parts()))
+    per CPU (a groupby over hundreds of micro-blocks is ~10x slower),
+    floored at 8."""
+    return max(8, exchange_parts())
 
 
 def hash_part(values, P: int) -> pa.Array:
-    """int32 partition tag ``hash_arrow_array(values) % P`` of an Arrow
-    array or pandas Series (nulls hash like any other value)."""
+    """int32 partition tag ``hash_arrow_array(values) % P`` of one column
+    (an Arrow array or pandas Series) or of several (an Arrow table or
+    pandas DataFrame; equal rows get equal tags). Nulls hash like any
+    other value."""
     from .sketches import hash_arrow_array
 
     return pa.array((hash_arrow_array(values) % np.uint64(P))
                     .astype(np.int32))
 
 
-def exchange(partials, reduce, P: int, *, by: str = "part",
+def exchange(partials, reduce, key, *, P: int | None = None,
              batch_format: str = "pandas"):
-    """Run ``reduce`` once per distinct `by` value of the `by`-tagged
-    ``partials`` Dataset, over ``P`` blocks.
+    """Run ``reduce`` once per partition of the ``partials`` Dataset (or
+    the union of a list of them, e.g. the two sides of a join) hashed on
+    ``key`` (one column name or a list of them) into ``P`` partitions
+    (default :func:`shuffle_width`); rows with equal keys share one call.
 
-    The partials are consolidated into P blocks and materialized BEFORE the
-    groupby: Ray's sort-based groupby cost is driven by input block COUNT
-    (hundreds of micro-blocks -> ~10x slower than ~#CPUs consolidated
-    blocks) and it re-executes a lazy upstream while sampling sort
-    boundaries (~8x cost). Repartition itself samples nothing, so one
-    materialize after it is enough; blocks spill if needed."""
-    return partials.repartition(P).materialize().groupby(by) \
-        .map_groups(reduce, batch_format=batch_format)
+    Each partials block is tagged ``part`` in its own format (a pandas
+    block stays pandas, so no conversion changes its dtypes; a `part`
+    column already there is replaced), inside the map that built it — a
+    list is tagged side by side before the union, since a map after a
+    union runs as tasks of its own. ``reduce`` gets each partition with
+    the tag removed. The partials are consolidated into P blocks and
+    materialized BEFORE the groupby: Ray's sort-based groupby cost is
+    driven by input block COUNT (hundreds of micro-blocks -> ~10x slower
+    than ~#CPUs consolidated blocks) and it re-executes a lazy upstream
+    while sampling sort boundaries (~8x cost). Repartition itself samples
+    nothing, so one materialize after it is enough; blocks spill if
+    needed."""
+    import pandas as pd
+
+    P = shuffle_width() if P is None else P
+    keys = [key] if isinstance(key, str) else list(key)
+
+    def tag(block):
+        if len(keys) == 1:
+            values = block[keys[0]]
+        elif isinstance(block, pd.DataFrame):
+            values = block[keys]
+        else:
+            values = block.select(keys)
+        part = hash_part(values, P)
+        if isinstance(block, pd.DataFrame):
+            block = block.copy(deep=False)  # a new column, no data copied
+            block["part"] = part.to_numpy()
+            return block
+        i = block.schema.get_field_index("part")
+        return block.append_column("part", part) if i < 0 \
+            else block.set_column(i, "part", part)
+
+    def untagged(batch):
+        if isinstance(batch, pd.DataFrame):
+            del batch["part"]
+        else:
+            batch = batch.drop_columns(["part"])
+        return reduce(batch)
+
+    first, *rest = [ds.map_batches(tag, batch_format=None, batch_size=None)
+                     for ds in (partials if isinstance(partials, list)
+                                else [partials])]
+    return (first.union(*rest) if rest else first) \
+        .repartition(P).materialize().groupby("part") \
+        .map_groups(untagged, batch_format=batch_format)
 
 
 _UNSET = object()

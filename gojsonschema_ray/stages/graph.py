@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import exchange, hash_part, shuffle_width
+from .exchange import exchange
 
 
 def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
@@ -44,9 +44,6 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
     import pandas as pd
 
     from ..util import collect_rows
-    from .sketches import hash_arrow_array
-
-    P = shuffle_width()
 
     def canon(t: pa.Table) -> pa.Table:
         u = t[src].cast(pa.int64())
@@ -56,9 +53,8 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
         u, v = u.filter(ok), v.filter(ok)
         lo = pc.min_element_wise(u, v)
         hi = pc.max_element_wise(u, v)
-        g = pa.table({"a": lo, "b": hi}).group_by(["a", "b"]) \
+        return pa.table({"a": lo, "b": hi}).group_by(["a", "b"]) \
             .aggregate([])                          # batch-local distinct
-        return g.append_column("part", hash_part(g["a"], P))
 
     # exchange 1+2 fused: edges co-partitioned by a; each partition emits
     # its distinct edges (w=0) and their wedges (w=1)
@@ -86,15 +82,8 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
             "w": np.concatenate([np.zeros(len(df), np.int8),
                                  np.ones(n_wedges, np.int8)])})
 
-    def pair_part(t: pa.Table) -> pa.Table:
-        h = hash_arrow_array(t["a"]) * np.uint64(0x9E3779B97F4A7C15) \
-            ^ hash_arrow_array(t["b"])
-        return t.append_column(
-            "ppart", pa.array((h % np.uint64(P)).astype(np.int32)))
-
     both = exchange(ds.map_batches(canon, batch_format="pyarrow"),
-                    edges_and_wedges, P) \
-        .map_batches(pair_part, batch_format="pyarrow")
+                    edges_and_wedges, "a")
 
     def close(df: pd.DataFrame) -> pd.DataFrame:
         e = df[df["w"] == 0][["a", "b"]].drop_duplicates()
@@ -104,6 +93,6 @@ def triangle_count(ds, src: str, dst: str, *, max_degree: int = 10_000):
         return pd.DataFrame({"tri": pd.Series([n], dtype="int64"),
                              "edges": pd.Series([ne], dtype="int64")})
 
-    parts = collect_rows(exchange(both, close, P, by="ppart"))
+    parts = collect_rows(exchange(both, close, ["a", "b"]))
     return (int(sum(r["tri"] for r in parts)),
             int(sum(r["edges"] for r in parts)))

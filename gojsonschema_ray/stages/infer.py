@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_rows
-from .exchange import exchange, shuffle_width
+from .exchange import exchange
 
 PARTIAL_SCHEMA = pa.schema([
     ("column", pa.string()),
@@ -217,7 +217,6 @@ def discover_fds(ds, columns: list[str], *, cap: int = 500_000):
     import pandas as pd
 
     from ..util import collect_table
-    from .sketches import hash_arrow_array
 
     if len(columns) < 2:
         raise ValueError("discover_fds: need >= 2 columns")
@@ -225,7 +224,6 @@ def discover_fds(ds, columns: list[str], *, cap: int = 500_000):
         raise ValueError("discover_fds: duplicate columns")
     pairs = [(i, j) for i in range(len(columns))
              for j in range(len(columns)) if i != j]
-    P = shuffle_width()
     sent = chr(0)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -246,13 +244,9 @@ def discover_fds(ds, columns: list[str], *, cap: int = 500_000):
             out_p.extend([pid] * g.num_rows)
             out_a.extend(g["a"].to_pylist())
             out_b.extend(g["b"].to_pylist())
-        tt = pa.table({"pid": pa.array(out_p, pa.int32()),
-                       "a": pa.array(out_a, pa.string()),
-                       "b": pa.array(out_b, pa.string())})
-        h = hash_arrow_array(tt["pid"]) * np.uint64(0x9E3779B97F4A7C15) \
-            ^ hash_arrow_array(tt["a"])
-        return tt.append_column(
-            "part", pa.array((h % np.uint64(P)).astype(np.int32)))
+        return pa.table({"pid": pa.array(out_p, pa.int32()),
+                         "a": pa.array(out_a, pa.string()),
+                         "b": pa.array(out_b, pa.string())})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates(subset=["pid", "a", "b"])
@@ -261,7 +255,8 @@ def discover_fds(ds, columns: list[str], *, cap: int = 500_000):
         return g
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = collect_table(exchange(partials, per_part, P)).to_pandas()
+    agg = collect_table(exchange(partials, per_part, ["pid", "a"])) \
+        .to_pandas()
     agg = agg.groupby("pid").sum().reindex(range(len(pairs)),
                                            fill_value=0)
     out = pd.DataFrame({

@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import broadcast, exchange, hash_part, shuffle_width
+from .exchange import broadcast, exchange
 
 
 class BloomFilter:
@@ -153,7 +153,6 @@ def snapshot_diff(ds_a, ds_b, key_column: str, compare_columns: list):
     multiplying rows)."""
     import pandas as pd
 
-    P = shuffle_width()
     reserved = {"part", "side", "status", "_merge"} \
         & {key_column, *compare_columns}
     if reserved:
@@ -164,13 +163,12 @@ def snapshot_diff(ds_a, ds_b, key_column: str, compare_columns: list):
         def fn(t: pa.Table) -> pa.Table:
             cols = {c: t[c] for c in [key_column, *compare_columns]}
             cols["side"] = pa.array([side] * t.num_rows, pa.string())
-            cols["part"] = hash_part(t[key_column], P)
             return pa.table(cols)
         return fn
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == "a"].drop(columns=["side", "part"])
-        b = df[df["side"] == "b"].drop(columns=["side", "part"])
+        a = df[df["side"] == "a"].drop(columns=["side"])
+        b = df[df["side"] == "b"].drop(columns=["side"])
         for name, side in (("A", a), ("B", b)):
             if side[key_column].duplicated().any():
                 raise ValueError(
@@ -191,9 +189,9 @@ def snapshot_diff(ds_a, ds_b, key_column: str, compare_columns: list):
         return pd.DataFrame({key_column: m[key_column],
                              "status": status})
 
-    both = ds_a.map_batches(project("a"), batch_format="pyarrow") \
-        .union(ds_b.map_batches(project("b"), batch_format="pyarrow"))
-    return exchange(both, per_part, P)
+    return exchange([ds_a.map_batches(project("a"), batch_format="pyarrow"),
+                     ds_b.map_batches(project("b"), batch_format="pyarrow")],
+                    per_part, key_column)
 
 
 def fd_violations(ds, determinant: str, dependent: str):
@@ -222,13 +220,11 @@ def fd_violations(ds, determinant: str, dependent: str):
     if reserved:  # synthetic exchange/output columns — a silent overwrite
         raise ValueError(  # would corrupt routing or the report
             f"fd_violations: column names {sorted(reserved)} are reserved")
-    P = shuffle_width()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df[[determinant, dependent]]
         d = d[d[dependent].notna() & d[determinant].notna()]
-        d = d.drop_duplicates()
-        return d.assign(part=hash_part(d[determinant], P))
+        return d.drop_duplicates()
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates([determinant, dependent])
@@ -241,4 +237,4 @@ def fd_violations(ds, determinant: str, dependent: str):
         return g
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    return exchange(partials, per_part, P)
+    return exchange(partials, per_part, determinant)

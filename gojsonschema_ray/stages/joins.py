@@ -35,8 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_table
-from .exchange import broadcast, exchange, hash_part, shuffle_width
-from .sketches import hash_arrow_array
+from .exchange import broadcast, exchange
 
 _LOG = logging.getLogger(__name__)
 
@@ -202,7 +201,6 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
     (see module docstring). Returns `left_keep` + `r_<col>` + `asof_matched`.
     """
     W = int(bucket_s * 1_000_000)
-    P = shuffle_width()
     tol = int(tolerance_s * 1_000_000) if tolerance_s is not None else None
 
     # ---- pass 1: per-(key, bucket) tails ---------------------------------
@@ -218,20 +216,15 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
 
         df = pd.DataFrame(df_cols)
         idx = df.groupby(["k", "b"], sort=False)["ts"].idxmax()
-        out = df.loc[idx]
-        h = pd.util.hash_pandas_object(out["k"], index=False).to_numpy(np.uint64)
-        b = np.ascontiguousarray(out["b"].to_numpy(), dtype=np.int64)
-        out = out.assign(part=((h ^ b.view(np.uint64))
-                               % np.uint64(P)).astype(np.int32))
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(df.loc[idx], preserve_index=False)
 
     def tail_reduce(df):
         idx = df.groupby(["k", "b"], sort=False)["ts"].idxmax()
-        return df.loc[idx].drop(columns=["part"])
+        return df.loc[idx]
 
     tt = collect_table(exchange(
         right.map_batches(tail_partial, batch_format="pyarrow"),
-        tail_reduce, P))
+        tail_reduce, ["k", "b"]))
     # per-key ts-sorted tail arrays for the carry lookup
     tails: dict = {}
     t_keys = tt["k"].to_pylist() if tt.num_rows else []
@@ -257,17 +250,13 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
         keep_types = {c: pa.from_numpy_dtype(t)
                       for c, t in zip(base.names, base.types) if c in left_keep}
 
-    def _part_of(key: pa.Array, bucket: np.ndarray) -> pa.Array:
-        h = hash_arrow_array(key) ^ bucket.view(np.uint64)
-        return pa.array((h % np.uint64(P)).astype(np.int32))
-
     def left_rows(t: pa.Table) -> pa.Table:
         ts = _ts_us(t[left_on])
         key = _key_col(t, by)
         bucket = ts // W
         n = t.num_rows
-        cols = {"part": _part_of(key, bucket), "kind": pa.array(np.zeros(n, np.int8)),
-                "k": key, "b": pa.array(bucket), "ts": pa.array(ts)}
+        cols = {"kind": pa.array(np.zeros(n, np.int8)), "k": key,
+                "b": pa.array(bucket), "ts": pa.array(ts)}
         for c in left_keep:
             cols[c] = t[c]
         for c in value_columns:
@@ -279,8 +268,8 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
         key = _key_col(t, by)
         bucket = ts // W
         n = t.num_rows
-        cols = {"part": _part_of(key, bucket), "kind": pa.array(np.ones(n, np.int8)),
-                "k": key, "b": pa.array(bucket), "ts": pa.array(ts)}
+        cols = {"kind": pa.array(np.ones(n, np.int8)), "k": key,
+                "b": pa.array(bucket), "ts": pa.array(ts)}
         for c in left_keep:
             cols[c] = pa.nulls(n, keep_types[c])
         for c in value_columns:
@@ -353,9 +342,9 @@ def asof_join_bucketed(left, right, *, left_on: str, right_on: str,
         cols["asof_matched"] = pa.array(matched)
         return pa.table(cols)
 
-    u = left.map_batches(left_rows, batch_format="pyarrow").union(
-        right.map_batches(right_rows, batch_format="pyarrow"))
-    return exchange(u, per_part, P, batch_format="pyarrow")
+    return exchange([left.map_batches(left_rows, batch_format="pyarrow"),
+                     right.map_batches(right_rows, batch_format="pyarrow")],
+                    per_part, ["k", "b"], batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +470,7 @@ def hash_join_shuffle(left, right, *, on: str, how: str = "inner",
         raise ValueError(
             f"hash_join_shuffle: hot_keys={hot_keys!r} — pass 'auto' or a "
             "set of key values")
-    P = shuffle_width()
     S = np.uint64(max(1, salt_buckets))
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
     lcols = left_columns or [c for c in left.schema().names if c != on]
     rcols = right_columns or [c for c in right.schema().names if c != on]
     reserved = {"part", "kind", "_salt"} & {on, *lcols, *rcols}
@@ -552,17 +539,12 @@ def hash_join_shuffle(left, right, *, on: str, how: str = "inner",
             .to_numpy(zero_copy_only=False)
         return m if m.any() else None
 
-    def _parts(key_col, salt: np.ndarray | None) -> pa.Array:
-        h = hash_arrow_array(key_col)
-        if salt is not None:
-            h = h ^ (salt * _GOLD)
-        return pa.array((h % np.uint64(P)).astype(np.int32))
-
     # both union branches emit IDENTICAL column order/types:
-    # part, kind, _salt, key, lcols..., rcols_out...
-    # _salt joins the merge key: two salt sub-buckets of one hot key can
-    # collide mod P, and merging on the key alone would then match a left
-    # row against SEVERAL replicas of the same build row (duplicates)
+    # kind, _salt, key, lcols..., rcols_out...
+    # the exchange and the merge both key on (key, _salt): two salt
+    # sub-buckets of one hot key can share a partition, and merging on the
+    # key alone would then match a left row against SEVERAL replicas of
+    # the same build row (duplicates)
     def _probe_salt(key_col, n: int) -> np.ndarray | None:
         """Spread hot PROBE rows over S sub-buckets (non-hot: salt 0)."""
         hotm = _hot_mask(key_col)
@@ -573,28 +555,21 @@ def hash_join_shuffle(left, right, *, on: str, how: str = "inner",
 
     def _replicate_hot(base: pa.Table) -> pa.Table:
         """Replicate hot BUILD rows into every salt sub-bucket (salt 0 is
-        the base copy: h ^ 0*GOLD == h)."""
+        the base copy)."""
         hotm = _hot_mask(base[on])
         if hotm is None or int(S) <= 1:
             return base
         hot_rows = base.filter(pa.array(hotm))
-        part_i = base.schema.get_field_index("part")
         salt_i = base.schema.get_field_index("_salt")
-        reps = [base]
-        for s in range(1, int(S)):
-            salt = np.full(hot_rows.num_rows, s, dtype=np.uint64)
-            rep = hot_rows.set_column(
-                part_i, "part", _parts(hot_rows[on], salt))
-            rep = rep.set_column(salt_i, "_salt",
-                                 pa.array(salt.astype(np.int8)))
-            reps.append(rep)
-        return pa.concat_tables(reps)
+        return pa.concat_tables([base] + [
+            hot_rows.set_column(salt_i, "_salt", pa.array(
+                np.full(hot_rows.num_rows, s, dtype=np.int8)))
+            for s in range(1, int(S))])
 
     def left_rows(t: pa.Table) -> pa.Table:
         n = t.num_rows
         salt = _probe_salt(t[on], n) if probe_is_left else None
-        cols = {"part": _parts(t[on], salt),
-                "kind": pa.array(np.zeros(n, np.int8)),
+        cols = {"kind": pa.array(np.zeros(n, np.int8)),
                 "_salt": pa.array(np.zeros(n, np.int8) if salt is None
                                   else salt.astype(np.int8)),
                 on: t[on]}
@@ -609,8 +584,7 @@ def hash_join_shuffle(left, right, *, on: str, how: str = "inner",
     def right_rows(t: pa.Table) -> pa.Table:
         n = t.num_rows
         salt = None if probe_is_left else _probe_salt(t[on], n)
-        cols = {"part": _parts(t[on], salt),
-                "kind": pa.array(np.ones(n, np.int8)),
+        cols = {"kind": pa.array(np.ones(n, np.int8)),
                 "_salt": pa.array(np.zeros(n, np.int8) if salt is None
                                   else salt.astype(np.int8)),
                 on: t[on]}
@@ -648,9 +622,9 @@ def hash_join_shuffle(left, right, *, on: str, how: str = "inner",
                  .reindex(columns=out.columns)], ignore_index=True)
         return out.drop(columns=["_salt"])
 
-    u = left.map_batches(left_rows, batch_format="pyarrow").union(
-        right.map_batches(right_rows, batch_format="pyarrow"))
-    return exchange(u, per_part, P)
+    return exchange([left.map_batches(left_rows, batch_format="pyarrow"),
+                     right.map_batches(right_rows, batch_format="pyarrow")],
+                    per_part, jk)
 
 
 def _as_arrow_type(t):
@@ -696,19 +670,17 @@ def range_join_bucketed(points, intervals, *, on: str, lo: str, hi: str,
     if overlap:
         raise ValueError(f"range_join_bucketed: columns {sorted(overlap)} "
                          "appear on both sides — project or rename")
-    all_cols = [*pnames, *inames, "_bucket", "part", "_side"]
-    P = shuffle_width()
+    all_cols = [*pnames, *inames, "_bucket", "_side"]
     w = float(bucket_width)
 
-    def point_part(df: pd.DataFrame) -> pd.DataFrame:
+    def point_rows(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df[on].notna()].copy()
         d["_bucket"] = np.floor(
             d[on].to_numpy(dtype=np.float64) / w).astype(np.int64)
-        d["part"] = hash_part(d["_bucket"], P)
         d["_side"] = np.int8(0)
         return d.reindex(columns=all_cols)
 
-    def interval_part(df: pd.DataFrame) -> pd.DataFrame:
+    def interval_rows(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df[lo].notna() & df[hi].notna()]
         d = d[d[lo] <= d[hi]]
         b0 = np.floor(d[lo].to_numpy(dtype=np.float64) / w).astype(np.int64)
@@ -723,7 +695,6 @@ def range_join_bucketed(points, intervals, *, on: str, lo: str, hi: str,
             else np.empty(0, np.int64)
         out = d.iloc[idx].copy()
         out["_bucket"] = np.repeat(b0, span) + offs
-        out["part"] = hash_part(out["_bucket"], P)
         out["_side"] = np.int8(1)
         return out.reindex(columns=all_cols)
 
@@ -734,9 +705,10 @@ def range_join_bucketed(points, intervals, *, on: str, lo: str, hi: str,
         m = m[(m[lo] <= m[on]) & (m[on] <= m[hi])]
         return m.drop(columns=["_bucket", lo, hi]).reset_index(drop=True)
 
-    both = points.map_batches(point_part, batch_format="pandas") \
-        .union(intervals.map_batches(interval_part, batch_format="pandas"))
-    return exchange(both, per_part, P)
+    return exchange(
+        [points.map_batches(point_rows, batch_format="pandas"),
+         intervals.map_batches(interval_rows, batch_format="pandas")],
+        per_part, "_bucket")
 
 
 def join_size_profile(left, right, *, left_on: str, right_on: str,
@@ -756,8 +728,6 @@ def join_size_profile(left, right, *, left_on: str, right_on: str,
     pairs desc, key asc)."""
     import pandas as pd
 
-    P = shuffle_width()
-
     def counts(on: str, side: int):
         def f(t: pa.Table) -> pa.Table:
             k = t[on]
@@ -768,14 +738,12 @@ def join_size_profile(left, right, *, left_on: str, right_on: str,
                 .aggregate([([], "count_all")])
             g = g.rename_columns(["key", "c"])
             g = g.filter(pc.is_valid(g["key"]))  # SQL: NULL never joins
-            return g.append_column("part", hash_part(g["key"], P)) \
-                .append_column("side", pa.array(
-                    np.full(g.num_rows, side, np.int8)))
+            return g.append_column("side", pa.array(
+                np.full(g.num_rows, side, np.int8)))
         return f
 
-    both = left.map_batches(counts(left_on, 0), batch_format="pyarrow") \
-        .union(right.map_batches(counts(right_on, 1),
-                                 batch_format="pyarrow"))
+    both = [left.map_batches(counts(left_on, 0), batch_format="pyarrow"),
+            right.map_batches(counts(right_on, 1), batch_format="pyarrow")]
 
     def per_part(df: pd.DataFrame) -> pa.Table:
         # nulls were dropped in counts(), so a missing key here is NaN — a
@@ -802,7 +770,7 @@ def join_size_profile(left, right, *, left_on: str, right_on: str,
         return pa.Table.from_pandas(res, preserve_index=False) \
             .replace_schema_metadata()
 
-    cand = collect_table(exchange(both, per_part, P)).to_pandas()
+    cand = collect_table(exchange(both, per_part, "key")).to_pandas()
     is_total = cand["is_total"].to_numpy(dtype=bool)
     total = int(cand.loc[is_total, "pairs"].sum())
     outs = cand[~is_total].drop(columns="is_total").sort_values(

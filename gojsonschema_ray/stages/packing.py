@@ -37,9 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_table
-from .exchange import broadcast, exchange, shuffle_width
-
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
+from .exchange import broadcast, exchange
 
 
 def _order_keys(t: pa.Table, order_column: str) -> np.ndarray:
@@ -67,7 +65,6 @@ def running_offsets(ds, *, order_column: str, weight_column: str,
     the distributed scan behind pack_sequences (two passes, one exchange;
     see module docstring). Returns a Dataset of `keep_columns` +
     (order, weight, offset) rows."""
-    P = shuffle_width()
     keep = keep_columns or []
     reserved = {"part", "_w", "_b", "offset", "weight"} \
         & {order_column, weight_column, *keep}
@@ -96,13 +93,11 @@ def running_offsets(ds, *, order_column: str, weight_column: str,
     starts_ref = broadcast(starts)
 
     # ---- pass 2: co-partition whole buckets, local sort + cumsum --------
-    def add_part(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         k = _order_keys(t, order_column)
-        b = k // bucket_width
-        part = ((b.astype(np.uint64) * _GOLD) % np.uint64(P)).astype(np.int32)
         cols = {order_column: pa.array(k),
                 "_w": pa.array(_weights(t, weight_column)),
-                "_b": pa.array(b), "part": pa.array(part)}
+                "_b": pa.array(k // bucket_width)}
         for c in keep:
             cols[c] = t[c]
         return pa.table(cols)
@@ -122,11 +117,10 @@ def running_offsets(ds, *, order_column: str, weight_column: str,
             outs.append(g.assign(offset=off))
         out = pd.concat(outs, ignore_index=True) if outs \
             else df.assign(offset=pd.Series([], dtype="int64"))
-        return out.rename(columns={"_w": "weight"}) \
-            .drop(columns=["part", "_b"])
+        return out.rename(columns={"_w": "weight"}).drop(columns=["_b"])
 
-    return exchange(ds.map_batches(add_part, batch_format="pyarrow"),
-                    per_part, P)
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    per_part, "_b")
 
 
 def materialize_packs(packed_ds, *, order_column: str, text_column: str,
@@ -141,16 +135,6 @@ def materialize_packs(packed_ds, *, order_column: str, text_column: str,
     (documented): one pack's docs fit a partition (bounded by the packing
     capacity), boundary documents belong to the pack their FIRST token
     falls in (spill-forward chunking keeps this single-membership)."""
-    import ray  # noqa: F401 — parity with sibling operators' lazy import
-
-    P = shuffle_width()
-
-    def add_part(t: pa.Table) -> pa.Table:
-        pk = np.asarray(t[pack_column].to_numpy(zero_copy_only=False)) \
-            .astype(np.uint64)
-        part = ((pk * _GOLD) % np.uint64(P)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
-
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([pack_column, order_column], kind="stable")
         g = df.groupby(pack_column, sort=False)
@@ -167,8 +151,7 @@ def materialize_packs(packed_ds, *, order_column: str, text_column: str,
             "text": texts.to_numpy(),
         })
 
-    return exchange(packed_ds.map_batches(add_part, batch_format="pyarrow"),
-                    per_part, P)
+    return exchange(packed_ds, per_part, pack_column)
 
 
 def pack_sequences(ds, *, order_column: str, weight_column: str,

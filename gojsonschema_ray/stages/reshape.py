@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exchange import exchange, hash_part, shuffle_width
+from .exchange import exchange
 
 _AGGS = ("count", "sum")
 
@@ -94,7 +94,6 @@ def pivot_wide(ds, key_column: str, pivot_column: str,
             f"pivot_wide: category {key_column!r} collides with the key "
             "column in the output schema")
     keep = set(pivot_values)
-    P = shuffle_width()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cols = [key_column, pivot_column] + (
@@ -111,7 +110,7 @@ def pivot_wide(ds, key_column: str, pivot_column: str,
                 .rename(columns={value_column: "_v"})
         g = g.rename(columns={pivot_column: "_pv"})
         g["_pv"] = g["_pv"].astype(str)
-        return g.assign(part=hash_part(g[key_column], P))
+        return g
 
     def widen(df: pd.DataFrame) -> pd.DataFrame:
         w = df.pivot_table(index=key_column, columns="_pv", values="_v",
@@ -122,7 +121,7 @@ def pivot_wide(ds, key_column: str, pivot_column: str,
         return w[[key_column] + cats]
 
     return exchange(ds.map_batches(partial, batch_format="pandas"),
-                    widen, P)
+                    widen, key_column)
 
 
 def melt(ds, id_columns: list[str], value_columns: list[str], *,

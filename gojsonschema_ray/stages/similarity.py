@@ -17,7 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import collect_rows, list_column_to_matrix
+from ..util import collect_rows, in_sorted, list_column_to_matrix
 from .exchange import broadcast
 
 
@@ -178,11 +178,8 @@ class _NgramDecontaminateStage:
         ref = self.ref.get()  # sorted unique uint64 (np.unique output)
         hits = np.zeros(len(texts), dtype=np.int64)
         h, seg = gram_hashes_batch(texts, self.k)
-        if len(h) == 0 or len(ref) == 0:
-            return hits
         # membership probe into the sorted reference — no sort of h needed
-        idx = np.searchsorted(ref, h)
-        m = ref[np.minimum(idx, len(ref) - 1)] == h
+        m = in_sorted(ref, h)
         if not m.any():
             return hits
         doc = np.repeat(np.arange(len(texts), dtype=np.int64), np.diff(seg))

@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_rows, collect_table
-from .exchange import broadcast, exchange, hash_part, shuffle_width
+from .exchange import broadcast, exchange, shuffle_width
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +218,29 @@ class HyperLogLog:
 
 
 def hash_arrow_array(arr) -> np.ndarray:
-    """Vectorized 64-bit hashing of an Arrow array or pandas Series (pandas
-    hash kernel) — the engine's ONE partitioning hash."""
+    """Vectorized 64-bit hashing of an Arrow array or pandas Series, or
+    row-wise of an Arrow table or pandas DataFrame (pandas hash kernel) —
+    the engine's ONE partitioning hash."""
     import pandas as pd
 
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    s = arr if isinstance(arr, pd.Series) else arr.to_pandas()
+    if isinstance(arr, pa.Array) and (pa.types.is_string(arr.type)
+                                      or pa.types.is_large_string(arr.type)):
+        # pandas hashes each distinct string once (its categorize step);
+        # Arrow's dictionary encode finds them without building a Python
+        # object per row. Bit-identical to hashing the converted Series:
+        # a null gets pandas' null hash, the all-ones word.
+        enc = arr.dictionary_encode()
+        out = np.full(len(arr), np.iinfo(np.uint64).max, dtype=np.uint64)
+        if len(enc.dictionary):
+            uniq = pd.util.hash_pandas_object(
+                enc.dictionary.to_pandas(), index=False,
+                categorize=False).to_numpy(dtype=np.uint64)
+            valid = pc.is_valid(enc.indices).to_numpy(zero_copy_only=False)
+            out[valid] = uniq[enc.indices.drop_null().to_numpy()]
+        return out
+    s = arr if isinstance(arr, (pd.Series, pd.DataFrame)) else arr.to_pandas()
     return pd.util.hash_pandas_object(s, index=False).to_numpy(dtype=np.uint64)
 
 
@@ -495,12 +511,10 @@ def grouped_quantiles(ds, key_column: str, value_column: str,
     (key, q<percent> per requested quantile)."""
     import pandas as pd
 
-    P = shuffle_width()
     names = [f"q{int(round(q * 100))}" for q in qs]
 
     def project(t: pa.Table) -> pa.Table:
-        return pa.table({key_column: t[key_column], "v": t[value_column],
-                         "part": hash_part(t[key_column], P)})
+        return pa.table({key_column: t[key_column], "v": t[value_column]})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(key_column, sort=False, dropna=False)["v"]
@@ -509,7 +523,7 @@ def grouped_quantiles(ds, key_column: str, value_column: str,
         return pd.DataFrame(frames).reset_index()
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def normalize_by_group(ds, key_column: str, value_column: str,
@@ -668,17 +682,17 @@ def _sample_sort(ds, value_column: str, id_column: str, finish):
         t = t.filter(pc.is_valid(t[value_column]))
         v = values(t)
         return pa.table({id_column: t[id_column], "v": v,
-                         "part": bucket_of(v)})
+                         "_bucket": bucket_of(v)})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         offs = oref.get()
         return pd.concat([pd.DataFrame(finish(
             g["v"].to_numpy(), g[id_column].to_numpy(), int(offs[int(b)]),
-            n_total)) for b, g in (list(df.groupby("part", sort=False))
+            n_total)) for b, g in (list(df.groupby("_bucket", sort=False))
                                    or [(0, df)])], ignore_index=True)
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, "_bucket")
 
 
 def global_rank(ds, value_column: str, id_column: str, *,
@@ -724,11 +738,9 @@ def outliers_by_group(ds, key_column: str, value_column: str,
         raise ValueError(  # the value column is renamed into "v" safely
             f"outliers_by_group: key column name {sorted(reserved)} is "
             "reserved")
-    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
-        return pa.table({key_column: t[key_column], "v": t[value_column],
-                         "part": hash_part(t[key_column], P)})
+        return pa.table({key_column: t[key_column], "v": t[value_column]})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df["v"].notna()]
@@ -753,7 +765,7 @@ def outliers_by_group(ds, key_column: str, value_column: str,
         return out
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def mad_by_group(ds, key_column: str, value_column: str):
@@ -776,11 +788,9 @@ def mad_by_group(ds, key_column: str, value_column: str):
         raise ValueError(  # the value column is renamed into "v" safely
             f"mad_by_group: key column name {sorted(reserved)} is "
             "reserved")
-    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
-        return pa.table({key_column: t[key_column], "v": t[value_column],
-                         "part": hash_part(t[key_column], P)})
+        return pa.table({key_column: t[key_column], "v": t[value_column]})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df["v"].notna()]
@@ -796,7 +806,7 @@ def mad_by_group(ds, key_column: str, value_column: str):
                              .astype("int64").values})
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def column_correlations(ds, columns: list):
@@ -1010,7 +1020,7 @@ def ntile_global(ds, value_column: str, id_column: str, n_tiles: int, *,
     excluded."""
     if n_tiles < 1:
         raise ValueError(f"ntile_global: n_tiles={n_tiles} must be >= 1")
-    reserved = {"v", "part", tile_column} & {id_column}
+    reserved = {"v", "part", "_bucket", tile_column} & {id_column}
     if reserved:  # the value column is renamed to the synthetic 'v'; only
         # an ID named like a synthetic/output column can collide
         raise ValueError(f"ntile_global: column names {sorted(reserved)} "
@@ -1093,14 +1103,12 @@ def distribution_by_group(ds, key_column: str, value_column: str):
     if reserved:  # synthetic exchange columns
         raise ValueError(f"distribution_by_group: column names "
                          f"{sorted(reserved)} are reserved")
-    P = shuffle_width()
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select([key_column, value_column]) \
             .group_by([key_column, value_column]) \
             .aggregate([([], "count_all")])
-        g = g.rename_columns([key_column, value_column, "c"])
-        return g.append_column("part", hash_part(g[key_column], P))
+        return g.rename_columns([key_column, value_column, "c"])
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         cnt = df.groupby([key_column, value_column], sort=False)["c"].sum()
@@ -1120,7 +1128,7 @@ def distribution_by_group(ds, key_column: str, value_column: str):
             "n": n.to_numpy().astype(np.int64)})
 
     return exchange(ds.map_batches(partial, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def rollup_counts(ds, columns: list):
@@ -1144,14 +1152,11 @@ def rollup_counts(ds, columns: list):
     if "n" in columns or "level" in columns or "part" in columns:
         raise ValueError("rollup_counts: column names "
                          "{'n','level','part'} are reserved")
-    P = shuffle_width()
     k = len(columns)
 
     def partial(t: pa.Table) -> pa.Table:
-        g = t.select(columns).group_by(columns) \
-            .aggregate([([], "count_all")])
-        g = g.rename_columns([*columns, "n"])
-        return g.append_column("part", hash_part(g[columns[0]], P))
+        return t.select(columns).group_by(columns) \
+            .aggregate([([], "count_all")]).rename_columns([*columns, "n"])
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -1170,7 +1175,7 @@ def rollup_counts(ds, columns: list):
         return out
 
     levels = exchange(ds.map_batches(partial, batch_format="pyarrow"),
-                      per_part, P)
+                      per_part, columns[0])
     rows = [b for b in levels.iter_batches(batch_format="pandas")]
     out = pd.concat(rows, ignore_index=True) if rows else pd.DataFrame(
         {**{c: pd.Series([], dtype="object") for c in columns},
@@ -1213,13 +1218,10 @@ def cube_counts(ds, columns: list):
     if k > 6:
         raise ValueError(f"cube_counts: {k} columns = {2**k} grouping "
                          "sets; at most 6 supported")
-    P = shuffle_width()
 
     def partial(t: pa.Table) -> pa.Table:
-        g = t.select(columns).group_by(columns) \
-            .aggregate([([], "count_all")])
-        g = g.rename_columns([*columns, "n"])
-        return g.append_column("part", hash_part(g[columns[0]], P))
+        return t.select(columns).group_by(columns) \
+            .aggregate([([], "count_all")]).rename_columns([*columns, "n"])
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -1242,7 +1244,7 @@ def cube_counts(ds, columns: list):
         return out
 
     cube = exchange(ds.map_batches(partial, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, columns[0])
     rows = [b for b in cube.iter_batches(batch_format="pandas")]
     if not rows:  # empty input: SQL CUBE still emits the () set, count 0
         return pd.DataFrame(
@@ -1701,14 +1703,11 @@ def gini_by_group(ds, key_column: str, value_column: str):
     undefined); zero-sum groups emit null."""
     import pandas as pd
 
-    P = shuffle_width()
-
     def project(t: pa.Table) -> pa.Table:
         if pc.any(pc.less(t[value_column], 0)).as_py():
             raise ValueError(
                 f"gini_by_group: negative {value_column} values")
-        return pa.table({key_column: t[key_column], "v": t[value_column],
-                         "part": hash_part(t[key_column], P)})
+        return pa.table({key_column: t[key_column], "v": t[value_column]})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         df = df.dropna(subset=[key_column, "v"])
@@ -1731,7 +1730,7 @@ def gini_by_group(ds, key_column: str, value_column: str):
                              "gini": gini})
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def autocorr_by_key(ds, key_column: str, order_columns: tuple,
@@ -1751,12 +1750,10 @@ def autocorr_by_key(ds, key_column: str, order_columns: tuple,
 
     if lag < 1:
         raise ValueError(f"autocorr_by_key: lag={lag}")
-    P = shuffle_width()
     order = list(order_columns)
 
     def project(t: pa.Table) -> pa.Table:
-        cols = {key_column: t[key_column], "v": t[value_column],
-                "part": hash_part(t[key_column], P)}
+        cols = {key_column: t[key_column], "v": t[value_column]}
         for c in order:
             cols[c] = t[c]
         return pa.table(cols)
@@ -1793,7 +1790,7 @@ def autocorr_by_key(ds, key_column: str, order_columns: tuple,
             "autocorr": r})
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def discretize_quantile(ds, column: str, k: int, *,

@@ -42,7 +42,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import broadcast, exchange, hash_part, shuffle_width
+from .exchange import broadcast, exchange
 
 _LOG = logging.getLogger(__name__)
 
@@ -71,6 +71,14 @@ def _tokens(batch: pa.Table, text_column: str, lowercase: bool):
     lens = np.where(valid, raw_lengths, 0)
     vals = lists.values.filter(pa.array(np.repeat(valid, raw_lengths)))
     return vals, lens
+
+
+def _tmod(terms, mods: int) -> np.ndarray:
+    """Postings partition of each term: hash(term) % mods, the layout
+    `build` writes and `search_pairs` prunes by."""
+    from .sketches import hash_arrow_array
+
+    return (hash_arrow_array(terms) % np.uint64(mods)).astype(np.int32)
 
 
 class InvertedTextIndex:
@@ -129,7 +137,7 @@ class InvertedTextIndex:
                 "term": term_arr,
                 "tf": pa.array(tf.astype(np.int64)),
                 "dl": pa.array(lens[pdoc].astype(np.int64)),
-                "tmod": hash_part(term_arr, mods),
+                "tmod": pa.array(_tmod(term_arr, mods)),
             })
 
         ds.map_batches(postings, batch_format="pyarrow") \
@@ -183,7 +191,6 @@ class InvertedTextIndex:
 
         from ..util import collect_table
         from .dedup import MinHashIndex
-        from .sketches import hash_arrow_array
 
         q = sorted(set(query_terms))
         if not q:
@@ -192,7 +199,7 @@ class InvertedTextIndex:
         q_np = np.array(q, dtype=object)
         filesystem, base = pafs.FileSystem.from_uri(index_dir)
         n_docs, avgdl = self._read_stats(filesystem, base)
-        tmods = np.unique(hash_arrow_array(q_arr) % np.uint64(self.mods))
+        tmods = np.unique(_tmod(q_arr, self.mods))
         paths = MinHashIndex._expand(
             filesystem, f"{base}/post",
             [f"tmod={int(m)}" for m in tmods])
@@ -259,11 +266,7 @@ class InvertedTextIndex:
             raise ValueError(f"InvertedTextIndex.search: mode={mode!r}")
         q = sorted(set(query_terms))
         pairs = self.search_pairs(q, index_dir)
-        P = shuffle_width()
         id_col, need = self.id_column, len(q)
-
-        def add_part(t: pa.Table) -> pa.Table:
-            return t.append_column("part", hash_part(t[id_col], P))
 
         def per_part(df: pd.DataFrame) -> pd.DataFrame:
             g = df.groupby(id_col, sort=True).agg(
@@ -275,8 +278,7 @@ class InvertedTextIndex:
                               kind="stable").head(k)
             return g[[id_col, "score", "dl"]]
 
-        tops = collect_table(exchange(
-            pairs.map_batches(add_part, batch_format="pyarrow"), per_part, P))
+        tops = collect_table(exchange(pairs, per_part, id_col))
         out = tops.to_pandas()
         if out.empty:
             return pd.DataFrame({id_col: pd.Series([], dtype="int64"),

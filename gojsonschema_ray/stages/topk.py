@@ -16,7 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import collect_table
-from .exchange import exchange, hash_part, shuffle_width
+from .exchange import exchange
 
 
 def _top_of(t: pa.Table, sort_keys: list[tuple[str, str]], k: int) -> pa.Table:
@@ -48,24 +48,15 @@ def grouped_top_k(ds, group_column: str, sort_keys: list[tuple[str, str]],
         if d not in ("ascending", "descending"):
             raise ValueError(f"sort direction must be 'ascending' or "
                              f"'descending', got {d!r}")
-    P = shuffle_width()
     cols = [group_column] + [c for c, _ in sort_keys]
     asc = [True] + [d == "ascending" for _, d in sort_keys]
 
-    def local_top(df, with_part: bool):
+    def local_top(df):
         df = df.sort_values(cols, ascending=asc, kind="stable")
-        out = df.groupby(group_column, sort=False, dropna=False).head(k)
-        if with_part:
-            out = out.assign(part=hash_part(out[group_column], P))
-        return out
+        return df.groupby(group_column, sort=False, dropna=False).head(k)
 
-    partials = ds.map_batches(lambda df: local_top(df, True),
-                              batch_format="pandas")
-
-    def per_part(df):
-        return local_top(df, False).drop(columns=["part"])
-
-    return exchange(partials, per_part, P)
+    return exchange(ds.map_batches(local_top, batch_format="pandas"),
+                    local_top, group_column)
 
 
 def grouped_top_values(ds, group_column: str, value_column: str, k: int):
@@ -89,13 +80,11 @@ def grouped_top_values(ds, group_column: str, value_column: str, k: int):
     if reserved:  # synthetic exchange/output columns
         raise ValueError(f"grouped_top_values: column names "
                          f"{sorted(reserved)} are reserved")
-    P = shuffle_width()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df[[group_column, value_column]].dropna()
-        g = d.groupby([group_column, value_column], sort=False).size() \
+        return d.groupby([group_column, value_column], sort=False).size() \
             .reset_index(name="n")
-        return g.assign(part=hash_part(g[group_column], P))
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby([group_column, value_column], sort=False)["n"] \
@@ -106,7 +95,7 @@ def grouped_top_values(ds, group_column: str, value_column: str, k: int):
         return out.assign(n=out["n"].astype("int64"))
 
     return exchange(ds.map_batches(partial, batch_format="pandas"),
-                    per_part, P)
+                    per_part, group_column)
 
 
 def argmax_by_group(ds, key_column: str, value_column: str, *,

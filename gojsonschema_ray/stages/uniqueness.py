@@ -33,7 +33,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..util import collect_rows
-from .exchange import exchange, exchange_parts, hash_part, shuffle_width
+from .exchange import exchange, exchange_parts, hash_part
 from .validate import VIOLATION_SCHEMA
 
 
@@ -44,10 +44,11 @@ PART_WIDTH = b"part_width"
 class KeyCountStage:
     """map_batches payload: batch → (key, cnt, part) partial counts.
 
-    `part` is a deterministic hash partition of the key (coarse — one
-    bucket per cluster CPU, see exchange.exchange_parts) so the
-    downstream exchange groups on a tiny int domain instead of paying Ray's
-    sort-based groupby over every distinct key."""
+    `part` is the exchange's partition hash of the key at `n_parts` (one
+    bucket per cluster CPU, see exchange.exchange_parts): `write` stores
+    the partials laid out by it, so stored_key_count_violations reads each
+    reducer's rows without re-hashing. aggregate_key_counts re-tags the
+    partials it exchanges, at the same width."""
 
     def __init__(self, key: str):
         self.key = key
@@ -74,14 +75,15 @@ class KeyCountStage:
 
 def aggregate_key_counts(partials, key: str, min_count: int = 2,
                          finish=None):
-    """(key, n) totals with n >= min_count, from (key, cnt, part) partials.
+    """(key, n) totals with n >= min_count, from (key, cnt) partials (a
+    `part` column on them, as KeyCountStage adds, is replaced).
 
-    ONE exchange keyed on the coarse `part` column (one value per cluster
-    CPU by default — trivially sortable), then a vectorized pandas groupby
-    per partition. Skew-proof: partials are already collapsed per block, so
-    even a key holding 50% of all rows contributes ≤ one row per block to
-    its bucket. The result does not depend on the exchange width or on the
-    width the partials were tagged with: each partition groups on the key.
+    ONE exchange keyed on `key` into exchange_parts() partitions (one per
+    cluster CPU), then a vectorized pandas groupby per partition.
+    Skew-proof: partials are already collapsed per block, so even a key
+    holding 50% of all rows contributes ≤ one row per block to its
+    partition. The result does not depend on the exchange width: each
+    partition groups on the key.
 
     `finish` maps each partition's (key, n) frame to the output block
     inside the reducer. A map_batches after the exchange would never see
@@ -94,12 +96,13 @@ def aggregate_key_counts(partials, key: str, min_count: int = 2,
         g = g[g["cnt"] >= min_count].rename(columns={"cnt": "n"})
         return finish(g) if finish else g
 
-    return exchange(partials, per_part, exchange_parts())
+    return exchange(partials, per_part, key, P=exchange_parts())
 
 
-def _key_counts(ds, key: str, finish):
+def _key_counts(ds, key: str, finish, min_count: int = 2):
     partials = ds.map_batches(KeyCountStage(key), batch_format="pyarrow")
-    return aggregate_key_counts(partials, key, min_count=2, finish=finish)
+    return aggregate_key_counts(partials, key, min_count=min_count,
+                                finish=finish)
 
 
 def duplicate_keys(ds, key: str):
@@ -201,16 +204,18 @@ def add_salted_key(batch: pa.Table, key: str, hot_keys: set, salt_buckets: int,
 
 def top_hot_keys(ds, key: str, sample_frac: float = 0.01, top_k: int = 16,
                  min_share: float = 0.001) -> set:
-    """Sample-based hot-key scan (pre-shuffle skew detection): keys whose
-    sampled share exceeds `min_share` of rows."""
+    """Sample-based hot-key scan (pre-shuffle skew detection): of the
+    `top_k` most frequent sampled keys, those whose sampled share exceeds
+    `min_share` of rows."""
     sample = ds.random_sample(sample_frac, seed=42).materialize()
     n_sample = max(1, sample.count())
-    counts = sample.map_batches(KeyCountStage(key), batch_format="pyarrow") \
-        .groupby(key).sum("cnt")
-    rows = collect_rows(counts.sort("sum(cnt)", descending=True).limit(top_k))
+    # each partition keeps its own top_k: a global top-k key is in one
+    rows = collect_rows(_key_counts(
+        sample, key, lambda g: g.nlargest(top_k, "n"), min_count=1))
+    rows.sort(key=lambda r: r["n"], reverse=True)
     # a key's sampled share IS its estimated true share (uniform sampling)
-    return {r[key] for r in rows
-            if r["sum(cnt)"] / n_sample >= min_share and r[key] is not None}
+    return {r[key] for r in rows[:top_k]
+            if r["n"] / n_sample >= min_share and r[key] is not None}
 
 
 def grouped_nunique(ds, key_column: str, value_column: str):
@@ -228,12 +233,9 @@ def grouped_nunique(ds, key_column: str, value_column: str):
     wanted). Returns a Dataset of (key, n_distinct)."""
     import pandas as pd
 
-    P = shuffle_width()
-
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df[[key_column, value_column]]
-        d = d[d[value_column].notna()].drop_duplicates()
-        return d.assign(part=hash_part(d[key_column], P))
+        return d[d[value_column].notna()].drop_duplicates()
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates([key_column, value_column])
@@ -243,4 +245,4 @@ def grouped_nunique(ds, key_column: str, value_column: str):
         return g
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    return exchange(partials, per_part, P)
+    return exchange(partials, per_part, key_column)

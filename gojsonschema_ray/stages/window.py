@@ -22,20 +22,21 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import exchange, hash_part, shuffle_width
+from .exchange import exchange
 
 
-def _merge_window_partials(partials_ds, P: int, by: str | None = None):
-    """Shared exchange + finalize for the window operators: coarse-partition
-    the (window[, by], n, s, mn, mx, part) partial rows, merge vectorized per
-    partition, emit (window_start[, by], n, sum, min, max, mean)."""
+def _merge_window_partials(partials_ds, by: str | None = None):
+    """Shared exchange + finalize for the window operators: exchange the
+    (window[, by], n, s, mn, mx) partial rows on the window, merge
+    vectorized per partition, emit (window_start[, by], n, sum, min, max,
+    mean)."""
     group_keys = ["w"] + ([by] if by is not None else [])
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(group_keys, as_index=False, sort=False).agg(
             n=("n", "sum"), s=("s", "sum"), mn=("mn", "min"), mx=("mx", "max"))
 
-    merged = exchange(partials_ds, per_part, P)
+    merged = exchange(partials_ds, per_part, "w")
 
     def finalize(t: pa.Table) -> pa.Table:
         cols = {"window_start": pc.cast(t["w"], pa.timestamp("us"))}
@@ -59,7 +60,6 @@ def tumbling_window_aggregate(ds, ts_column: str, value_column: str,
     """Per-window (and optional per-`by`-key) count/sum/min/max/mean of
     `value_column`. Returns a Dataset with columns
     (window_start: timestamp[us], [by,] n, sum, min, max, mean)."""
-    P = shuffle_width()
     width_us = np.int64(width_s) * np.int64(1_000_000)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -77,11 +77,10 @@ def tumbling_window_aggregate(ds, ts_column: str, value_column: str,
             keys.append(by)
         g = pa.table(cols).group_by(keys).aggregate(
             [("v", "count"), ("v", "sum"), ("v", "min"), ("v", "max")])
-        g = g.rename_columns(keys + ["n", "s", "mn", "mx"])
-        return g.append_column("part", hash_part(g["w"], P))
+        return g.rename_columns(keys + ["n", "s", "mn", "mx"])
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return _merge_window_partials(partials, P, by)
+    return _merge_window_partials(partials, by)
 
 
 def hopping_window_aggregate(ds, ts_column: str, value_column: str,
@@ -92,7 +91,6 @@ def hopping_window_aggregate(ds, ts_column: str, value_column: str,
     explode multiplies ROWS by the window fan-out, but only (window, partial)
     rows ride the exchange. Null values are skipped (tumbling/SQL NULL
     semantics). Returns (window_start, n, sum, min, max, mean)."""
-    P = shuffle_width()
     width_us = np.int64(width_s) * np.int64(1_000_000)
     hop_us = np.int64(hop_s) * np.int64(1_000_000)
     fanout = int(np.ceil(width_s / hop_s))
@@ -112,15 +110,14 @@ def hopping_window_aggregate(ds, ts_column: str, value_column: str,
             keep = s > ts - width_us  # ts < s + width  (s <= ts by base def)
             wins.append(s[keep])
             vals.append(v[keep])
-        g = pa.table({"w": pa.array(np.concatenate(wins)),
-                      "v": pa.array(np.concatenate(vals))}).group_by("w") \
+        return pa.table({"w": pa.array(np.concatenate(wins)),
+                         "v": pa.array(np.concatenate(vals))}).group_by("w") \
             .aggregate([("v", "count"), ("v", "sum"), ("v", "min"),
                         ("v", "max")]) \
             .rename_columns(["w", "n", "s", "mn", "mx"])
-        return g.append_column("part", hash_part(g["w"], P))
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return _merge_window_partials(partials, P, by=None)
+    return _merge_window_partials(partials)
 
 
 def session_windows(ds, key_column: str, ts_column: str, gap_s: float):
@@ -132,12 +129,10 @@ def session_windows(ds, key_column: str, ts_column: str, gap_s: float):
     pathologically hot key bounds one partition), then a vectorized
     per-partition sort + gap split. Returns
     (key, session_start: timestamp[us], n, dur_s)."""
-    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         ts = pc.cast(t[ts_column], pa.timestamp("us"))
-        return pa.table({key_column: t[key_column], "ts": ts,
-                         "part": hash_part(t[key_column], P)})
+        return pa.table({key_column: t[key_column], "ts": ts})
 
     gap = pd.Timedelta(seconds=gap_s)
 
@@ -164,7 +159,7 @@ def session_windows(ds, key_column: str, ts_column: str, gap_s: float):
         return out.reset_index(drop=True)
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def rolling_by_key(ds, key_column: str, ts_column: str, value_column: str,
@@ -181,13 +176,11 @@ def rolling_by_key(ds, key_column: str, ts_column: str, value_column: str,
     sort + pandas groupby.rolling. Returns the key, ordering columns and
     `roll_mean` (partial windows at a key's head average the rows available,
     SQL ROWS-frame semantics)."""
-    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -197,12 +190,12 @@ def rolling_by_key(ds, key_column: str, ts_column: str, value_column: str,
         # null keys (SQL PARTITION BY NULL groups them together)
         vals = df.groupby(key_column, sort=False, dropna=False)[value_column] \
             .rolling(window_rows, min_periods=1).mean().to_numpy()
-        out = df.drop(columns=["part", value_column]).copy()
+        out = df.drop(columns=[value_column])
         out["roll_mean"] = vals
         return out
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def lag_by_key(ds, key_column: str, ts_column: str, value_column: str,
@@ -215,26 +208,21 @@ def lag_by_key(ds, key_column: str, ts_column: str, value_column: str,
     (documented assumption: rows-per-key bounds one partition), then a
     vectorized per-partition sort + groupby.shift. Returns key, ordering
     columns, value, `prev` and `delta`."""
-    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([key_column, *order], kind="stable")
         prev = df.groupby(key_column, sort=False, dropna=False)[value_column] \
             .shift(1)
-        out = df.drop(columns=["part"]).copy()
-        out["prev"] = prev
-        out["delta"] = df[value_column] - prev
-        return out
+        return df.assign(prev=prev, delta=df[value_column] - prev)
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def sessionize(ds, key_column: str, ts_column: str, gap_s: float,
@@ -261,12 +249,10 @@ def sessionize(ds, key_column: str, ts_column: str, gap_s: float,
     the SORT deterministic."""
     from pandas.api.types import is_datetime64_any_dtype
 
-    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in dict.fromkeys([key_column, *order])}
-        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -306,7 +292,7 @@ def sessionize(ds, key_column: str, ts_column: str, gap_s: float,
             "dur_s": np.round(secs[e - 1] - secs[b], 6)})
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def funnel_by_key(ds, key_column: str, ts_column: str, type_column: str,
@@ -328,12 +314,10 @@ def funnel_by_key(ds, key_column: str, ts_column: str, type_column: str,
 
     if not steps:
         raise ValueError("funnel_by_key: steps must be non-empty")
-    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in
                 dict.fromkeys([key_column, ts_column, type_column])}
-        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -363,7 +347,7 @@ def funnel_by_key(ds, key_column: str, ts_column: str, type_column: str,
         return out
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def transition_counts(ds, key_column: str, ts_column: str,
@@ -383,18 +367,16 @@ def transition_counts(ds, key_column: str, ts_column: str,
     never leave their key's partition, only the ≤|V|² count partials move.
     Null values participate as sequence positions but pairs with a null
     side are dropped (lag semantics). Returns (v_from, v_to, n)."""
-    reserved = {"part", "part2", "v_from", "v_to", "cnt", "n"} & \
+    reserved = {"part", "v_from", "v_to", "cnt", "n"} & \
         {key_column, ts_column, value_column, *order_columns}
     if reserved:  # synthetic exchange/output columns
         raise ValueError(f"transition_counts: column names "
                          f"{sorted(reserved)} are reserved")
-    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -406,9 +388,7 @@ def transition_counts(ds, key_column: str, ts_column: str,
         g = pairs.groupby(["v_from", "v_to"], sort=False).size() \
             .reset_index(name="cnt")
         g["cnt"] = g["cnt"].astype("int64")
-        return g.assign(
-            part2=hash_part(g["v_from"].astype(str) + "\x1f"
-                            + g["v_to"].astype(str), P))
+        return g
 
     def per_pair(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["v_from", "v_to"], sort=False,
@@ -416,8 +396,8 @@ def transition_counts(ds, key_column: str, ts_column: str,
         return g.rename(columns={"cnt": "n"})
 
     partials = exchange(ds.map_batches(project, batch_format="pyarrow"),
-                        per_part, P)
-    return exchange(partials, per_pair, P, by="part2")
+                        per_part, key_column)
+    return exchange(partials, per_pair, ["v_from", "v_to"])
 
 
 def retention_cohorts(ds, key_column: str, ts_column: str,
@@ -435,7 +415,6 @@ def retention_cohorts(ds, key_column: str, ts_column: str,
     vectorized cohort/offset derivation + (cohort, offset) pre-counts →
     ONE coarse hash(pair) exchange of the ≤periods² count partials. Null
     keys/timestamps dropped. Returns (cohort, offset, n)."""
-    P = shuffle_width()
     div = int(period_s) * 1_000_000
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -443,9 +422,8 @@ def retention_cohorts(ds, key_column: str, ts_column: str,
         # datetime64[ns] and [us] batches both normalize to exact µs
         us = d[ts_column].to_numpy().astype("datetime64[us]").astype(
             "int64")
-        out = pd.DataFrame({"k": d[key_column].to_numpy(),
-                            "period": us // div}).drop_duplicates()
-        return out.assign(part=hash_part(out["k"], P))
+        return pd.DataFrame({"k": d[key_column].to_numpy(),
+                             "period": us // div}).drop_duplicates()
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates(["k", "period"])
@@ -455,9 +433,7 @@ def retention_cohorts(ds, key_column: str, ts_column: str,
             .groupby(["cohort", "offset"], sort=False).size() \
             .reset_index(name="cnt")
         g["cnt"] = g["cnt"].astype("int64")
-        return g.assign(
-            part2=hash_part(g["cohort"].astype(str) + "\x1f"
-                            + g["offset"].astype(str), P))
+        return g
 
     def per_cell(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["cohort", "offset"], sort=False,
@@ -465,8 +441,8 @@ def retention_cohorts(ds, key_column: str, ts_column: str,
         return g.rename(columns={"cnt": "n"})
 
     partials = exchange(ds.map_batches(partial, batch_format="pandas"),
-                        per_part, P)
-    return exchange(partials, per_cell, P, by="part2")
+                        per_part, "k")
+    return exchange(partials, per_cell, ["cohort", "offset"])
 
 
 def debounce_by_key(ds, key_column: str, ts_column: str,
@@ -486,13 +462,11 @@ def debounce_by_key(ds, key_column: str, ts_column: str,
     bursts are sessions with gap < window_s, and "first of each burst" is
     each session's first row — fully vectorized, no Python loop over
     rows. Returns the kept rows (key, order columns, value)."""
-    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -519,11 +493,10 @@ def debounce_by_key(ds, key_column: str, ts_column: str,
         if len(df):
             keep[0] = True
             keep[1:] = burst_id[1:] != burst_id[:-1]
-        out = df[keep].drop(columns=["part"])
-        return out.reset_index(drop=True)
+        return df[keep].reset_index(drop=True)
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def gap_fill(ds, key_column: str, ts_column: str,
@@ -552,7 +525,6 @@ def gap_fill(ds, key_column: str, ts_column: str,
             f"gap_fill: column names {sorted(reserved)} are reserved")
     if bucket_s <= 0:
         raise ValueError("gap_fill: bucket_s must be positive")
-    P = shuffle_width()
     bucket_us = int(round(bucket_s * 1e6))
 
     def partial(t: pa.Table) -> pa.Table:
@@ -569,7 +541,6 @@ def gap_fill(ds, key_column: str, ts_column: str,
         g = d.groupby([key_column, "bucket"], sort=False).size() \
             .reset_index(name="cnt")
         g["cnt"] = g["cnt"].astype("int64")
-        g["part"] = hash_part(g[key_column], P)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def expand(df: pd.DataFrame) -> pd.DataFrame:
@@ -594,7 +565,8 @@ def gap_fill(ds, key_column: str, ts_column: str,
         out["n"] = out["cnt"].fillna(0).astype("int64")
         return out[[key_column, "bucket", "n"]]
 
-    return exchange(ds.map_batches(partial, batch_format="pyarrow"), expand, P)
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), expand,
+                    key_column)
 
 
 def interval_coverage(ds, key_column: str, start_column: str,
@@ -626,7 +598,6 @@ def interval_coverage(ds, key_column: str, start_column: str,
     if reserved:
         raise ValueError(f"interval_coverage: column names "
                          f"{sorted(reserved)} are reserved")
-    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.and_(pc.is_valid(t[key_column]),
@@ -637,8 +608,7 @@ def interval_coverage(ds, key_column: str, start_column: str,
         t = t.filter(keep)
         return pa.table({key_column: t[key_column],
                          "s": pc.cast(t[start_column], pa.float64()),
-                         "e": pc.cast(t[end_column], pa.float64()),
-                         "part": hash_part(t[key_column], P)})
+                         "e": pc.cast(t[end_column], pa.float64())})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -671,7 +641,7 @@ def interval_coverage(ds, key_column: str, start_column: str,
             "n_intervals": n_intervals.astype(np.int64)})
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def time_weighted_mean(ds, key_column: str, ts_column: str,
@@ -697,7 +667,6 @@ def time_weighted_mean(ds, key_column: str, ts_column: str,
     if "part" in (key_column, ts_column, value_column):
         raise ValueError("time_weighted_mean: column name 'part' is "
                          "reserved")
-    P = shuffle_width()
 
     def project(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.and_(pc.is_valid(t[key_column]),
@@ -706,8 +675,7 @@ def time_weighted_mean(ds, key_column: str, ts_column: str,
         t = t.filter(keep)
         return pa.table({key_column: t[key_column],
                          ts_column: t[ts_column],
-                         value_column: t[value_column],
-                         "part": hash_part(t[key_column], P)})
+                         value_column: t[value_column]})
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -748,7 +716,7 @@ def time_weighted_mean(ds, key_column: str, ts_column: str,
             "n_events": cnt[ok]})
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def ewma_by_key(ds, key_column: str, ts_column: str, value_column: str,
@@ -769,7 +737,6 @@ def ewma_by_key(ds, key_column: str, ts_column: str, value_column: str,
     Returns key, ordering columns, value and `ewma`."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"ewma_by_key: alpha={alpha}")
-    P = shuffle_width()
     order = [ts_column, *order_columns]
 
     def project(t: pa.Table) -> pa.Table:
@@ -778,7 +745,6 @@ def ewma_by_key(ds, key_column: str, ts_column: str, value_column: str,
                              "the recursion has no NaN-skip semantics")
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -787,12 +753,10 @@ def ewma_by_key(ds, key_column: str, ts_column: str, value_column: str,
         # (same idiom as rolling_by_key)
         vals = df.groupby(key_column, sort=False, dropna=False)[value_column] \
             .ewm(alpha=alpha, adjust=False).mean().to_numpy()
-        out = df.drop(columns=["part"]).copy()
-        out["ewma"] = vals
-        return out
+        return df.assign(ewma=vals)
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)
 
 
 def cusum_by_key(ds, key_column: str, ts_column: str, value_column: str, *,
@@ -818,7 +782,6 @@ def cusum_by_key(ds, key_column: str, ts_column: str, value_column: str, *,
 
     if slack < 0:
         raise ValueError(f"cusum_by_key: slack={slack}")
-    P = shuffle_width()
     order = [ts_column, *order_columns]
     reserved = {"part", "cusum_hi", "cusum_lo", "alarm"}
     named = {key_column, value_column, *order}
@@ -832,7 +795,6 @@ def cusum_by_key(ds, key_column: str, ts_column: str, value_column: str, *,
                              "— the recursion has no NaN-skip semantics")
         cols = {c: t[c] for c in dict.fromkeys(
             [key_column, *order, value_column])}
-        cols["part"] = hash_part(t[key_column], P)
         return pa.table(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -840,7 +802,7 @@ def cusum_by_key(ds, key_column: str, ts_column: str, value_column: str, *,
         v = df[value_column].to_numpy(dtype=np.float64)
         g = df.assign(yh=v - target - slack, yl=-(v - target) - slack) \
             .groupby(key_column, sort=False, dropna=False)
-        out = df.drop(columns=["part"]).copy()
+        out = df.copy()
         for name, col in (("cusum_hi", "yh"), ("cusum_lo", "yl")):
             c = g[col].cumsum().to_numpy(dtype=np.float64)
             # running min must reset per key: cummin of the cumsum series
@@ -854,4 +816,4 @@ def cusum_by_key(ds, key_column: str, ts_column: str, value_column: str, *,
         return out
 
     return exchange(ds.map_batches(project, batch_format="pyarrow"),
-                    per_part, P)
+                    per_part, key_column)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 
@@ -42,3 +43,26 @@ def collect_table(ds) -> pa.Table:
     if not tabs:
         return pa.table({})
     return pa.concat_tables(tabs)
+
+
+def _probe_sorted(keys: np.ndarray, h: np.ndarray):
+    """(pos, hit) of each probe of `h` in the ascending array `keys`: the
+    clamped searchsorted position and whether the key there equals the
+    probe. An empty `keys` holds nothing."""
+    if not len(keys):
+        return np.zeros(len(h), dtype=np.intp), np.zeros(len(h), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, h), len(keys) - 1)
+    return pos, keys[pos] == h
+
+
+def in_sorted(keys: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Membership of each probe of `h` in the ascending array `keys`."""
+    return _probe_sorted(keys, h)[1]
+
+
+def sorted_lookup(keys: np.ndarray, values: np.ndarray, h: np.ndarray,
+                  default) -> np.ndarray:
+    """values[i] for each probe of `h` equal to keys[i] (`keys` ascending),
+    `default` for a probe not in `keys`."""
+    pos, hit = _probe_sorted(keys, h)
+    return np.where(hit, values[pos] if len(values) else default, default)

@@ -532,8 +532,7 @@ def test_exchange_parts_one_per_cpu(ray_session, monkeypatch):
     """The key-count exchange is one partition per cluster CPU: 4 on the
     4-CPU test session (no floor of 8), 64 on a 64-CPU cluster (no cap at
     32), and 8 only when Ray is not running. Every other exchange uses
-    shuffle_width(): the same count floored at 8, rounded up to a power of
-    two."""
+    shuffle_width(): the same count floored at 8."""
     import ray
 
     from gojsonschema_ray.stages.exchange import exchange_parts, shuffle_width
@@ -547,48 +546,98 @@ def test_exchange_parts_one_per_cpu(ray_session, monkeypatch):
     assert exchange_parts() == 64
     assert shuffle_width() == 64
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 12.0})
-    assert shuffle_width() == 16
+    assert shuffle_width() == 12
     monkeypatch.setattr(ray, "is_initialized", lambda: False)
     assert exchange_parts() == 8
     assert shuffle_width() == 8
 
 
+def _none_if_nan(v):
+    return None if v is None or v != v else v
+
+
 @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
 def test_exchange_width_independent(ray_session, batch_format):
-    """exchange() returns the same multiset at any width, in either batch
-    format, and groups on a `by=` column other than `part`."""
+    """exchange() tags its own partitions: at any width, for a one- and a
+    two-column key with nulls, from pandas-built and Arrow-built partials,
+    in either reduce format, every key's rows meet in ONE reduce call (the
+    per-call counts of equal keys never split) and `reduce` never sees the
+    `part` tag."""
     from collections import Counter
 
     import pandas as pd
     import ray.data as rd
 
-    from gojsonschema_ray.stages import exchange as xmod
-    from gojsonschema_ray.stages.exchange import exchange, hash_part
+    from gojsonschema_ray.stages.exchange import exchange, shuffle_width
     from gojsonschema_ray.util import collect_rows
 
-    keys = [f"k{i % 37}" if i % 5 else None for i in range(900)]
-    expected = sorted((k, c) for k, c in Counter(keys).items()
-                      if k is not None)
+    n = 900
+    rows = {"k": [f"k{i % 37}" if i % 5 else None for i in range(n)],
+            "b": [i % 4 for i in range(n)]}
+    src = rd.from_arrow(pa.table(rows)).repartition(7)
+    built = {
+        "arrow": src.map_batches(
+            lambda t: t.append_column("c", pa.array([1] * t.num_rows)),
+            batch_format="pyarrow"),
+        "pandas": src.map_batches(lambda df: df.assign(c=1),
+                                  batch_format="pandas"),
+    }
 
-    def reduce(batch):
-        df = batch if isinstance(batch, pd.DataFrame) else batch.to_pandas()
-        g = df.groupby("k", sort=False)["c"].sum().reset_index()
-        return g if batch_format == "pandas" else pa.Table.from_pandas(
-            g, preserve_index=False)
+    for key in ("k", ["k", "b"]):
+        cols = [key] if isinstance(key, str) else key
+        expected = Counter(zip(*(rows[c] for c in cols)))
 
-    for width in (1, 3, xmod.shuffle_width()):
-        for by in ("part", "bucket"):
-            def tag(t: pa.Table, width=width, by=by) -> pa.Table:
-                return pa.table({"k": t["k"],
-                                 "c": pa.array([1] * t.num_rows),
-                                 by: hash_part(t["k"], width)})
+        def reduce(batch, cols=cols):
+            df = batch if isinstance(batch, pd.DataFrame) \
+                else batch.to_pandas()
+            assert list(df.columns) == ["k", "b", "c"]
+            g = df.groupby(cols, sort=False, dropna=False)["c"].sum() \
+                .reset_index()
+            return g if batch_format == "pandas" else pa.Table.from_pandas(
+                g, preserve_index=False)
 
-            partials = rd.from_arrow(pa.table({"k": keys})).repartition(7) \
-                .map_batches(tag, batch_format="pyarrow")
-            got = sorted((r["k"], r["c"]) for r in collect_rows(
-                exchange(partials, reduce, width, by=by,
-                         batch_format=batch_format)))
-            assert got == expected, (width, by)
+        for origin, partials in built.items():
+            for width in (1, 3, shuffle_width()):
+                got = [(tuple(_none_if_nan(r[c]) for c in cols), r["c"])
+                       for r in collect_rows(exchange(
+                           partials, reduce, key, P=width,
+                           batch_format=batch_format))]
+                # one output row per key: equal keys met in one reducer
+                assert len(got) == len(expected), (key, origin, width)
+                assert dict(got) == expected, (key, origin, width)
+
+
+def test_exchange_two_column_key_colocates_tuples(ray_session):
+    """A two-column key sends every row of one (a, b) tuple to the same
+    reduce call — from Arrow and from pandas blocks alike — while tuples
+    that share `a` still spread over more partitions than `a` has
+    values."""
+    import os
+    from collections import Counter
+
+    import pandas as pd
+    import ray.data as rd
+
+    from gojsonschema_ray.stages.exchange import exchange
+    from gojsonschema_ray.util import collect_rows
+
+    n = 1200
+    a = [f"a{i % 3}" for i in range(n)]
+    b = [f"b{i % 40}" if i % 9 else None for i in range(n)]
+    src = rd.from_arrow(pa.table({"a": a, "b": b})).repartition(6)
+
+    def reduce(df: pd.DataFrame) -> pd.DataFrame:
+        # one row per distinct tuple this call saw, tagged with the call
+        return df[["a", "b"]].drop_duplicates().assign(
+            call=int.from_bytes(os.urandom(6), "little"))
+
+    for partials in (src, src.map_batches(lambda df: df,
+                                          batch_format="pandas")):
+        rows = collect_rows(exchange(partials, reduce, ["a", "b"], P=5))
+        per_tuple = Counter((r["a"], r["b"]) for r in rows)
+        assert set(per_tuple) == set(zip(a, b))
+        assert set(per_tuple.values()) == {1}
+        assert len({r["call"] for r in rows}) > 3
 
 
 def test_hash_part_matches_partition_hash():
@@ -612,33 +661,114 @@ def test_hash_part_matches_partition_hash():
             assert got.to_numpy().tolist() == exp.tolist()
 
 
+def test_hash_arrow_array_matches_pandas_hash():
+    """The engine's partition hash is pandas' row hash of the converted
+    values, bit for bit — for Arrow strings (hashed once per distinct
+    value, nulls included), other Arrow types, and row-wise for Arrow
+    tables and DataFrames — so stored KeyCountStage layouts stay valid."""
+    import pandas as pd
+
+    from gojsonschema_ray.stages.sketches import hash_arrow_array
+
+    def ref(values):
+        if isinstance(values, pa.ChunkedArray):
+            values = values.combine_chunks()
+        if isinstance(values, (pa.Array, pa.Table)):
+            values = values.to_pandas()
+        return pd.util.hash_pandas_object(values, index=False) \
+            .to_numpy(dtype=np.uint64)
+
+    rng = np.random.default_rng(3)
+    cases = [pa.array(["a", None, "bb", "a", ""]),
+             pa.array([None, None], pa.string()),
+             pa.array([], pa.string()),
+             pa.array(["ü", "日本", None, "ü"], pa.large_string()),
+             pa.chunked_array([pa.array(["a", "b"]), pa.array([None, "a"])]),
+             pa.array(["x", "y", "z", "x"]).slice(1, 3),
+             pa.array([f"k{i}" for i in rng.integers(0, 300, 4000)]),
+             pa.array([1, None, 3], pa.int64()),
+             pa.table({"a": ["x", None, "x"], "b": [1, 2, 1]}),
+             pd.DataFrame({"a": ["x", None, "x"], "b": [1, 2, 1]})]
+    for values in cases:
+        assert hash_arrow_array(values).tolist() == ref(values).tolist(), \
+            values
+    two = hash_arrow_array(pa.table({"a": ["x", "x", "y"], "b": [1, 1, 1]}))
+    assert two[0] == two[1] != two[2]
+
+
+def _call_args(text: str, name: str) -> list[str]:
+    """The argument text of every `name(...)` call in `text`."""
+    import re
+
+    out = []
+    for m in re.finditer(rf"\b{re.escape(name)}\(", text):
+        depth, i = 1, m.end()
+        while depth:
+            depth += {"(": 1, ")": -1}.get(text[i], 0)
+            i += 1
+        out.append(text[m.end():i - 1])
+    return out
+
+
 def test_exchange_idiom_lives_in_one_module():
     """The coarse hash exchange (map_groups over tagged partials), its
-    width helpers and the object-store broadcast (`ray.put`) exist only in
-    stages/exchange.py, and no hand-rolled `ray.get(h) if hasattr(h,
-    "hex") else h` resolver remains anywhere; the sample-sort cut-point
-    idiom (thin each batch to evenly spaced order statistics, then take
-    the distinct quantiles) only in sketches' `_thin` and `_cut_points`."""
+    width helpers, its partition tag and the object-store broadcast
+    (`ray.put`) exist only in stages/exchange.py: no caller builds a
+    `part` tag by hand (`% np.uint64(P)`, a `bit_wise_and` mask, a
+    golden-ratio pair mix) or passes an exchange `by=`; `hash_part`
+    appears elsewhere only in uniqueness.py's stored key-count layout
+    (KeyCountStage, _stored_part), the golden-ratio constant only in
+    add_salted_key. No hand-rolled `ray.get(h) if hasattr(h, "hex") else
+    h` resolver remains anywhere; the sample-sort cut-point idiom (thin
+    each batch to evenly spaced order statistics, then take the distinct
+    quantiles) lives only in sketches' `_thin` and `_cut_points`, and the
+    clamped sorted-array probe only in util's `_probe_sorted`."""
     import inspect
     import pathlib
+    import re
 
     from gojsonschema_ray.stages.sketches import _cut_points, _thin
+    from gojsonschema_ray.stages.uniqueness import (
+        KeyCountStage, _stored_part, add_salted_key,
+    )
+    from gojsonschema_ray.util import _probe_sorted
 
     root = pathlib.Path(__file__).resolve().parents[1]
     files = [*sorted((root / "gojsonschema_ray").rglob("*.py")),
              root / "__ray_entry__.py"]
     exchange_py = root / "gojsonschema_ray" / "stages" / "exchange.py"
+    uniqueness_py = root / "gojsonschema_ray" / "stages" / "uniqueness.py"
+    texts = {f: f.read_text() for f in files}
     offenders = [f"{f.relative_to(root)}: {needle}"
-                 for f in files if f != exchange_py
+                 for f, text in texts.items() if f != exchange_py
                  for needle in (".map_groups(", "_next_pow2", "_shuffle_parts",
-                                "ray.put(")
-                 if needle in f.read_text()]
-    offenders += [f"{f.relative_to(root)}: hex" for f in files
-                  if '"hex")' in f.read_text()]
+                                "ray.put(", "% np.uint64(P)")
+                 if needle in text]
+    offenders += [f"{f.relative_to(root)}: hex" for f, text in texts.items()
+                  if '"hex")' in text]
+    offenders += [f"{f.relative_to(root)}: bit_wise_and tag"
+                  for f, text in texts.items() if f != exchange_py
+                  for args in _call_args(text, "bit_wise_and")
+                  if re.search(r"\bP\b", args)]
+    offenders += [f"{f.relative_to(root)}: exchange by="
+                  for f, text in texts.items()
+                  for args in _call_args(text, "exchange")
+                  if re.search(r"\bby=", args)]
+    offenders += [f"{f.relative_to(root)}: hash_part("
+                  for f, text in texts.items()
+                  if f not in (exchange_py, uniqueness_py)
+                  and "hash_part(" in text]
     assert offenders == []
+    stored_layout = inspect.getsource(KeyCountStage) \
+        + inspect.getsource(_stored_part)
+    assert texts[uniqueness_py].count("hash_part(") \
+        == stored_layout.count("hash_part(") > 0
     for helper, needle in ((_thin, "np.linspace(0, len("),
-                           (_cut_points, "np.linspace(0, 1, ")):
-        assert sum(f.read_text().count(needle) for f in files) == 1, needle
+                           (_cut_points, "np.linspace(0, 1, "),
+                           (add_salted_key, "0x9E3779B97F4A7C15"),
+                           (_probe_sorted, "np.minimum(np.searchsorted(")):
+        assert sum(text.count(needle) for text in texts.values()) == 1, \
+            needle
         assert needle in inspect.getsource(helper)
 
 
@@ -1269,11 +1399,11 @@ def test_near_dup_clusters_chain_across_partitions(ray_session, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
-    from gojsonschema_ray.stages import dedup
     from gojsonschema_ray.stages.dedup import near_dup_clusters
     from gojsonschema_ray.util import collect_rows
 
-    monkeypatch.setattr(dedup, "shuffle_width", lambda: 4)
+    monkeypatch.setattr("gojsonschema_ray.stages.exchange.shuffle_width",
+                        lambda: 4)
     # a 20-node chain (every edge in a different block, so components span
     # partitions and the cross-partition equivalence path is exercised) plus
     # an isolated pair
@@ -1320,13 +1450,13 @@ def test_keep_one_per_cluster(ray_session, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
-    from gojsonschema_ray.stages import dedup
     from gojsonschema_ray.stages.dedup import (
         keep_one_per_cluster, near_dup_clusters,
     )
     from gojsonschema_ray.util import collect_rows
 
-    monkeypatch.setattr(dedup, "shuffle_width", lambda: 4)
+    monkeypatch.setattr("gojsonschema_ray.stages.exchange.shuffle_width",
+                        lambda: 4)
     pairs = pd.DataFrame({"id_a": [1, 2, 10], "id_b": [2, 3, 11]})
     labels = near_dup_clusters(rd.from_pandas(pairs))
     corpus = pd.DataFrame({"doc_id": list(range(15)),
@@ -2767,11 +2897,11 @@ def test_hash_join_shuffle(ray_session, how, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
-    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
     from gojsonschema_ray.util import collect_rows
 
-    monkeypatch.setattr(joins, "shuffle_width", lambda: 4)
+    monkeypatch.setattr("gojsonschema_ray.stages.exchange.shuffle_width",
+                        lambda: 4)
     left, right = _join_frames()
     out = hash_join_shuffle(rd.from_pandas(left).repartition(3),
                             rd.from_pandas(right).repartition(2),
@@ -2795,7 +2925,6 @@ def test_hash_join_shuffle_matches_duckdb_shape(ray_session, monkeypatch):
     order, so count == lineitem rows)."""
     import ray.data as rd
 
-    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
 
     sf = "/root/testdata/sf0.001"
@@ -2805,7 +2934,8 @@ def test_hash_join_shuffle_matches_duckdb_shape(ray_session, monkeypatch):
                              columns=["o_orderkey", "o_custkey"]) \
         .map_batches(lambda t: t.rename_columns(["l_orderkey", "o_custkey"]),
                      batch_format="pyarrow")
-    monkeypatch.setattr(joins, "shuffle_width", lambda: 4)
+    monkeypatch.setattr("gojsonschema_ray.stages.exchange.shuffle_width",
+                        lambda: 4)
     out = hash_join_shuffle(li, orders, on="l_orderkey")
     assert out.count() == li.count()
 
@@ -2818,7 +2948,6 @@ def test_hash_join_shuffle_right_outer_salting(ray_session, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
-    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
     from gojsonschema_ray.stages.sketches import hash_arrow_array
     from gojsonschema_ray.util import collect_rows
@@ -2831,7 +2960,8 @@ def test_hash_join_shuffle_right_outer_salting(ray_session, monkeypatch):
     # keys 400-499 absent on the left so unmatched right rows exist
     left = pd.DataFrame({"k": np.arange(400).tolist() + [999, 999],
                          "v": np.arange(402) * 10})
-    monkeypatch.setattr(joins, "shuffle_width", lambda: 8)
+    monkeypatch.setattr("gojsonschema_ray.stages.exchange.shuffle_width",
+                        lambda: 8)
     out = hash_join_shuffle(rd.from_pandas(left).repartition(2),
                             rd.from_pandas(right).repartition(6),
                             on="k", how="right", hot_keys={999},
@@ -2863,7 +2993,6 @@ def test_hash_join_shuffle_full_outer_salting(ray_session, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
-    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
     from gojsonschema_ray.util import collect_rows
 
@@ -2877,7 +3006,8 @@ def test_hash_join_shuffle_full_outer_salting(ray_session, monkeypatch):
         {"k": np.arange(250).astype(np.float64).tolist()
          + [999.0, 400.0, 401.0, np.nan],
          "rv": np.arange(254) * 10})
-    monkeypatch.setattr(joins, "shuffle_width", lambda: 8)
+    monkeypatch.setattr("gojsonschema_ray.stages.exchange.shuffle_width",
+                        lambda: 8)
     out = hash_join_shuffle(rd.from_pandas(left).repartition(5),
                             rd.from_pandas(right).repartition(2),
                             on="k", how="full", hot_keys={999.0},
@@ -2904,7 +3034,6 @@ def test_hash_join_shuffle_hot_key_salting(ray_session, how, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
-    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
     from gojsonschema_ray.stages.sketches import hash_arrow_array
     from gojsonschema_ray.util import collect_rows
@@ -2917,7 +3046,8 @@ def test_hash_join_shuffle_hot_key_salting(ray_session, how, monkeypatch):
     # keys 400-499 intentionally absent so left/anti produce rows
     right = pd.DataFrame({"k": np.arange(400).tolist() + [999],
                           "rv": np.arange(401) * 10})
-    monkeypatch.setattr(joins, "shuffle_width", lambda: 8)
+    monkeypatch.setattr("gojsonschema_ray.stages.exchange.shuffle_width",
+                        lambda: 8)
     out = hash_join_shuffle(rd.from_pandas(left).repartition(6),
                             rd.from_pandas(right).repartition(2),
                             on="k", how=how, hot_keys={999}, salt_buckets=8)
@@ -3023,7 +3153,6 @@ def test_hash_join_shuffle_auto_hot_detection(ray_session, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
-    from gojsonschema_ray.stages import joins
     from gojsonschema_ray.stages.joins import hash_join_shuffle
     from gojsonschema_ray.util import collect_rows
 
@@ -3034,7 +3163,8 @@ def test_hash_join_shuffle_auto_hot_detection(ray_session, monkeypatch):
     left = pd.DataFrame({"k": keys, "v": np.arange(n)})
     right = pd.DataFrame({"k": np.arange(200).tolist() + [777],
                           "rv": np.arange(201)})
-    monkeypatch.setattr(joins, "shuffle_width", lambda: 8)
+    monkeypatch.setattr("gojsonschema_ray.stages.exchange.shuffle_width",
+                        lambda: 8)
     out = hash_join_shuffle(rd.from_pandas(left).repartition(4),
                             rd.from_pandas(right), on="k", how="inner",
                             hot_keys="auto")
@@ -4744,7 +4874,6 @@ def test_gini_by_group(ray_session, monkeypatch):
     replica; tie invariance; negative values raise."""
     import pandas as pd
     import ray.data as rd
-    from gojsonschema_ray.stages import sketches
     from gojsonschema_ray.stages.sketches import gini_by_group
     from gojsonschema_ray.util import collect_rows
 
@@ -4754,7 +4883,8 @@ def test_gini_by_group(ray_session, monkeypatch):
     rand = pd.DataFrame({"k": rng.choice(["x", "y"], 300),
                          "v": rng.exponential(10.0, 300).round(1)})
     df = pd.concat([eq, conc, rand], ignore_index=True)
-    monkeypatch.setattr(sketches, "shuffle_width", lambda: 4)
+    monkeypatch.setattr("gojsonschema_ray.stages.exchange.shuffle_width",
+                        lambda: 4)
     rows = collect_rows(gini_by_group(
         rd.from_pandas(df).repartition(5), "k", "v"))
     got = {r["k"]: r for r in rows}
@@ -4823,7 +4953,6 @@ def test_cusum_by_key(ray_session, monkeypatch):
     input / partitioning invariance; null-value contract error."""
     import pandas as pd
     import ray.data as rd
-    from gojsonschema_ray.stages import window
     from gojsonschema_ray.stages.window import cusum_by_key
     from gojsonschema_ray.util import collect_rows
 
@@ -4836,7 +4965,8 @@ def test_cusum_by_key(ray_session, monkeypatch):
         pd.DataFrame({"k": "shift", "t": np.arange(120), "v": shifted}),
     ], ignore_index=True).sample(frac=1.0, random_state=1)
 
-    monkeypatch.setattr(window, "shuffle_width", lambda: 4)
+    monkeypatch.setattr("gojsonschema_ray.stages.exchange.shuffle_width",
+                        lambda: 4)
     rows = collect_rows(cusum_by_key(
         rd.from_pandas(df).repartition(5), "k", "t", "v",
         target=10.0, slack=0.5, threshold=8.0))
