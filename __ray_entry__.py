@@ -1883,8 +1883,7 @@ def q_minhash_near_dups(sf_dir: str) -> pd.DataFrame:
     # documents is ONE parquet file = one read block; split it so the
     # signature stage (the pipeline's compute) parallelizes across CPUs
     ds = _read(sf_dir, "documents", ["doc_id", "text"], num_blocks=32)
-    pairs = minhash_near_duplicates(ds, "text", "doc_id", threshold=0.5,
-                                    concurrency=2)
+    pairs = minhash_near_duplicates(ds, "text", "doc_id", threshold=0.5)
     rows = collect_rows(pairs)
     df = pd.DataFrame({
         "id_a": pd.Series([r["id_a"] for r in rows], dtype="int64"),
@@ -1908,8 +1907,7 @@ def q_minhash_clusters(sf_dir: str) -> pd.DataFrame:
     from gojsonschema_ray.util import collect_rows
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"], num_blocks=32)
-    pairs = minhash_near_duplicates(ds, "text", "doc_id", threshold=0.5,
-                                    concurrency=2)
+    pairs = minhash_near_duplicates(ds, "text", "doc_id", threshold=0.5)
     rows = collect_rows(near_dup_clusters(pairs))
     df = pd.DataFrame({
         "doc_id": pd.Series([r["doc_id"] for r in rows], dtype="int64"),
@@ -2019,8 +2017,7 @@ def q_minhash_dedup_corpus(sf_dir: str) -> pd.DataFrame:
     from gojsonschema_ray.util import collect_rows
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"], num_blocks=32)
-    pairs = minhash_near_duplicates(ds, "text", "doc_id", threshold=0.5,
-                                    concurrency=2)
+    pairs = minhash_near_duplicates(ds, "text", "doc_id", threshold=0.5)
     labels = near_dup_clusters(pairs)
     survivors = keep_one_per_cluster(
         _read(sf_dir, "documents", ["doc_id", "lang"], num_blocks=8),

@@ -1,17 +1,22 @@
 """Deduplication operators for training-data pipelines — `uniqueItems`
-generalized from one row's list to corpus scope, in five flavors:
+generalized from one row's list to corpus scope.
 
 - **exact**: hash-partitioned group-by on the normalized text (or its hash at
-  scale) → keep-first / emit duplicate groups
-- **MinHash + LSH**: shingle → minhash signature → band → bucket groupby →
-  candidate pairs → exact n-gram Jaccard verify. The ONLY shuffle moves
-  (band, bucket_hash, doc_id) triples — constant size per doc regardless of
-  document length.
-- **SimHash**: 64-bit signature, near-dup candidates via 4×16-bit band
-  pigeonhole (hamming ≤ 3 ⇒ at least one band equal), verified by hamming
-- **n-gram Jaccard**: the exact verifier, usable standalone on candidate sets
-- **embedding cosine**: random-hyperplane LSH buckets → within-bucket pairwise
-  cosine (numpy matmul), threshold
+  scale) → keep-first / emit duplicate groups.
+- **near-duplicates**: a signature stage emits fixed-width (key, id) rows —
+  MinHash LSH bands, SimHash 16-bit bands, hyperplane-LSH buckets,
+  deletion-1 neighborhoods (``fuzzy_pairs_ed1``) or token prefixes
+  (``jaccard_token_join``) — and ONE keyed exchange colocates each bucket
+  (``pairs_by_partition``). Every bucket expands through ``_bucket_pairs``:
+  all pairs up to a cap, star pairs against the min id above it.
+  SimHash and embeddings score their pairs right there (hamming, cosine).
+  The text operators (MinHash n-gram Jaccard, edit distance ≤ 1, token-set
+  Jaccard, and ``MinHashIndex.probe``) hand their candidate pairs to one
+  verify step, ``_verify_candidates``: Bloom-filtered text fetch
+  (``_pair_texts``), one exchange keyed on the pair, a vectorized pair
+  collation and the operator's pair score.
+- **clusters**: connected components over verified pairs, then keep one
+  document per cluster.
 
 All stages follow the partial/shuffle-small pattern: per-batch map work is
 vectorized numpy; group-bys exchange fixed-width keys, never documents.
@@ -354,35 +359,36 @@ class MinHashLSHStage:
         return pa.table({"key": pa.array(key), self.id_column: id_rep})
 
 
+def _bucket_pairs(ids: np.ndarray, cap: int = DEFAULT_BUCKET_CAP):
+    """Index pairs ``(iu, ju)``, ``iu < ju``, of one bucket's sorted unique
+    `ids`, and whether the bucket was capped: all pairs (np.triu_indices)
+    up to `cap` members, star pairs against the min id ``ids[0]`` above it
+    (see DEFAULT_BUCKET_CAP), logged. So ``ids[iu] < ids[ju]``."""
+    n = len(ids)
+    if n > cap and n > 1:
+        _LOG.warning("LSH bucket of %d ids exceeds cap %d: emitting %d star "
+                     "pairs (min-id representative) instead of %d all-pairs",
+                     n, cap, n - 1, n * (n - 1) // 2)
+        return np.zeros(n - 1, np.int64), np.arange(1, n, dtype=np.int64), \
+            True
+    iu, ju = np.triu_indices(n, k=1)
+    return iu, ju, False
+
+
 def _pairs_from_groups(group: pd.DataFrame, id_column: str,
                        cap: int = DEFAULT_BUCKET_CAP) -> pd.DataFrame:
-    """Vectorized within-bucket pair expansion (np.triu_indices); buckets over
-    `cap` fall back to star pairs against the min id (see DEFAULT_BUCKET_CAP).
+    """Within-bucket pair expansion (_bucket_pairs) of one bucket's ids.
 
     Star-fallback pairs carry capped=True so downstream consumers can detect
     degraded bucket coverage from the returned dataset itself (any(capped) ⇒
     at least one bucket exceeded the cap) instead of scraping worker logs."""
     dt = group[id_column].dtype
     ids = np.unique(np.asarray(group[id_column].to_numpy()))  # sorted unique
-    n = len(ids)
-    if n < 2:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=dt),
-                             "id_b": pd.Series([], dtype=dt),
-                             "capped": pd.Series([], dtype="bool")})
-    if n > cap:
-        _LOG.warning("LSH bucket of %d ids exceeds cap %d: emitting %d star "
-                     "pairs (min-id representative) instead of %d all-pairs",
-                     n, cap, n - 1, n * (n - 1) // 2)
-        a, b = np.broadcast_to(ids[0], n - 1).copy(), ids[1:]
-        capped = True
-    else:
-        iu, ju = np.triu_indices(n, k=1)
-        a, b = ids[iu], ids[ju]
-        capped = False
-    return pd.DataFrame({"id_a": pd.Series(a, dtype=dt),
-                         "id_b": pd.Series(b, dtype=dt),
+    iu, ju, capped = _bucket_pairs(ids, cap)
+    return pd.DataFrame({"id_a": pd.Series(ids[iu], dtype=dt),
+                         "id_b": pd.Series(ids[ju], dtype=dt),
                          "capped": pd.Series(
-                             np.full(len(a), capped), dtype="bool")})
+                             np.full(len(iu), capped), dtype="bool")})
 
 
 def pairs_by_partition(sig_ds, bucket_fn):
@@ -407,13 +413,6 @@ def pairs_by_partition(sig_ds, bucket_fn):
             else bucket_fn(df.iloc[:0])
 
     return exchange(sig_ds, per_partition, "key")
-
-
-def _verify_pairs(sided, verify):
-    """ONE exchange of _pair_texts' side rows keyed on the (id_a, id_b)
-    pair: both sides of a pair, and every copy found in another band, meet
-    in one `verify` call."""
-    return exchange(sided, verify, ["id_a", "id_b"])
 
 
 def unique_pairs(pairs_ds):
@@ -460,20 +459,32 @@ def hot_bucket_keys(sig_ds, key: str = "key") -> pa.Array:
         else pa.array([], pa.int64())
 
 
+def _minhash_candidates(ds, text_column: str, id_column: str,
+                        num_perm: int, bands: int, shingle_k: int,
+                        bucket_cap: int):
+    """(signature rows, candidate pair rows) of MinHash LSH; a pair found
+    in several bands repeats. The signature stage ships as a task-pool
+    INSTANCE (permutation tables are cheap to pickle), so Ray fuses the
+    read into the stage and every CPU shares read + shingling dynamically
+    — same lesson as the flagship's fused checker."""
+    stage = MinHashLSHStage(text_column=text_column, id_column=id_column,
+                            num_perm=num_perm, bands=bands,
+                            shingle_k=shingle_k)
+    sigs = ds.map_batches(stage, batch_format="pyarrow")
+    return sigs, pairs_by_partition(
+        sigs, lambda g: _pairs_from_groups(g, id_column, cap=bucket_cap))
+
+
 def minhash_candidate_pairs(ds, text_column: str, id_column: str,
                             num_perm: int = 128, bands: int = 16,
-                            shingle_k: int = 5, concurrency: int = 4,
-                            dedup_pairs: bool = True,
+                            shingle_k: int = 5,
                             bucket_cap: int = DEFAULT_BUCKET_CAP):
     """Candidate near-dup id pairs from LSH buckets.
 
     Scale shape: the signature stage emits one fixed-width (key, id) row per
     band per doc; ONE coarse-partition keyed shuffle colocates buckets; pair
-    expansion runs vectorized per partition (pairs_by_partition).
-
-    dedup_pairs=True collapses the same pair found in several bands with a
-    second (small) exchange; callers that already de-duplicate while
-    consuming (e.g. the Jaccard verifier) pass False and skip it.
+    expansion runs vectorized per partition (pairs_by_partition). The same
+    pair found in several bands is collapsed with a second (small) exchange.
 
     `bucket_cap` is a RECALL knob: buckets larger than it emit star pairs
     (every member linked through the bucket-min representative) instead of
@@ -481,22 +492,9 @@ def minhash_candidate_pairs(ds, text_column: str, id_column: str,
     can miss A~B links in a capped bucket of merely-similar docs. Such pairs
     carry capped=True in the returned dataset, so `any(capped)` detects
     degraded coverage without scraping worker logs; raise the cap to trade
-    memory for recall.
-
-    The signature stage ships as a task-pool INSTANCE (permutation tables are
-    cheap to pickle), so Ray fuses the read into the stage and every CPU
-    shares read + shingling dynamically — same lesson as the flagship's
-    fused checker; `concurrency` is kept for API compatibility and ignored."""
-    del concurrency  # task pool: Ray sizes it to the cluster
-    stage = MinHashLSHStage(text_column=text_column, id_column=id_column,
-                            num_perm=num_perm, bands=bands,
-                            shingle_k=shingle_k)
-    sigs = ds.map_batches(stage, batch_format="pyarrow")
-    pairs = pairs_by_partition(
-        sigs, lambda g: _pairs_from_groups(g, id_column, cap=bucket_cap))
-    if not dedup_pairs:
-        return pairs
-    # dedup pairs discovered in multiple bands (fixed-width pair rows only)
+    memory for recall."""
+    _, pairs = _minhash_candidates(ds, text_column, id_column, num_perm,
+                                   bands, shingle_k, bucket_cap)
     return unique_pairs(pairs)
 
 
@@ -598,10 +596,78 @@ def _pair_texts(ds, pairs_ds, text_column: str, id_column: str):
     return exchange([texts, sides], attach, "jid")
 
 
+def _no_pairs(sigs, id_column: str, **columns):
+    """An empty near-dup result: (id_a, id_b) typed like `id_column` of the
+    Arrow signature rows `sigs` (null type when there are none), then the
+    empty arrays `columns`."""
+    import ray.data as rd
+
+    schema = sigs.schema()
+    id_type = schema.base_schema.field(id_column).type if schema \
+        else pa.null()
+    return rd.from_arrow(pa.table({"id_a": pa.array([], id_type),
+                                   "id_b": pa.array([], id_type),
+                                   **columns}))
+
+
+def _verify_candidates(ds, cand, sigs, text_column: str, id_column: str,
+                       name: str, score):
+    """The one verify step of the text near-dup operators: candidate pairs
+    `cand` (a Dataset with ``id_a``/``id_b`` columns; copies found in
+    several buckets allowed) → their texts from corpus `ds` (_pair_texts)
+    → ONE exchange keyed on the pair → per partition a vectorized
+    collation → ``score(texts_a, texts_b) -> (values, keep)`` (symmetric,
+    over two object arrays). Returns (id_a, id_b, `name`) rows where keep
+    holds.
+
+    Collation: drop the side rows repeated by bucket copies, sort by
+    (id_a, id_b, jid); a pair with both texts is exactly two adjacent rows,
+    and each side's text is the row whose jid equals it — the pair need not
+    be ordered (MinHashIndex.probe pairs a corpus id with a new id). No
+    per-pair pandas groupby: its fixed cost was measured at ~0.4 ms/pair.
+
+    The id type follows the pair rows; an empty result takes it from the
+    Arrow signature rows `sigs` (_no_pairs)."""
+    # Arrow blocks for the Bloom build and the side rows: materializing the
+    # pandas blocks as they come made documents_jaccard_join ~3 s slower
+    pairs = cand.map_batches(lambda t: t.select(["id_a", "id_b"]),
+                             batch_format="pyarrow").materialize()
+    if pairs.count() == 0:
+        none = np.array([], dtype=object)
+        return _no_pairs(sigs, id_column,
+                         **{name: pa.array(score(none, none)[0])})
+
+    def verify(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.drop_duplicates(subset=["id_a", "id_b", "jid"]) \
+            .sort_values(["id_a", "id_b", "jid"], kind="stable")
+        ia, ib = df["id_a"].to_numpy(), df["id_b"].to_numpy()
+        first = np.ones(len(df), dtype=bool)
+        first[1:] = (ia[1:] != ia[:-1]) | (ib[1:] != ib[:-1])
+        starts = np.nonzero(first)[0]
+        s2 = starts[np.diff(np.append(starts, len(df))) == 2]
+        texts = df["text"].to_numpy()
+        a_first = df["jid"].to_numpy()[s2] == ia[s2]
+        values, keep = score(np.where(a_first, texts[s2], texts[s2 + 1]),
+                             np.where(a_first, texts[s2 + 1], texts[s2]))
+        return pd.DataFrame({"id_a": ia[s2][keep], "id_b": ib[s2][keep],
+                             name: values[keep]})
+
+    return exchange(_pair_texts(ds, pairs, text_column, id_column), verify,
+                    ["id_a", "id_b"])
+
+
+def _ngram_jaccard_at(threshold: float, k: int):
+    """_verify_candidates score: n-gram Jaccard ≥ `threshold`."""
+    def score(ta, tb):
+        j = np.fromiter((ngram_jaccard(a, b, k) for a, b in zip(ta, tb)),
+                        dtype=np.float64, count=len(ta))
+        return j, j >= threshold
+    return score
+
+
 def minhash_near_duplicates(ds, text_column: str, id_column: str, *,
                             threshold: float = 0.7, num_perm: int = 128,
                             bands: int = 16, shingle_k: int = 5,
-                            concurrency: int = 4,
                             bucket_cap: int = DEFAULT_BUCKET_CAP):
     """Full near-dup pipeline: LSH candidates → distributed exact Jaccard
     verify. Returns a Dataset of (id_a, id_b, jaccard) pairs ≥ threshold.
@@ -613,58 +679,23 @@ def minhash_near_duplicates(ds, text_column: str, id_column: str, *,
     Scale shape (no driver materialization anywhere):
     1. signature + banding: ONE fixed-width keyed shuffle (see
        minhash_candidate_pairs);
-    2. text fetch: Bloom-broadcast corpus filter + ONE hash(doc_id)
-       co-partition shuffle (_pair_texts) — only candidate texts move;
-    3. verify: ONE hash(pair) shuffle of (pair, side, text) rows, Jaccard
-       computed per pair inside map_groups, thresholded there.
+    2. text fetch + verify (_verify_candidates): Bloom-broadcast corpus
+       filter + ONE hash(doc_id) co-partition shuffle — only candidate
+       texts move — then ONE hash(pair) shuffle of (pair, side, text) rows,
+       Jaccard computed per pair, thresholded there.
 
-    Pairs found in several bands are NOT deduplicated up front
-    (dedup_pairs=False): the verify step already groups on the pair key —
-    the same hash(pair) partition collates every copy and emits one row —
-    so a dedicated unique_pairs exchange would be a fourth all-to-all that
-    buys nothing (measured ~1.5 s fixed cost at sf0.1). The only cost of
-    carrying dups is ≤2·(bands−1) extra fixed-width side rows per
-    duplicated pair riding shuffles 2–3."""
-    import ray.data as rd
-
-    cand = minhash_candidate_pairs(ds, text_column, id_column,
-                                   num_perm=num_perm, bands=bands,
-                                   shingle_k=shingle_k, concurrency=concurrency,
-                                   dedup_pairs=False, bucket_cap=bucket_cap)
-    pairs = cand.map_batches(lambda t: t.select(["id_a", "id_b"]),
-                             batch_format="pyarrow").materialize()
-    try:
-        id_dtype = ds.schema().base_schema.field(id_column).type.to_pandas_dtype()
-        id_dtype = np.dtype(id_dtype) if id_dtype is not object else "object"
-    except Exception:  # noqa: BLE001 — schema probe is best-effort
-        id_dtype = "int64"
-
-    def _empty() -> pd.DataFrame:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=id_dtype),
-                             "id_b": pd.Series([], dtype=id_dtype),
-                             "jaccard": pd.Series([], dtype="float64")})
-
-    if pairs.count() == 0:
-        return rd.from_pandas(_empty())
-    sided = _pair_texts(ds, pairs, text_column, id_column)
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        out_a, out_b, out_j = [], [], []
-        for (ia, ib), g in df.groupby(["id_a", "id_b"], sort=False):
-            ta = g.loc[g["jid"] == ia, "text"]
-            tb = g.loc[g["jid"] == ib, "text"]
-            if ta.empty or tb.empty:
-                continue
-            j = ngram_jaccard(ta.iloc[0], tb.iloc[0], shingle_k)
-            if j >= threshold:
-                out_a.append(ia)
-                out_b.append(ib)
-                out_j.append(j)
-        return pd.DataFrame({"id_a": pd.Series(out_a, dtype=id_dtype),
-                             "id_b": pd.Series(out_b, dtype=id_dtype),
-                             "jaccard": pd.Series(out_j, dtype="float64")})
-
-    return _verify_pairs(sided, verify)
+    Pairs found in several bands are NOT deduplicated up front: the verify
+    step already groups on the pair key — the same hash(pair) partition
+    collates every copy and emits one row — so a dedicated unique_pairs
+    exchange would be a fourth all-to-all that buys nothing (measured
+    ~1.5 s fixed cost at sf0.1). The only cost of carrying dups is
+    ≤2·(bands−1) extra fixed-width side rows per duplicated pair riding
+    shuffles 2–3."""
+    sigs, cand = _minhash_candidates(ds, text_column, id_column, num_perm,
+                                     bands, shingle_k, bucket_cap)
+    return _verify_candidates(ds, cand, sigs, text_column, id_column,
+                              "jaccard", _ngram_jaccard_at(threshold,
+                                                           shingle_k))
 
 
 # ---------------------------------------------------------------------------
@@ -813,30 +844,16 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 def _simhash_band_pairs(group: pd.DataFrame, id_column: str,
                         max_hamming: int,
                         cap: int = DEFAULT_BUCKET_CAP) -> pd.DataFrame:
-    """Vectorized hamming verify inside one band bucket: XOR over triu pair
-    indices + popcount. Buckets over `cap` use the star fallback (see
-    DEFAULT_BUCKET_CAP) — for identical docs (the degenerate case) hamming
-    via the representative still links every member at distance 0."""
+    """Vectorized hamming verify inside one band bucket: XOR over the
+    _bucket_pairs indices + popcount. For identical docs (the degenerate
+    capped case) hamming via the star representative still links every
+    member at distance 0."""
     dt = group[id_column].dtype
     g = group[[id_column, "simhash"]].drop_duplicates(subset=id_column) \
         .sort_values(id_column)
     ids = g[id_column].to_numpy()
-    n = len(ids)
-    if n < 2:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=dt),
-                             "id_b": pd.Series([], dtype=dt),
-                             "hamming": pd.Series([], dtype="int32"),
-                             "capped": pd.Series([], dtype="bool")})
     h = g["simhash"].to_numpy().astype(np.int64).view(np.uint64)
-    if n > cap:
-        _LOG.warning("SimHash band bucket of %d ids exceeds cap %d: emitting "
-                     "star pairs (min-id representative)", n, cap)
-        iu = np.zeros(n - 1, dtype=np.int64)
-        ju = np.arange(1, n, dtype=np.int64)
-        capped = True
-    else:
-        iu, ju = np.triu_indices(n, k=1)
-        capped = False
+    iu, ju, capped = _bucket_pairs(ids, cap)
     d = _popcount64(h[iu] ^ h[ju])
     keep = d <= max_hamming
     return pd.DataFrame({"id_a": pd.Series(ids[iu[keep]], dtype=dt),
@@ -910,10 +927,10 @@ def embedding_near_duplicates(ds, embedding_column: str, id_column: str,
     Pairs found in several tables are deduplicated by a final groupby.
 
     Buckets over `bucket_cap` fall back to star pairs against the min-id
-    member (cosine of the representative vs every other member — O(n·dim)
-    instead of the O(n²·dim) full matmul), marked capped=True — same recall
-    knob as minhash_candidate_pairs; identical-embedding degenerate buckets
-    keep full recall through the representative."""
+    member (_bucket_pairs; cosine of the representative vs every other
+    member), marked capped=True — same recall knob as
+    minhash_candidate_pairs; identical-embedding degenerate buckets keep
+    full recall through the representative."""
     kwargs = dict(embedding_column=embedding_column, id_column=id_column,
                   dim=dim, n_planes=n_planes, n_tables=n_tables)
     # task-pool instances (hyperplanes are cheap to pickle): the read fuses
@@ -923,22 +940,10 @@ def embedding_near_duplicates(ds, embedding_column: str, id_column: str,
         batch_format="pyarrow",
     )
     hot = hot_bucket_keys(scan)
-    try:  # keep pair-frame dtype aligned with the actual id column
-        id_dtype = ds.schema().base_schema.field(id_column).type.to_pandas_dtype()
-    except Exception:  # noqa: BLE001 — schema probe is best-effort
-        id_dtype = "int64"
-    id_dtype = np.dtype(id_dtype) if id_dtype is not object else "object"
-
-    def _empty_pairs() -> pd.DataFrame:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=id_dtype),
-                             "id_b": pd.Series([], dtype=id_dtype),
-                             "cosine": pd.Series([], dtype="float64"),
-                             "capped": pd.Series([], dtype="bool")})
-
     if len(hot) == 0:
-        import ray.data as rd
-
-        return rd.from_pandas(_empty_pairs())
+        return _no_pairs(scan, id_column,
+                         cosine=pa.array([], pa.float64()),
+                         capped=pa.array([], pa.bool_()))
     # broadcast the hot-bucket key set (same pattern as the MinHash Bloom):
     # at duplicate-dense scale the hot set is exactly what grows, and a
     # closure-captured Array would be re-pickled into every task
@@ -953,37 +958,21 @@ def embedding_near_duplicates(ds, embedding_column: str, id_column: str,
     ).map_batches(keep_hot, batch_format="pyarrow")
 
     def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        ids = group[id_column].tolist()
-        n = len(ids)
-        if n < 2:
-            return _empty_pairs()
         # sort by id so the star representative is the bucket-min member
-        order = np.argsort(np.asarray(ids))
-        ids = [ids[k] for k in order]
+        # and every pair comes out (min, max)
+        ids = group[id_column].to_numpy()
+        order = np.argsort(ids)
+        ids = ids[order]
+        iu, ju, capped = _bucket_pairs(ids, bucket_cap)
         m = np.stack(group[embedding_column].to_numpy()[order].tolist()) \
-            .astype(np.float64)
+            .astype(np.float64) if len(ids) else np.zeros((0, dim))
         m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
-        if n > bucket_cap:
-            _LOG.warning("embedding LSH bucket of %d ids exceeds cap %d: "
-                         "emitting star pairs (min-id representative)",
-                         n, bucket_cap)
-            sims = m[1:] @ m[0]           # O(n·dim), not O(n²·dim)
-            iu = np.zeros(n - 1, dtype=np.int64)
-            ju = np.arange(1, n, dtype=np.int64)
-            keep = sims >= threshold
-            vals = sims
-            capped = True
-        else:
-            sim = m @ m.T
-            iu, ju = np.triu_indices(n, k=1)
-            vals = sim[iu, ju]
-            keep = vals >= threshold
-            capped = False
+        # star: O(n·dim), not the O(n²·dim) matmul
+        vals = m[1:] @ m[0] if capped else (m @ m.T)[iu, ju]
+        keep = vals >= threshold
         return pd.DataFrame({
-            "id_a": pd.Series([min(ids[i], ids[j]) for i, j in zip(iu[keep], ju[keep])],
-                              dtype=id_dtype),
-            "id_b": pd.Series([max(ids[i], ids[j]) for i, j in zip(iu[keep], ju[keep])],
-                              dtype=id_dtype),
+            "id_a": pd.Series(ids[iu[keep]], dtype=group[id_column].dtype),
+            "id_b": pd.Series(ids[ju[keep]], dtype=group[id_column].dtype),
             "cosine": pd.Series(vals[keep], dtype="float64"),
             "capped": pd.Series(np.full(int(keep.sum()), capped), dtype="bool"),
         })
@@ -1277,65 +1266,25 @@ def fuzzy_pairs_ed1(ds, text_column: str, id_column: str, *,
        vectorized within-bucket pair expansion. Blocking is LOSSLESS for
        ed<=1 (see deletion_key_hashes_batch), so recall is exact up to
        `bucket_cap` (capped buckets are logged + flagged).
-    2. text fetch: Bloom-broadcast corpus filter + ONE hash(id)
-       co-partition shuffle (_pair_texts) — only candidate texts move.
-    3. verify: ONE hash(pair) shuffle; exact ed<=1 check per candidate
-       pair (O(len), no DP), duplicates from multiple shared keys collapse
-       in the same per-pair group.
+    2. text fetch + verify (_verify_candidates): exact ed<=1 check per
+       candidate pair (O(len), no DP); duplicates from multiple shared
+       keys collapse in the pair collation.
 
     Returns a Dataset of (id_a, id_b, dist) with dist in {0, 1}. Intended
     for SHORT strings (names/titles): a string emits len+1 key rows, so
     key-row volume is O(total characters)."""
-    import ray.data as rd
+    def score(ta, tb):
+        d = np.fromiter(((-1 if (e := edit_distance_le1(a, b)) is None else e)
+                         for a, b in zip(ta, tb)),
+                        dtype=np.int64, count=len(ta))
+        return d, d >= 0
 
     sigs = ds.map_batches(DeletionNeighborhoodStage(text_column, id_column),
                           batch_format="pyarrow")
     cand = pairs_by_partition(
         sigs, lambda g: _pairs_from_groups(g, id_column, cap=bucket_cap))
-    pairs = cand.map_batches(lambda t: t.select(["id_a", "id_b"]),
-                             batch_format="pyarrow").materialize()
-    try:
-        id_dtype = ds.schema().base_schema.field(id_column).type.to_pandas_dtype()
-        id_dtype = np.dtype(id_dtype) if id_dtype is not object else "object"
-    except Exception:  # noqa: BLE001 — schema probe is best-effort
-        id_dtype = "int64"
-
-    def _empty() -> pd.DataFrame:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=id_dtype),
-                             "id_b": pd.Series([], dtype=id_dtype),
-                             "dist": pd.Series([], dtype="int64")})
-
-    if pairs.count() == 0:
-        return rd.from_pandas(_empty())
-    sided = _pair_texts(ds, pairs, text_column, id_column)
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        # Vectorized pair collation — NO per-pair pandas groupby (its fixed
-        # cost dominated at ~0.4 ms/pair): dedup multi-key copies, sort by
-        # (id_a, id_b, jid); a complete pair is exactly two adjacent rows
-        # and jid sorts as (id_a, id_b) because id_a < id_b by construction.
-        df = df.drop_duplicates(subset=["id_a", "id_b", "jid"]) \
-            .sort_values(["id_a", "id_b", "jid"], kind="stable")
-        ia_all = df["id_a"].to_numpy()
-        ib_all = df["id_b"].to_numpy()
-        first = np.ones(len(df), dtype=bool)
-        if len(df):
-            first[1:] = (ia_all[1:] != ia_all[:-1]) | (ib_all[1:] != ib_all[:-1])
-        starts = np.nonzero(first)[0]
-        sizes = np.diff(np.concatenate([starts, [len(df)]]))
-        s2 = starts[sizes == 2]  # pairs with both text sides present
-        texts = df["text"].to_numpy()
-        dists = np.fromiter(
-            ((-1 if (d := edit_distance_le1(a, b)) is None else d)
-             for a, b in zip(texts[s2], texts[s2 + 1])),
-            dtype=np.int64, count=len(s2))
-        keep = s2[dists >= 0]
-        return pd.DataFrame({"id_a": pd.Series(ia_all[keep], dtype=id_dtype),
-                             "id_b": pd.Series(ib_all[keep], dtype=id_dtype),
-                             "dist": pd.Series(dists[dists >= 0],
-                                               dtype="int64")})
-
-    return _verify_pairs(sided, verify)
+    return _verify_candidates(ds, cand, sigs, text_column, id_column, "dist",
+                              score)
 
 
 # ---------------------------------------------------------------------------
@@ -1436,8 +1385,6 @@ def jaccard_token_join(ds, text_column: str, id_column: str, *,
     text fetch, per-pair exact set intersection. Empty-token docs emit no
     keys and never pair (document `length(tokens) > 0` in oracles).
     Returns (id_a, id_b, jaccard)."""
-    import ray.data as rd
-
     from ..util import collect_rows
     from .uniqueness import aggregate_key_counts
 
@@ -1470,53 +1417,20 @@ def jaccard_token_join(ds, text_column: str, id_column: str, *,
         batch_format="pyarrow")
     cand = pairs_by_partition(
         sigs, lambda g: _pairs_from_groups(g, id_column, cap=bucket_cap))
-    pairs = cand.map_batches(lambda t: t.select(["id_a", "id_b"]),
-                             batch_format="pyarrow").materialize()
-    try:
-        id_dtype = ds.schema().base_schema.field(id_column).type.to_pandas_dtype()
-        id_dtype = np.dtype(id_dtype) if id_dtype is not object else "object"
-    except Exception:  # noqa: BLE001 — schema probe is best-effort
-        id_dtype = "int64"
 
-    def _empty() -> pd.DataFrame:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=id_dtype),
-                             "id_b": pd.Series([], dtype=id_dtype),
-                             "jaccard": pd.Series([], dtype="float64")})
-
-    if pairs.count() == 0:
-        return rd.from_pandas(_empty())
-    sided = _pair_texts(ds, pairs, text_column, id_column)
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        # same vectorized pair collation as fuzzy_pairs_ed1.verify
-        df = df.drop_duplicates(subset=["id_a", "id_b", "jid"]) \
-            .sort_values(["id_a", "id_b", "jid"], kind="stable")
-        ia_all = df["id_a"].to_numpy()
-        ib_all = df["id_b"].to_numpy()
-        first = np.ones(len(df), dtype=bool)
-        if len(df):
-            first[1:] = (ia_all[1:] != ia_all[:-1]) | (ib_all[1:] != ib_all[:-1])
-        starts = np.nonzero(first)[0]
-        sizes = np.diff(np.concatenate([starts, [len(df)]]))
-        s2 = starts[sizes == 2]
-        th, tseg = _doc_token_hashes(
-            pa.array(df["text"].to_numpy(), pa.string()))
-        out_j = np.empty(len(s2), dtype=np.float64)
-        for i, s in enumerate(s2):
-            a = th[tseg[s]:tseg[s + 1]]
-            b = th[tseg[s + 1]:tseg[s + 2]]
+    def score(ta, tb):
+        ha, sa = _doc_token_hashes(pa.array(ta, pa.string()))
+        hb, sb = _doc_token_hashes(pa.array(tb, pa.string()))
+        j = np.empty(len(ta), dtype=np.float64)
+        for i in range(len(ta)):
+            a, b = ha[sa[i]:sa[i + 1]], hb[sb[i]:sb[i + 1]]
             inter = len(np.intersect1d(a, b, assume_unique=True))
             union = len(a) + len(b) - inter
-            out_j[i] = inter / union if union else 0.0
-        keep = out_j >= threshold
-        return pd.DataFrame({"id_a": pd.Series(ia_all[s2[keep]],
-                                               dtype=id_dtype),
-                             "id_b": pd.Series(ib_all[s2[keep]],
-                                               dtype=id_dtype),
-                             "jaccard": pd.Series(out_j[keep],
-                                                  dtype="float64")})
+            j[i] = inter / union if union else 0.0
+        return j, j >= threshold
 
-    return _verify_pairs(sided, verify)
+    return _verify_candidates(ds, cand, sigs, text_column, id_column,
+                              "jaccard", score)
 
 
 # ---------------------------------------------------------------------------
@@ -1622,7 +1536,6 @@ class MinHashIndex:
         partitions the new batch touches. `new_ds` must carry the same
         text/id columns; ids are assumed globally unique across both."""
         import ray
-        import ray.data as rd
         from pyarrow import fs as pafs
 
         from ..util import collect_rows
@@ -1648,13 +1561,9 @@ class MinHashIndex:
             [f"band={b}/bmod={m}" for b, m in sorted(touched)])
         self.last_probe_sig_dirs = len(touched)
 
-        def _empty() -> pd.DataFrame:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64"),
-                                 "jaccard": pd.Series([], dtype="float64")})
-
         if not sig_paths:
-            return rd.from_pandas(_empty())
+            return _no_pairs(sig_new, id_col,
+                             jaccard=pa.array([], pa.float64()))
         sig_idx = ray.data.read_parquet(sig_paths, filesystem=filesystem,
                                         columns=["key", id_col])
 
@@ -1672,20 +1581,19 @@ class MinHashIndex:
         def cross_pairs(g: pd.DataFrame) -> pd.DataFrame:
             a = np.unique(g.loc[g["side"] == 0, id_col].to_numpy())
             b = np.unique(g.loc[g["side"] == 1, id_col].to_numpy())
-            if len(a) == 0 or len(b) == 0:
-                return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                     "id_b": pd.Series([], dtype="int64")})
             if len(a) * len(b) > cap * cap:
                 _LOG.warning("MinHashIndex bucket %d x %d exceeds cap²: "
                              "star pairs vs min corpus id", len(a), len(b))
                 a = a[:1]
-            ia, ib = np.repeat(a, len(b)), np.tile(b, len(a))
-            return pd.DataFrame({"id_a": ia, "id_b": ib})
+            dt = g[id_col].dtype
+            return pd.DataFrame({
+                "id_a": pd.Series(np.repeat(a, len(b)), dtype=dt),
+                "id_b": pd.Series(np.tile(b, len(a)), dtype=dt)})
 
-        cand = pairs_by_partition(both, cross_pairs)
-        pairs = cand.materialize()
+        pairs = pairs_by_partition(both, cross_pairs).materialize()
         if pairs.count() == 0:
-            return rd.from_pandas(_empty())
+            return _no_pairs(sig_new, id_col,
+                             jaccard=pa.array([], pa.float64()))
 
         # corpus texts: only the candidate ids' tmod partitions
         tmods = set()
@@ -1698,25 +1606,6 @@ class MinHashIndex:
         combined = corpus_txt.union(new_ds.map_batches(
             lambda t: t.select([id_col, text_col]),
             batch_format="pyarrow"))
-        sided = _pair_texts(combined, pairs, text_col, id_col)
-
-        thr, k = self.threshold, self.shingle_k
-
-        def verify(df: pd.DataFrame) -> pd.DataFrame:
-            out_a, out_b, out_j = [], [], []
-            for (ia, ib), grp in df.groupby(["id_a", "id_b"], sort=False):
-                ta = grp.loc[grp["jid"] == ia, "text"]
-                tb = grp.loc[grp["jid"] == ib, "text"]
-                if ta.empty or tb.empty:
-                    continue
-                j = ngram_jaccard(ta.iloc[0], tb.iloc[0], k)
-                if j >= thr:
-                    out_a.append(ia)
-                    out_b.append(ib)
-                    out_j.append(j)
-            return pd.DataFrame({
-                "id_a": pd.Series(out_a, dtype="int64"),
-                "id_b": pd.Series(out_b, dtype="int64"),
-                "jaccard": pd.Series(out_j, dtype="float64")})
-
-        return _verify_pairs(sided, verify)
+        return _verify_candidates(
+            combined, pairs, sig_new, text_col, id_col, "jaccard",
+            _ngram_jaccard_at(self.threshold, self.shingle_k))

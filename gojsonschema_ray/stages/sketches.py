@@ -220,11 +220,28 @@ class HyperLogLog:
 def hash_arrow_array(arr) -> np.ndarray:
     """Vectorized 64-bit hashing of an Arrow array or pandas Series, or
     row-wise of an Arrow table or pandas DataFrame (pandas hash kernel) —
-    the engine's ONE partitioning hash."""
+    the engine's ONE partitioning hash.
+
+    An Arrow integer array hashes by its integer values whether or not it
+    holds a null (a null gets the all-ones word, as for strings); pandas'
+    own conversion would turn a null-holding block to float64, and 3.0
+    hashes unlike 3, so one key would get two tags."""
     import pandas as pd
 
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
+    if isinstance(arr, pa.Table):
+        from pandas.core.util.hashing import combine_hash_arrays
+
+        # pandas' DataFrame row hash, over the per-column hashes below
+        return combine_hash_arrays(
+            iter([hash_arrow_array(c) for c in arr.columns]), arr.num_columns)
+    if isinstance(arr, pa.Array) and pa.types.is_integer(arr.type) \
+            and arr.null_count:
+        out = pd.util.hash_array(arr.fill_null(0).to_numpy())
+        out[pc.is_null(arr).to_numpy(zero_copy_only=False)] = \
+            np.iinfo(np.uint64).max
+        return out
     if isinstance(arr, pa.Array) and (pa.types.is_string(arr.type)
                                       or pa.types.is_large_string(arr.type)):
         # pandas hashes each distinct string once (its categorize step);

@@ -19,9 +19,10 @@ sit on disk — one ``KeyCountStage.write`` file per fragment, sorted by
 `part`, one row group per `part` value, the tag width in the schema
 metadata — the shuffle's map side is done. ``stored_key_count_violations``
 then runs P plain Ray reducer tasks: reducer p reads only the row groups
-tagged p (a file tagged at another width, or from before the layout, is
-read whole and re-tagged), sums the counts per key and returns the
-duplicate keys as violation rows. No repartition, materialize or sort.
+tagged p (a file tagged at another width, from before the layout, or
+with a null integer key from before ``INT_TAGS``, is read whole and
+re-tagged), sums the counts per key and returns the duplicate keys as
+violation rows. No repartition, materialize or sort.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from .validate import VIOLATION_SCHEMA
 
 # schema metadata key of a stored partial: the width its `part` tags have
 PART_WIDTH = b"part_width"
+# schema metadata key marking a stored partial whose integer keys were
+# tagged by their integer values; older files tagged a null-holding integer
+# block by its float64 conversion, so their integer keys are re-tagged
+INT_TAGS = b"int_tags"
 
 
 class KeyCountStage:
@@ -67,7 +72,8 @@ class KeyCountStage:
         g = g.take(pc.sort_indices(g["part"]))
         _, starts = np.unique(g["part"].to_numpy(), return_index=True)
         ends = [*starts[1:], g.num_rows]
-        g = g.replace_schema_metadata({PART_WIDTH: str(self.n_parts)})
+        g = g.replace_schema_metadata({PART_WIDTH: str(self.n_parts),
+                                       INT_TAGS: b"1"})
         with pq.ParquetWriter(path, g.schema) as w:
             for a, b in zip(starts, ends):
                 w.write_table(g.slice(a, b - a))
@@ -141,15 +147,22 @@ def uniqueness_violations(ds, key: str):
 def _stored_part(path: str, key: str, p: int, P: int) -> pa.Table:
     """(key, cnt) rows of part `p` of `P` in one stored partial: its
     row groups tagged p when it is tagged at width P, else the whole file
-    re-tagged (another cluster size, or the untagged older layout) — one
-    key under two widths' tags would reach two reducers."""
+    re-tagged (another cluster size, the untagged older layout, or integer
+    keys with a null tagged before INT_TAGS) — one key under two tags
+    would reach two reducers."""
     f = pq.ParquetFile(path)
-    if (f.schema_arrow.metadata or {}).get(PART_WIDTH) == str(P).encode():
+    meta, groups = f.schema_arrow.metadata or {}, f.metadata
+    k = f.schema_arrow.get_field_index(key)
+    if meta.get(PART_WIDTH) == str(P).encode() and (
+            INT_TAGS in meta
+            or not pa.types.is_integer(f.schema_arrow.field(key).type)
+            # a block with no null key was tagged by its int64 values
+            or all(groups.row_group(i).column(k).statistics.null_count == 0
+                   for i in range(groups.num_row_groups))):
         col = f.schema_arrow.get_field_index("part")
-        meta = f.metadata
         return f.read_row_groups(
-            [i for i in range(meta.num_row_groups)
-             if meta.row_group(i).column(col).statistics.min == p],
+            [i for i in range(groups.num_row_groups)
+             if groups.row_group(i).column(col).statistics.min == p],
             columns=[key, "cnt"])
     t = f.read(columns=[key, "cnt"])
     return t.filter(pc.equal(hash_part(t[key], P), p))

@@ -154,7 +154,7 @@ def test_minhash_near_duplicates(docs_ds):
     from gojsonschema_ray.util import collect_rows
 
     pairs = collect_rows(minhash_near_duplicates(docs_ds, "text", "doc_id",
-                                                 threshold=0.5, concurrency=2))
+                                                 threshold=0.5))
     got = {(p["id_a"], p["id_b"]) for p in pairs}
     assert (50, 51) in got
     assert (60, 61) in got
@@ -282,8 +282,7 @@ def test_degenerate_bucket_capped(ray_session):
         "doc_id": list(range(n)),
         "text": ["the quick brown fox jumps high over lazy dogs"] * n,
     }))
-    pairs = collect_rows(minhash_candidate_pairs(ds, "text", "doc_id",
-                                                 dedup_pairs=True))
+    pairs = collect_rows(minhash_candidate_pairs(ds, "text", "doc_id"))
     got = {(p["id_a"], p["id_b"]) for p in pairs}
     # star fallback: every doc is linked to the bucket-min representative
     assert got == {(0, i) for i in range(1, n)}

@@ -665,7 +665,10 @@ def test_hash_arrow_array_matches_pandas_hash():
     """The engine's partition hash is pandas' row hash of the converted
     values, bit for bit — for Arrow strings (hashed once per distinct
     value, nulls included), other Arrow types, and row-wise for Arrow
-    tables and DataFrames — so stored KeyCountStage layouts stay valid."""
+    tables and DataFrames — so stored KeyCountStage layouts stay valid.
+    The one exception: an Arrow integer array holding a null hashes by its
+    integer values (pandas would convert it to float64), the null as the
+    all-ones word, also as a table column."""
     import pandas as pd
 
     from gojsonschema_ray.stages.sketches import hash_arrow_array
@@ -686,7 +689,7 @@ def test_hash_arrow_array_matches_pandas_hash():
              pa.chunked_array([pa.array(["a", "b"]), pa.array([None, "a"])]),
              pa.array(["x", "y", "z", "x"]).slice(1, 3),
              pa.array([f"k{i}" for i in rng.integers(0, 300, 4000)]),
-             pa.array([1, None, 3], pa.int64()),
+             pa.array([1, 2, 3], pa.int32()),
              pa.table({"a": ["x", None, "x"], "b": [1, 2, 1]}),
              pd.DataFrame({"a": ["x", None, "x"], "b": [1, 2, 1]})]
     for values in cases:
@@ -694,6 +697,75 @@ def test_hash_arrow_array_matches_pandas_hash():
             values
     two = hash_arrow_array(pa.table({"a": ["x", "x", "y"], "b": [1, 1, 1]}))
     assert two[0] == two[1] != two[2]
+
+    ints = ref(pa.array([1, 3], pa.int64())).tolist()
+    with_null = [ints[0], np.iinfo(np.uint64).max, ints[1]]
+    for values in (pa.array([1, None, 3], pa.int64()),
+                   pa.chunked_array([pa.array([1]), pa.array([None, 3])])):
+        assert hash_arrow_array(values).tolist() == with_null
+    rows = hash_arrow_array(pa.table({"a": ["x", "x"], "b": [1, None]}))
+    assert rows[0] == hash_arrow_array(pa.table({"a": ["x"], "b": [1]}))[0]
+
+
+def test_int_keys_with_nulls_tag_once(ray_session, tmp_path, monkeypatch):
+    """An integer key gets one partition tag whether or not its block
+    holds a null: duplicate_keys over two Arrow blocks of keys 0..49, the
+    second with an extra null, finds all 50. A stored partial written in
+    the older layout (a null-holding integer block tagged by its float64
+    conversion, no INT_TAGS mark) is read whole and re-tagged, so it still
+    counts with a new one. An older-layout file with no null key already
+    has the new tags, so it is still read by row groups only."""
+    import pandas as pd
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from gojsonschema_ray.stages.exchange import exchange_parts, hash_part
+    from gojsonschema_ray.stages.uniqueness import (
+        PART_WIDTH, KeyCountStage, _stored_part, duplicate_keys,
+        stored_key_count_violations,
+    )
+    from gojsonschema_ray.util import collect_rows
+
+    a = pa.table({"k": pa.array(range(50), pa.int64())})
+    b = pa.table({"k": pa.array([*range(50), None], pa.int64())})
+    rows = collect_rows(duplicate_keys(rd.from_arrow([a, b]), "k"))
+    assert sorted((r["k"], r["n_rows"]) for r in rows) \
+        == [(k, 2) for k in range(50)]
+
+    P = exchange_parts()
+    g = b.group_by("k").aggregate([("k", "count")]).rename_columns(["k", "cnt"])
+    old = (pd.util.hash_pandas_object(g["k"].to_pandas(), index=False)
+           .to_numpy(dtype=np.uint64) % np.uint64(P)).astype(np.int32)
+    assert (old != hash_part(g["k"], P).to_numpy()).any()
+    g = g.append_column("part", pa.array(old))
+    g = g.take(pc.sort_indices(g["part"])) \
+        .replace_schema_metadata({PART_WIDTH: str(P)})
+    old_path = str(tmp_path / "old.parquet")
+    with pq.ParquetWriter(old_path, g.schema) as w:
+        for p in np.unique(old):
+            w.write_table(g.filter(pc.equal(g["part"], p)))
+    new_path = str(tmp_path / "new.parquet")
+    KeyCountStage("k").write(a, new_path)
+    got = collect_rows(stored_key_count_violations([old_path, new_path], "k"))
+    assert sorted((int(r["key"]), r["actual"]) for r in got) \
+        == [(k, "2") for k in range(50)]
+
+    # the older layout without a null: the same file minus INT_TAGS
+    no_null_path = str(tmp_path / "no_null.parquet")
+    t = pq.read_table(new_path)
+    pq.write_table(t.replace_schema_metadata({PART_WIDTH: str(P)}),
+                   no_null_path, row_group_size=1)
+    assert pq.ParquetFile(no_null_path).metadata.num_row_groups == 50
+
+    def read_whole(*args, **kwargs):
+        raise AssertionError("read whole")
+
+    monkeypatch.setattr(pq.ParquetFile, "read", read_whole)
+    parts = [_stored_part(no_null_path, "k", p, P) for p in range(P)]
+    assert sorted(pa.concat_tables(parts)["k"].to_pylist()) == list(range(50))
+    for p, part in enumerate(parts):
+        assert (hash_part(part["k"], P).to_numpy() == p).all()
 
 
 def _call_args(text: str, name: str) -> list[str]:
@@ -770,6 +842,26 @@ def test_exchange_idiom_lives_in_one_module():
         assert sum(text.count(needle) for text in texts.values()) == 1, \
             needle
         assert needle in inspect.getsource(helper)
+
+
+def test_near_dup_verify_is_one_step():
+    """stages/dedup.py expands every LSH bucket through one helper
+    (`_bucket_pairs` holds the only np.triu_indices) and fetches candidate
+    texts in one verify step (`_verify_candidates` holds the only
+    _pair_texts call); no operator probes its id dtype from a schema and
+    no per-pair groupby remains."""
+    import inspect
+    import pathlib
+
+    from gojsonschema_ray.stages import dedup
+
+    text = pathlib.Path(dedup.__file__).read_text()
+    assert text.count("np.triu_indices(") == 1
+    assert "np.triu_indices(" in inspect.getsource(dedup._bucket_pairs)
+    assert text.count("_pair_texts(") - text.count("def _pair_texts(") == 1
+    assert "_pair_texts(" in inspect.getsource(dedup._verify_candidates)
+    assert "to_pandas_dtype" not in text
+    assert 'groupby(["id_a", "id_b"]' not in text
 
 
 def test_broadcast_handle(ray_session):
@@ -4139,6 +4231,116 @@ def test_minhash_index_build_probe(ray_session, tmp_path):
 
     with pytest.raises(ValueError, match="reserved"):
         MinHashIndex("text", "key")
+
+
+def _near_dup_string_id_case(case, tmp_path):
+    """(result Dataset, brute-force expected rows) of one near-dup operator
+    over string ids on a pandas-backed Dataset; rows are
+    (id_a, id_b, score rounded), ordered as the operator orders them."""
+    import itertools
+
+    import pandas as pd
+    import ray.data as rd
+
+    from gojsonschema_ray.stages import dedup
+
+    rng = np.random.default_rng(71)
+    vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), 6))
+             for _ in range(400)]
+
+    def doc():
+        return " ".join(rng.choice(vocab, 40))
+
+    def brute(ids, vals, fn):
+        out = set()
+        for (ia, a), (ib, b) in itertools.combinations(zip(ids, vals), 2):
+            v = fn(a, b)
+            if v is not None:
+                out.add((min(ia, ib), max(ia, ib), round(v, 6)))
+        return out
+
+    if case in ("probe", "probe_desc"):
+        base = [doc() for _ in range(12)]
+        new_texts = [base[i] + " extra" for i in range(3)] + \
+            [doc() for _ in range(3)]
+        hi, lo = ("z", "a") if case == "probe_desc" else ("c", "n")
+        corpus = pd.DataFrame({"id": [f"{hi}{i:02d}" for i in range(12)],
+                               "text": base})
+        new = pd.DataFrame({"id": [f"{lo}{i:02d}" for i in range(6)],
+                            "text": new_texts})
+        idx = dedup.MinHashIndex("text", "id", threshold=0.6, mods=8)
+        idx.build(rd.from_pandas(corpus), str(tmp_path / "mh"))
+        exp = {(c, n, round(j, 6))
+               for c, tc in zip(corpus["id"], corpus["text"])
+               for n, tn in zip(new["id"], new["text"])
+               if (j := dedup.ngram_jaccard(tc, tn, 5)) >= 0.6}
+        return idx.probe(rd.from_pandas(new), str(tmp_path / "mh")), exp
+    if case == "embedding":
+        base = rng.standard_normal((40, 16))
+        for a, b in ((3, 17), (8, 30), (21, 22)):
+            base[b] = base[a] + 0.002 * rng.standard_normal(16)
+        ids = [f"v{i:02d}" for i in range(40)][::-1]
+        unit = base / np.linalg.norm(base, axis=1, keepdims=True)
+        ds = rd.from_pandas(pd.DataFrame({
+            "id": ids, "embedding": [r.tolist() for r in base]}))
+        exp = brute(ids, list(unit),
+                    lambda a, b: float(a @ b) if a @ b >= 0.95 else None)
+        return dedup.embedding_near_duplicates(
+            ds, "embedding", "id", dim=16, threshold=0.95), exp
+    if case == "fuzzy_pairs_ed1":
+        texts = ["node-001", "node-002", "node-01", "node-101", "alpha",
+                 "alphas", "alpha", "beta", "", "b", "zzz"]
+        fn = dedup.edit_distance_le1
+    elif case == "jaccard_token_join":
+        texts = ["w0 w1 w2", "w0  w1 w2", "w1 w2 w3", "w4 w5", "w5 w4 w6",
+                 "", None, "w7"]
+
+        def fn(a, b):
+            sa, sb = set((a or "").lower().split()), set((b or "").lower().split())
+            j = len(sa & sb) / len(sa | sb) if sa and sb else 0.0
+            return j if j >= 0.5 else None
+    elif case == "simhash_near_duplicates":
+        texts = [doc() for _ in range(20)]
+        texts[5] = texts[2]
+        texts[9] = texts[4] + " " + vocab[1]
+
+        def fn(a, b):
+            d = dedup.hamming64(dedup.simhash64(a), dedup.simhash64(b))
+            return d if d <= 3 else None
+    else:  # minhash_near_duplicates
+        texts = [doc() for _ in range(20)]
+        texts[5] = texts[2] + " extra"
+        texts[9] = texts[4]
+
+        def fn(a, b):
+            j = dedup.ngram_jaccard(a, b, 5)
+            return j if j >= 0.5 else None
+    ids = [f"d{i:02d}" for i in range(len(texts))][::-1]
+    ds = rd.from_pandas(pd.DataFrame({"id": ids, "text": texts}))
+    kw = {"threshold": 0.5} if case in ("minhash_near_duplicates",
+                                        "jaccard_token_join") else {}
+    return getattr(dedup, case)(ds, "text", "id", **kw), \
+        brute(ids, texts, fn)
+
+
+@pytest.mark.parametrize("case", [
+    "minhash_near_duplicates", "fuzzy_pairs_ed1", "jaccard_token_join",
+    "simhash_near_duplicates", "embedding", "probe", "probe_desc"])
+def test_near_dup_string_ids(ray_session, tmp_path, case):
+    """Every near-dup operator keeps string ids from a pandas-backed
+    Dataset as strings and finds exactly the brute-force pairs;
+    MinHashIndex.probe also when its corpus ids sort after the new ids
+    (id_a > id_b)."""
+    from gojsonschema_ray.util import collect_rows
+
+    out, exp = _near_dup_string_id_case(case, tmp_path)
+    score = [c for c in out.columns() if c not in ("id_a", "id_b", "capped")]
+    rows = collect_rows(out)
+    got = {(r["id_a"], r["id_b"], round(r[score[0]], 6)) for r in rows}
+    assert got == exp and exp
+    assert all(isinstance(r["id_a"], str) for r in rows)
+    if case == "probe_desc":
+        assert all(a > b for a, b, _ in got)
 
 
 def test_embedding_covariance(ray_session):
