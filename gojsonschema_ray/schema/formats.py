@@ -12,9 +12,11 @@ Contract (mirrors the reference exactly):
 Two evaluation surfaces:
 - scalar: ``is_format(name, value) -> bool`` (generic/row path)
 - vectorized: ``vector_is_format(name, arr) -> pyarrow.BooleanArray`` for the
-  hot table path; built on ``pyarrow.compute`` regex kernels where a format is
-  regex-expressible, else a distinct-value cache around the scalar checker
-  (low-cardinality columns pay the Python cost once per distinct value).
+  hot table path. ``date``, ``uuid`` and the two json-pointers run as exact
+  Arrow kernels (``format_kernels.py``: a regex, plus range checks on the
+  fixed-position digit fields of a date). The other built-ins
+  (``_DICTIONARY_PATH``) and custom names go through a distinct-value
+  dictionary: the scalar checker runs once per distinct value.
 """
 
 from __future__ import annotations
@@ -29,23 +31,33 @@ from typing import Callable
 # Scalar checkers
 # ---------------------------------------------------------------------------
 
-_RX_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}\Z")
+# Pattern bodies of the scalar checkers (Python re, anchored with \Z); date,
+# uuid and the json-pointers are shared with the Arrow kernels (RE2, anchored
+# with $, which never matches before a trailing newline). [0-9], not \d:
+# Go's time.Parse reads ASCII digits only.
+_DATE = r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
 # Go's time.Parse accepts a fractional second after the seconds field even
-# when the layout omits it — mirror that ((\.\d+)? below).
-_RX_TIME_OFFSET = re.compile(r"^(\d{2}):(\d{2}):(\d{2})(\.\d+)?(Z|[+-]\d{2}:\d{2})\Z")
-_RX_TIME_PLAIN = re.compile(r"^(\d{2}):(\d{2}):(\d{2})(\.\d+)?\Z")
-_RX_DATETIME = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})[T](\d{2}):(\d{2}):(\d{2})(\.\d+)?(Z|[+-]\d{2}:\d{2})\Z"
-)
+# when the layout omits it — mirror that ((\.[0-9]+)? below).
+_HMS = r"([0-9]{2}):([0-9]{2}):([0-9]{2})(\.[0-9]+)?"
+_OFFSET = r"(Z|[+-][0-9]{2}:[0-9]{2})"
 # Hostname per the reference (format_checkers.go:133): labels of 1-63
 # alphanumeric/hyphen chars, not starting/ending with hyphen; total len < 256.
 _RX_HOSTNAME = re.compile(
     r"^([a-zA-Z0-9]|[a-zA-Z0-9][a-zA-Z0-9\-]{0,61}[a-zA-Z0-9])"
     r"(\.([a-zA-Z0-9]|[a-zA-Z0-9][a-zA-Z0-9\-]{0,61}[a-zA-Z0-9]))*\Z"
 )
-_RX_UUID = re.compile(r"^[a-fA-F0-9]{8}-[a-fA-F0-9]{4}-[a-fA-F0-9]{4}-[a-fA-F0-9]{4}-[a-fA-F0-9]{12}\Z")
-_RX_JSON_POINTER = re.compile(r"^(?:/(?:[^~/]|~0|~1)*)*\Z")
-_RX_REL_JSON_POINTER = re.compile(r"^(?:0|[1-9][0-9]*)(?:#|(?:/(?:[^~/]|~0|~1)*)*)\Z")
+
+_UUID = r"[a-fA-F0-9]{8}-[a-fA-F0-9]{4}-[a-fA-F0-9]{4}-[a-fA-F0-9]{4}-[a-fA-F0-9]{12}"
+_JSON_POINTER = r"(?:/(?:[^~/]|~0|~1)*)*"
+_REL_JSON_POINTER = r"(?:0|[1-9][0-9]*)(?:#|" + _JSON_POINTER + ")"
+
+_RX_DATE = re.compile("^" + _DATE + r"\Z")
+_RX_TIME_OFFSET = re.compile("^" + _HMS + _OFFSET + r"\Z")
+_RX_TIME_PLAIN = re.compile("^" + _HMS + r"\Z")
+_RX_DATETIME = re.compile("^" + _DATE + "T" + _HMS + _OFFSET + r"\Z")
+_RX_UUID = re.compile("^" + _UUID + r"\Z")
+_RX_JSON_POINTER = re.compile("^" + _JSON_POINTER + r"\Z")
+_RX_REL_JSON_POINTER = re.compile("^" + _REL_JSON_POINTER + r"\Z")
 _RX_URI_TEMPLATE_BRACES = re.compile(r"^([^{}]*(\{[^{}]*\})?)*\Z")
 # RFC5322-ish addr-spec: dot-atom or quoted-string local part, dot-atom or
 # [literal] domain; optional display-name with angle brackets (mail.ParseAddress
@@ -250,16 +262,15 @@ _BUILTINS: dict[str, Callable] = {
     "relative-json-pointer": check_rel_json_pointer,
 }
 
-# Regex-only formats get a fully vectorized Arrow kernel.
-_VECTOR_REGEX: dict[str, str] = {
-    "uuid": r"^[a-fA-F0-9]{8}-[a-fA-F0-9]{4}-[a-fA-F0-9]{4}-[a-fA-F0-9]{4}-[a-fA-F0-9]{12}$",
-    "json-pointer": r"^(/([^~/]|~0|~1)*)*$",
-    "relative-json-pointer": r"^(0|[1-9][0-9]*)(#|(/([^~/]|~0|~1)*)*)$",
-    # hostname/ipv4 deliberately ABSENT: hostname needs the len<256 check
-    # and ipv4 must accept IPv4-mapped ::ffff:a.b.c.d like net.ParseIP —
-    # both run on the distinct-value dictionary path for exact scalar parity
-    "date": r"^\d{4}-\d{2}-\d{2}$",
-}
+# Built-ins with no Arrow kernel run once per distinct value of a batch:
+# their checkers parse (mail, URL, IP, Python regex), or, for time,
+# date-time and hostname, no benchmark workload holds such a column to show
+# a kernel pays.
+_DICTIONARY_PATH = frozenset({
+    "time", "date-time", "hostname", "ipv4",
+    "email", "idn-email", "ipv6", "uri", "iri", "uri-reference",
+    "iri-reference", "uri-template", "regex",
+})
 
 
 class FormatRegistry:
@@ -305,26 +316,27 @@ class FormatRegistry:
         """pa.Array(string) -> pa.BooleanArray of per-value verdicts.
 
         Null slots return null (caller folds nulls via applicability mask).
-        Regex-expressible formats run as one Arrow kernel; the rest go through
-        a distinct-value dictionary so the scalar checker runs once per
-        distinct value, not per row.
+        A built-in with an entry in ``format_kernels.KERNELS`` runs as Arrow
+        kernels; the rest go through a distinct-value dictionary so the
+        scalar checker runs once per distinct value, not per row.
         """
         import pyarrow as pa
         import pyarrow.compute as pc
 
+        from .format_kernels import KERNELS
+
         with self._lock:
-            if name not in self._checkers:
-                return pa.array([True] * len(arr), type=pa.bool_())
+            fn = self._checkers.get(name)
             vfn = self._vector.get(name)
+        if fn is None:
+            return pa.array([True] * len(arr), type=pa.bool_())
+        if vfn is None and fn is _BUILTINS.get(name):
+            vfn = KERNELS.get(name)
         if vfn is not None:
             return vfn(arr)
-        rx = _VECTOR_REGEX.get(name)
-        if rx is not None and name not in ("date",):
-            return pc.match_substring_regex(arr, rx)
-        # distinct-value cache path (also covers "date"'s range validation)
         dictarr = pc.dictionary_encode(arr)
         uniques = dictarr.dictionary if isinstance(dictarr, pa.DictionaryArray) else dictarr.chunk(0).dictionary
-        verdicts = pa.array([self.is_format(name, u) for u in uniques.to_pylist()], type=pa.bool_())
+        verdicts = pa.array([bool(fn(u)) for u in uniques.to_pylist()], type=pa.bool_())
         indices = dictarr.indices if isinstance(dictarr, pa.DictionaryArray) else pa.chunked_array([c.indices for c in dictarr.chunks]).combine_chunks()
         return pc.take(verdicts, indices)
 

@@ -619,9 +619,17 @@ class VectorEvaluator:
             return _true(n)
         dt = flat.type
         ok = _true(n)
-        if (pa.types.is_integer(dt) or pa.types.is_floating(dt)
-                or pa.types.is_string(dt) or pa.types.is_large_string(dt)
-                or pa.types.is_boolean(dt)):
+        if pa.types.is_string(dt) or pa.types.is_large_string(dt):
+            # equal strings share a dictionary code, and so do all nulls (a
+            # null elem equals another null elem): a row fails when two of
+            # its (parent, code) keys are equal. Exact, no hashing.
+            enc = pc.dictionary_encode(flat, null_encoding="encode")
+            width = len(enc.dictionary)
+            keys = parent.astype(np.int64) * width + enc.indices.to_numpy(zero_copy_only=False)
+            keys.sort()
+            ok[keys[1:][keys[1:] == keys[:-1]] // width] = False
+            return ok
+        if pa.types.is_integer(dt) or pa.types.is_floating(dt) or pa.types.is_boolean(dt):
             valid_el = _mask_to_np(pc.is_valid(flat), len(parent))
             parent_nn = parent
             if not valid_el.all():

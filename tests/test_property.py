@@ -243,12 +243,30 @@ def test_root_object_keywords_agree(schema, rows):
 # ---------------------------------------------------------------------------
 
 _FORMAT_SEEDS = {
-    "date": ["2024-02-29", "2023-02-29", "1999-12-31", "x", "2024-13-01"],
-    "time": ["12:34:56", "12:34:56Z", "25:00:00", ""],
-    "date-time": ["2024-01-02T03:04:05Z", "2024-01-02 03:04:05", "nope"],
-    "hostname": ["example.com", "-bad.com", "a" * 300, "ok-host"],
+    "date": ["2024-02-29", "2023-02-29", "1999-12-31", "x", "2024-13-01",
+             "2024-02-29\n", " 2024-02-29", "\u0661\u0669\u0669\u0662-01-01",
+             "0000-01-01", "1900-02-29", "2000-02-29", "2001-04-31"],
+    "time": ["12:34:56", "12:34:56Z", "25:00:00", "",
+             "23:59:59", "24:00:00", "23:60:00", "23:59:60", "12:00:00.123456",
+             "12:00:00.", "12:00:00+24:00", "12:00:00-99:99", "12:00:00+1:00",
+             "12:00:00\n", " 12:00:00", "\u0661\u0662:00:00", "12:00:00z"],
+    "date-time": ["2024-01-02T03:04:05Z", "2024-01-02 03:04:05", "nope",
+                  "2024-02-29T23:59:59.5+01:00", "2023-02-29T00:00:00Z",
+                  "2024-01-02T24:00:00Z", "2024-01-02T23:60:00Z",
+                  "2024-01-02T23:59:60Z", "2024-01-02T03:04:05+24:00",
+                  "2024-01-02T03:04:05-99:99", "2024-01-02t03:04:05Z",
+                  "2024-01-02T03:04:05Z\n", " 2024-01-02T03:04:05Z",
+                  "1992-01-01T\u0661\u0662:00:00Z", "2024-01-02", "03:04:05",
+                  "0000-01-01T00:00:00Z"],
+    "hostname": ["example.com", "-bad.com", "a" * 300, "ok-host",
+                 # lengths 255, 256 and 300, each well-formed but for length
+                 ("a" * 63 + ".") * 3 + "a" * 63, "a." * 127 + "aa",
+                 "a." * 149 + "aa", "a." * 128, "ex\u00e4mple.com", "host\n"],
     "email": ["a@b.co", "not-an-email", "x@y", "@"],
-    "ipv4": ["1.2.3.4", "256.1.1.1", "1.2.3", "::1"],
+    "ipv4": ["1.2.3.4", "256.1.1.1", "1.2.3", "::1", "0.0.0.0",
+             "255.255.255.255", "01.2.3.4", "1.2.3.04", "1.2.3.00",
+             "1.2.3.256", "::ffff:1.2.3.4", "::ffff:01.2.3.4", "1.2.3.4%eth0",
+             "1.2.3.4\n", " 1.2.3.4", "\u0661.2.3.4", "1.2.3.4.5"],
     "ipv6": ["::1", "1.2.3.4", "fe80::1", "zz::"],
     "uri": ["http://x/y", "not a uri", "//missing-scheme", "ftp://h"],
     "uri-reference": ["/rel/path", "http://x", "\\bad"],
@@ -277,6 +295,108 @@ def test_format_vector_matches_scalar(fmt, extra, data):
     vec = FORMATS.vector_is_format(fmt, arr).to_pylist()
     scalar = [FORMATS.is_format(fmt, v) for v in values]
     assert [bool(v) for v in vec] == scalar, (fmt, values, vec, scalar)
+
+
+def test_date_kernel_exhaustive_sweep():
+    """Every YYYY-MM-DD with MM 00-13 and DD 00-32 over leap, non-leap,
+    century and edge years: the Arrow date kernel equals check_date. A
+    strptime kernel would fail here: it rolls 2001-02-29 over."""
+    from gojsonschema_ray.schema.formats import FORMATS, check_date
+
+    values = [f"{y}-{m:02d}-{d:02d}"
+              for y in ("0000", "0001", "1900", "2000", "2001", "2004", "9999")
+              for m in range(14) for d in range(33)]
+    vec = FORMATS.vector_is_format("date", pa.array(values)).to_pylist()
+    assert vec == [check_date(v) for v in values]
+    assert sum(vec) == 6 * 365 + 2  # 0000 invalid; 2000 and 2004 leap
+
+
+def test_scalar_time_formats_reject_non_ascii_digits():
+    """Go's time.Parse reads ASCII digits only; Python's \\d and int()
+    would also take Arabic-Indic ones."""
+    from gojsonschema_ray.schema.formats import FORMATS
+
+    assert not FORMATS.is_format("time", "\u0661\u0662:00:00")
+    assert not FORMATS.is_format("date", "\u0661\u0669\u0669\u0662-01-01")
+    assert not FORMATS.is_format("date-time", "1992-01-01T\u0661\u0662:00:00Z")
+    assert FORMATS.is_format("date-time", "1992-01-01T12:00:00Z")
+
+
+@pytest.mark.parametrize("layout", ["plain", "sliced", "large_string", "chunked"])
+@pytest.mark.parametrize("fmt", sorted(_FORMAT_SEEDS))
+def test_format_kernels_across_layouts(fmt, layout):
+    """Every format's vector path equals its scalar checker on every seed,
+    with null slots kept null, on an offset slice, large_string and a
+    chunked column."""
+    from gojsonschema_ray.schema.formats import FORMATS
+
+    values = ["pad", None] + _FORMAT_SEEDS[fmt] + [None]
+    arr = pa.array(values, type=pa.large_string() if layout == "large_string"
+                   else pa.string())
+    if layout == "sliced":
+        arr, values = arr.slice(1), values[1:]
+    elif layout == "chunked":
+        arr = pa.chunked_array([arr.slice(0, 3), arr.slice(3)])
+    vec = FORMATS.vector_is_format(fmt, arr).to_pylist()
+    assert vec == [None if v is None else FORMATS.is_format(fmt, v)
+                   for v in values], (fmt, layout)
+
+
+def test_every_builtin_format_has_a_declared_vector_path():
+    """A built-in format either has an Arrow kernel or is listed in the one
+    dictionary-path set, so a new built-in cannot silently fall back to one
+    Python call per distinct value."""
+    from gojsonschema_ray.schema.format_kernels import KERNELS
+    from gojsonschema_ray.schema.formats import _BUILTINS, _DICTIONARY_PATH
+
+    assert not set(KERNELS) & _DICTIONARY_PATH
+    assert set(_BUILTINS) == set(KERNELS) | _DICTIONARY_PATH
+
+
+def test_builtin_override_bypasses_its_kernel():
+    """A checker registered under a built-in name replaces the built-in's
+    kernel as well as its scalar checker."""
+    from gojsonschema_ray.schema.formats import FormatRegistry
+
+    uuid = "123e4567-e89b-12d3-a456-426614174000"
+    reg = FormatRegistry().register("uuid", lambda v: v == "today")
+    assert reg.vector_is_format(
+        "uuid", pa.array(["today", uuid])).to_pylist() == [True, False]
+
+
+_UNIQUE_STR_CASES = {
+    "one_null": [["a", None], [None], ["a", "b", None]],
+    "two_nulls": [["a", None, None], [None, None], [None, "a", None]],
+    "dups": [["a", "a"], ["a", "b", "a"], ["b", "a"], ["", ""], ["", None]],
+    "empty_and_null_lists": [[], None, ["a"], [], None, ["x", "x"]],
+}
+
+
+@pytest.mark.parametrize("layout", ["list", "sliced", "large", "chunked"])
+@pytest.mark.parametrize("case", sorted(_UNIQUE_STR_CASES))
+def test_unique_items_string_kernel_agrees(case, layout):
+    """The dictionary-code uniqueItems kernel agrees with the generic engine
+    on string lists with nulls, empty and null lists, an offset slice,
+    large_list of large_string and a chunked column."""
+    values = [["pad", "pad"], ["q"]] + _UNIQUE_STR_CASES[case]
+    if layout == "large":
+        arr = pa.array(values, type=pa.large_list(pa.large_string()))
+    else:
+        arr = pa.array(values, type=pa.list_(pa.string()))
+    if layout == "sliced":
+        arr, values = arr.slice(1), values[1:]
+    elif layout == "chunked":
+        arr = pa.chunked_array([arr.slice(0, 3), arr.slice(3)])
+    _assert_engines_agree({"uniqueItems": True}, "l", arr, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.one_of(st.none(), st.lists(
+    st.one_of(st.none(), st.text(alphabet="ab", max_size=2)), max_size=5)),
+    min_size=1, max_size=25))
+def test_unique_items_string_lists_agree(values):
+    _assert_engines_agree({"uniqueItems": True}, "l",
+                          pa.array(values, type=pa.list_(pa.string())), values)
 
 
 @settings(max_examples=60, deadline=None)
