@@ -22,11 +22,10 @@ import pyarrow.compute as pc
 
 
 def _read(sf_dir: str, table: str, columns=None, num_blocks: int | None = None):
-    import ray.data as rd
+    from gojsonschema_ray.sources.io import read_table
 
-    kw = {"override_num_blocks": num_blocks} if num_blocks else {}
-    return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
-                           columns=columns, **kw)
+    return read_table(os.path.join(sf_dir, f"{table}.parquet"), columns,
+                      override_num_blocks=num_blocks)
 
 
 def _violation_counts_row(viol_ds, mapping: dict[str, tuple[str, str]]) -> pd.DataFrame:

@@ -770,14 +770,16 @@ class Compiler:
             if not isinstance(m["format"], str):
                 raise SchemaError("format must be a string")
             cur.format = m["format"]
-            # custom (non-builtin) checkers live in the driver's process-
-            # global registry; Ray workers re-import the module with only
-            # builtins, so capture the fn in the tree — if it can't pickle,
-            # shipping fails loudly instead of silently passing every row
+            # custom checkers (new names, or overrides of a built-in) live
+            # in the driver's process-global registry; Ray workers re-import
+            # the module with only builtins, so capture the fn in the tree —
+            # if it can't pickle, shipping fails loudly instead of silently
+            # passing every row
             from .formats import _BUILTINS
 
-            if cur.format not in _BUILTINS and FORMATS.has(cur.format):
-                cur.format_fn, cur.format_vector_fn = FORMATS.get(cur.format)
+            fn, vector_fn = FORMATS.get(cur.format)
+            if fn is not _BUILTINS.get(cur.format):
+                cur.format_fn, cur.format_vector_fn = fn, vector_fn
 
         # objects
         if "minProperties" in m:

@@ -1,10 +1,15 @@
 """Table I/O seam — Lance-first with a Parquet fallback.
 
 BASELINE.json's north star targets Lance-backed clip+transcript tables;
-`pylance` is not installed in this container, so every read goes through this
-one seam: `ray.data.read_lance` when the path is a Lance dataset AND the lib
-is importable, else `ray.data.read_parquet`. All engine code should read
-tables through here so the storage format is a deployment detail.
+`pylance` is optional, so every table read (`__ray_entry__._read`
+included) goes through `read_table`: `ray.data.read_lance` when the path
+is a Lance dataset AND the lib is importable, else `_ParquetFiles`, which
+reads each parquet footer once on the driver and has none of
+`ray.data.read_parquet`'s per-call driver setup (path resolution,
+metadata-prefetch and sampling tasks). Only the index layouts' reads stay on `read_parquet`:
+`dedup.MinHashIndex.probe` (twice), `textindex`, `layout.ZOrderedReader`
+and the IVF lists of `similarity` pass a pyarrow `filesystem`, and `layout`
+reads the hive `zbucket=` partition column.
 
 Fragment listing feeds the resumable manifest (state/manifest.py): a
 "fragment" is a Lance fragment id or a parquet file path — the unit a
@@ -14,6 +19,10 @@ partition commits.
 from __future__ import annotations
 
 import os
+
+import numpy as np
+import ray.data as rd
+from ray.data.block import BlockMetadata
 
 try:  # pragma: no cover - exercised only where pylance is installed
     import lance  # type: ignore
@@ -28,16 +37,102 @@ def is_lance_path(path: str) -> bool:
     return path.endswith(".lance") or os.path.isdir(os.path.join(path, "_versions"))
 
 
-def read_table(path: str, columns: list[str] | None = None, **kwargs):
-    """ray.data Dataset over a Lance dataset or parquet file(s)/dir.
-
-    Column pruning is pushed to the reader in both paths (only requested
-    columns leave storage)."""
-    import ray.data as rd
-
+def read_table(path, columns: list[str] | None = None,
+               override_num_blocks: int | None = None,
+               include_paths: bool = False):
+    """ray.data Dataset over a Lance dataset, or over parquet files (a
+    file, a flat directory, or a list of files), column-pruned at the
+    reader. A parquet read makes `min(parallelism, files)` tasks of whole
+    files, parallelism being `override_num_blocks` or Ray's detected one
+    (at least 2 x CPUs); it fuses with the next map unless that parallelism
+    exceeds the file count (Ray then splits the blocks). `include_paths`
+    adds each row's file path, as given, in a `path` column."""
     if HAVE_LANCE and isinstance(path, str) and is_lance_path(path):
-        return rd.read_lance(path, columns=columns, **kwargs)
-    return rd.read_parquet(path, columns=columns, **kwargs)
+        return rd.read_lance(path, columns=columns,
+                             override_num_blocks=override_num_blocks)
+    return rd.read_datasource(
+        _ParquetFiles(_parquet_files(path), columns, include_paths),
+        override_num_blocks=override_num_blocks)
+
+
+def _parquet_files(path) -> list[str]:
+    """The parquet files under a path or list of paths, directories
+    expanded to their sorted `*.parquet` files."""
+    files = []
+    for p in [path] if isinstance(path, str) else path:
+        if os.path.isdir(p):
+            if any(e.is_dir() for e in os.scandir(p)):
+                raise ValueError(f"{p}: nested parquet directory; read_table "
+                                 "reads files and flat directories only")
+            files += list_fragments(p)
+        else:
+            files.append(p)
+    if not files:
+        raise ValueError(f"{path}: no parquet files")
+    return files
+
+
+class _ParquetFiles(rd.Datasource):
+    """Local parquet files, read in contiguous groups of whole files. The
+    footers, read once here, give each ReadTask its rows, schema and size
+    (the columns' uncompressed page bytes, a lower bound of the Arrow
+    size). Named "Parquet": the operator stays `ReadParquet`."""
+
+    def __init__(self, files: list[str], columns: list[str] | None,
+                 include_paths: bool):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        metas = [pq.read_metadata(f) for f in files]
+        schema = metas[0].schema.to_arrow_schema()
+        if columns is not None:
+            schema = pa.schema([schema.field(c) for c in columns],
+                               metadata=schema.metadata)
+        if include_paths:
+            schema = schema.append(pa.field("path", pa.string()))
+        keep = None if columns is None else set(columns)
+        self._files, self._columns = files, columns
+        self._include_paths, self._schema = include_paths, schema
+        self._rows = [m.num_rows for m in metas]
+        self._bytes = [sum(
+            rg.column(j).total_uncompressed_size
+            for rg in map(m.row_group, range(m.num_row_groups))
+            for j in range(rg.num_columns)
+            if keep is None or rg.column(j).path_in_schema.split(".")[0] in keep)
+            for m in metas]
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(self._bytes)
+
+    def get_read_tasks(self, parallelism: int) -> list[rd.ReadTask]:
+        columns, include_paths = self._columns, self._include_paths
+        tasks = []
+        for idx in np.array_split(np.arange(len(self._files)),
+                                  min(parallelism, len(self._files))):
+            files = [self._files[i] for i in idx]
+            meta = BlockMetadata(
+                num_rows=sum(self._rows[i] for i in idx),
+                size_bytes=int(sum(self._bytes[i] for i in idx)),
+                input_files=files, exec_stats=None)
+            tasks.append(rd.ReadTask(
+                lambda files=files: _read_files(files, columns, include_paths),
+                meta, schema=self._schema))
+        return tasks
+
+
+def _read_files(files: list[str], columns, include_paths: bool):
+    """One read task's blocks: each non-empty file as one pruned table."""
+    import pyarrow as pa
+
+    for f in files:
+        t = read_fragment(f, f, columns)
+        if include_paths:
+            t = t.append_column("path", pa.repeat(pa.scalar(f), t.num_rows))
+        if t.num_rows:
+            yield t
 
 
 def list_fragments(path: str) -> list[str]:
@@ -100,13 +195,10 @@ def read_fragments(path: str, fragments: list[str],
     """Dataset over a SUBSET of fragments as ONE block per fragment, every
     row tagged with its fragment in a `path` column.
 
-    Parquet fragments are file paths, read pruned with one read task per
-    file: Ray 2.49 splits a small file into several blocks by default and
-    then will not fuse the read with the map that follows it. Lance
-    fragments ("fragment:<id>") are scanned per-fragment by read_fragment
-    in remote tasks and assembled with from_arrow_refs."""
-    import ray.data as rd
-
+    Parquet fragments are file paths, read by read_table with one read
+    task per file. Lance fragments ("fragment:<id>") are scanned
+    per-fragment by read_fragment in remote tasks and assembled with
+    from_arrow_refs."""
     if fragments and str(fragments[0]).startswith("fragment:"):
         _reader(fragment_reader)  # fail on the driver, not in a task
         import ray

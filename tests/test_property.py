@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pyarrow as pa
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gojsonschema_ray.schema import compile_schema
 from gojsonschema_ray.stages.validate import TableValidator
@@ -139,11 +139,29 @@ def test_string_column_agrees(schema, values):
     _assert_engines_agree(schema, "s", arr, values)
 
 
+_FOLD_SCHEMA = {"items": {"minimum": 0}, "contains": {"minimum": 1}}
+
+
 @settings(max_examples=100, deadline=None)
 @given(schema=_list_schema, values=_list_vals)
+@example(schema=_FOLD_SCHEMA, values=[[], None, []])
+@example(schema=_FOLD_SCHEMA, values=[[3, -1], [], [0, 2, 5], None, [1], []])
 def test_list_column_agrees(schema, values):
+    """Also checks the segment folds behind `items` and `contains` (one
+    verdict per element folded into its row) against a per-row all/any,
+    on random parents, empty lists and an all-empty batch."""
     arr = pa.array(values, type=pa.list_(pa.int64()))
     _assert_engines_agree(schema, "l", arr, values)
+    from gojsonschema_ray.stages.validate import VectorEvaluator
+
+    lists = [v or [] for v in values]
+    parent = np.repeat(np.arange(len(lists)), [len(v) for v in lists])
+    elem = np.array([x > 0 for v in lists for x in v], dtype=bool)
+    ev = VectorEvaluator()
+    assert ev._segment_all(elem, parent, len(lists)).tolist() == \
+        [all(x > 0 for x in v) for v in lists]
+    assert ev._segment_any(elem, parent, len(lists)).tolist() == \
+        [any(x > 0 for x in v) for v in lists]
 
 
 @settings(max_examples=60, deadline=None)

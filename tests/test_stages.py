@@ -844,6 +844,37 @@ def test_exchange_idiom_lives_in_one_module():
         assert needle in inspect.getsource(helper)
 
 
+def test_table_reads_go_through_one_seam():
+    """`ray.data.read_parquet(` is called only by the five index-layout
+    reads, which pass a pyarrow `filesystem` (and, in layout, read the hive
+    `zbucket=` partition column): MinHashIndex.probe (twice),
+    InvertedTextIndex.search_pairs, ZOrderedReader.read_box and
+    IVFIndex.search_built. Every other table read, `__ray_entry__._read`
+    included, goes through sources.io.read_table."""
+    import inspect
+    import pathlib
+
+    from gojsonschema_ray.stages import dedup, layout, similarity, textindex
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [*sorted((root / "gojsonschema_ray").rglob("*.py")),
+             root / "__ray_entry__.py"]
+    counts = {f.relative_to(root).as_posix(): f.read_text().count("read_parquet(")
+              for f in files}
+    assert {f: n for f, n in counts.items() if n} == {
+        "gojsonschema_ray/stages/dedup.py": 2,
+        "gojsonschema_ray/stages/textindex.py": 1,
+        "gojsonschema_ray/stages/layout.py": 1,
+        "gojsonschema_ray/stages/similarity.py": 1}
+    for fn, n in ((dedup.MinHashIndex.probe, 2),
+                  (textindex.InvertedTextIndex.search_pairs, 1),
+                  (layout.ZOrderedReader.read_box, 1),
+                  (similarity.IVFIndex.search_built, 1)):
+        assert inspect.getsource(fn).count("read_parquet(") == n, fn
+    assert "read_table(" in inspect.getsource(
+        __import__("__ray_entry__")._read)
+
+
 def test_near_dup_verify_is_one_step():
     """stages/dedup.py expands every LSH bucket through one helper
     (`_bucket_pairs` holds the only np.triu_indices) and fetches candidate
