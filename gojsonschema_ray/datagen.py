@@ -65,15 +65,19 @@ def row_meta(i: int) -> dict:
     else:
         dur = 200 + (i * 37) % 9800
     codec = "mp3???" if i % 977 == 0 else CODEC_CYCLE[i % 2]
-    if i % 971 == 0:
-        transcript = ""
-    elif i % 967 == 0:
-        transcript = None
-    else:
-        nwords = 3 + (i * 7) % 12
-        transcript = " ".join(VOCAB[(i * 31 + j * 17) % 64] for j in range(nwords))
     return {"clip_id": clip_id, "sr_hz": sr, "dur_ms": dur,
-            "codec": codec, "transcript": transcript}
+            "codec": codec, "transcript": row_transcript(i)}
+
+
+def row_transcript(i: int) -> str | None:
+    """Transcript of row i (closed form): empty on i % 971, null on
+    i % 967, else 3-14 VOCAB words."""
+    if i % 971 == 0:
+        return ""
+    if i % 967 == 0:
+        return None
+    nwords = 3 + (i * 7) % 12
+    return " ".join(VOCAB[(i * 31 + j * 17) % 64] for j in range(nwords))
 
 
 def clip_frequency(i: int) -> float:

@@ -231,3 +231,27 @@ def test_one_decode_walk_in_source():
         src = (root / "gojsonschema_ray" / "stages" / f).read_text()
         assert '["bytes"].to_pylist()' not in src
         assert "blobs[i]" not in src
+
+
+def test_one_sine_fit_in_source():
+    """The exact SNR kernel and the checker's screen share one sine-fit
+    loop (`_sine_fit_snr`), and `_peak_frequencies` has only its three
+    callers: the exact kernel, the screen and `_peak_frequency`."""
+    import ast
+    import inspect
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = (root / "gojsonschema_ray" / "stages" / "audio.py").read_text()
+    fit = inspect.getsource(audio._sine_fit_snr)
+    for needle in ("np.linalg.solve(", "np.sin(W"):
+        assert src.count(needle) == 1 and needle in fit, needle
+    callers = []
+    for f in sorted((root / "gojsonschema_ray").rglob("*.py")):
+        for fn in ast.walk(ast.parse(f.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [fn.name for c in ast.walk(fn)
+                            if isinstance(c, ast.Call)
+                            and getattr(c.func, "id", getattr(
+                                c.func, "attr", None)) == "_peak_frequencies"]
+    assert sorted(callers) == ["_peak_frequency", "_screen_group",
+                               "_snr_group"], callers

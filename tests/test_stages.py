@@ -160,12 +160,13 @@ def test_wav_payload_view_edges():
         wav_payload_view(np.frombuffer(blob[:44 + 9], np.uint8))
 
 
-def _peak_frequency_reference(xf, sr):
+def _peak_frequency_reference(xf, sr, nfft=None):
     """The per-clip FFT-peak estimator the batched `_peak_frequencies`
-    replaced: 4x zero-padded Hann spectrum of one signal in a float32 pad
-    buffer, argmax (DC excluded) + 3-point parabola."""
+    replaced: Hann spectrum of one signal zero-padded in a float32 buffer
+    of nfft points (default 4x, at least 4096), argmax (DC excluded) +
+    3-point parabola."""
     n = len(xf)
-    nfft = 1 << max(12, int(np.ceil(np.log2(4 * n))))
+    nfft = nfft or 1 << max(12, int(np.ceil(np.log2(4 * n))))
     buf = np.zeros(nfft, np.float32)
     np.multiply(xf, np.hanning(n).astype(np.float32), out=buf[:n])
     spec = np.abs(np.fft.rfft(buf))
@@ -196,7 +197,14 @@ def _best_fit_sine_snr_reference(x, sr):
     r = round(freq)
     if abs(freq - r) < 2 * pad_res:
         cands.append(float(r))
-    freqs = np.unique(np.array(cands))
+    return float(_sine_fit_snrs_reference(xf, sr, np.unique(np.array(cands)))
+                 .max())
+
+
+def _sine_fit_snrs_reference(xf, sr, freqs):
+    """SNR (dB) of the closed-form [sin, cos, 1] least-squares fit of one
+    mean-removed float32 clip at each frequency of `freqs`."""
+    n = len(xf)
     W = np.multiply((2 * np.pi / sr * freqs).astype(np.float32)[:, None],
                     np.arange(n, dtype=np.float32)[None, :])
     S, C = np.sin(W), np.cos(W)
@@ -215,8 +223,7 @@ def _best_fit_sine_snr_reference(x, sr):
     fit = (coef * b).sum(1)
     noise = np.maximum(energy - fit, 0.0)
     with np.errstate(divide="ignore"):
-        return float((10 * np.log10(np.maximum(fit, 1e-30)
-                                    / np.maximum(noise, 1e-30))).max())
+        return 10 * np.log10(np.maximum(fit, 1e-30) / np.maximum(noise, 1e-30))
 
 
 def test_snr_batch_matches_scalar():
@@ -323,6 +330,131 @@ def test_snr_batch_bit_exact_on_datagen(monkeypatch):
     per_clip = audio.best_fit_sine_snr_batch(pcms, srs)
     assert np.isfinite(batched).sum() > 500
     assert np.array_equal(batched, per_clip)
+
+
+def _raw_clips_table(rows):
+    """Checker input from (clip_id, int16 pcm, sr) rows, raw s16le with no
+    dur_ms (no length check) and ids the transcript check skips."""
+    return pa.table({
+        "clip_id": [r[0] for r in rows],
+        "bytes": pa.array([r[1].tobytes() for r in rows], pa.binary()),
+        "sr_hz": pa.array([r[2] for r in rows], pa.int32()),
+        "dur_ms": pa.array([None] * len(rows), pa.int32()),
+        "codec": ["pcm_s16le"] * len(rows),
+        "transcript": [""] * len(rows),
+    })
+
+
+def _exact_only(monkeypatch, checker, table):
+    """The checker's violation table when the screen clears nothing, so
+    every fittable clip's verdict comes from the exact kernel alone."""
+    from gojsonschema_ray.stages import audio
+
+    with monkeypatch.context() as m:
+        m.setattr(audio, "_screen_group",
+                  lambda X, sr, n, k: np.full(X.shape[0], -np.inf))
+        return checker(table)
+
+
+def _snr_rows(viol):
+    return {k: a for k, w, a in zip(viol["key"].to_pylist(),
+                                    viol["keyword"].to_pylist(),
+                                    viol["actual"].to_pylist()) if w == "snr"}
+
+
+def test_snr_screen_verdicts_are_sound():
+    """A clip is flagged `snr` exactly when both the exact kernel and the
+    screen score it under `snr_db`, and a flagged row reports the exact
+    kernel's SNR: tones (integral and not, 8/16/48 kHz), white noise,
+    tones with noise near 30 dB, a clip under 16 samples, a null rate."""
+    from gojsonschema_ray.stages.audio import (_screen_snr_batch,
+                                               best_fit_sine_snr_batch)
+
+    rng = np.random.default_rng(23)
+    rows = []
+    for sr in (8000, 16000, 48000):
+        for ms in (20, 30, 100):
+            t = np.arange(sr * ms // 1000) / sr
+            for f0 in (250.0, 997.0, 441.37, 1234.56):
+                x = 0.5 * np.sin(2 * np.pi * f0 * t + rng.uniform(0, 6))
+                rows.append((f"tone-{sr}-{ms}-{f0}", x, sr))
+                for db in (27.0, 29.5, 30.0, 30.5, 33.0):
+                    noise = rng.standard_normal(len(t))
+                    noise *= np.sqrt(0.125 / 10 ** (db / 10)) / noise.std()
+                    rows.append((f"noisy-{sr}-{ms}-{f0}-{db}", x + noise, sr))
+            rows.append((f"noise-{sr}-{ms}", 0.3 * rng.standard_normal(len(t)),
+                         sr))
+    rows.append(("short", np.sin(np.arange(12.0)), 16000))
+    rows.append(("nullsr", np.sin(np.arange(480.0) / 3), None))
+    rows = [(cid, (x * 32767).clip(-32768, 32767).astype(np.int16), sr)
+            for cid, x, sr in rows]
+    checker = AudioInvariantChecker()
+    got = _snr_rows(checker(_raw_clips_table(rows)))
+    pcms, srs = [r[1] for r in rows], [r[2] for r in rows]
+    exact = best_fit_sine_snr_batch(pcms, srs)
+    screen = _screen_snr_batch(pcms, srs)
+    want = {r[0]: f"{e:.1f} dB" for r, e, s in zip(rows, exact, screen)
+            if r[2] and len(r[1]) >= 16
+            and e < checker.snr_db and s < checker.snr_db}
+    assert got == want
+    assert any(cid.startswith("noisy-") for cid in got)
+    # each screen value is a real fit's SNR: the one-clip reference fit at
+    # the 2n-point peak and its rounding (float32 phase error swamps the
+    # residual of the cleanest tones, so those are not compared)
+    for (cid, x, sr), s in zip(rows, screen):
+        if not sr or len(x) < 16:
+            assert s == -np.inf, cid
+            continue
+        xf = x.astype(np.float32)
+        xf -= np.float32(x.mean(dtype=np.float64))
+        f1 = _peak_frequency_reference(xf, sr, 1 << (2 * len(x) - 1).bit_length())
+        ref = _sine_fit_snrs_reference(xf, sr, np.array([f1, round(f1)])).max()
+        assert abs(s - ref) < 0.5 or min(s, ref) > 50, (cid, s, ref)
+    assert {f"noise-{sr}-{ms}" for sr in (8000, 16000, 48000)
+            for ms in (20, 30, 100)} <= set(got)
+    for cid, x, sr in rows:
+        if cid.startswith("tone-"):
+            assert cid not in got
+
+
+@pytest.mark.parametrize("cap", [30, 50])
+def test_snr_screen_matches_exact_on_datagen(monkeypatch, cap):
+    """On a datagen fragment the checker's violation table equals, row for
+    row, the table of the exact kernel alone."""
+    t = datagen.clips_batch(0, 2048, cap)
+    checker = AudioInvariantChecker(audio_cap_ms=cap)
+    got = checker(t)
+    assert got.equals(_exact_only(monkeypatch, checker, t))
+    assert got.num_rows > 0
+
+
+def test_snr_screen_on_noise_falls_back(monkeypatch):
+    """On an all-noise batch the screen clears nothing, every clip takes
+    the exact kernel, and the table is the exact kernel's."""
+    from gojsonschema_ray.stages.audio import _screen_snr_batch
+
+    rng = np.random.default_rng(5)
+    rows = [(f"n{i}", (rng.standard_normal(sr * 30 // 1000) * 8000)
+             .astype(np.int16), sr)
+            for i, sr in enumerate([8000, 16000, 22050, 44100, 48000] * 20)]
+    checker = AudioInvariantChecker()
+    screen = _screen_snr_batch([r[1] for r in rows], [r[2] for r in rows])
+    assert (screen < checker.snr_db).all()
+    table = _raw_clips_table(rows)
+    got = checker(table)
+    assert got.equals(_exact_only(monkeypatch, checker, table))
+    assert set(_snr_rows(got)) == {r[0] for r in rows}
+
+
+def test_row_transcript_is_row_meta_transcript():
+    """The transcript's closed form equals row_meta's, the empty (i % 971)
+    and null (i % 967) rows included."""
+    from gojsonschema_ray.stages.audio import reference_transcript
+
+    got = [datagen.row_transcript(i) for i in range(30_000)]
+    assert got == [datagen.row_meta(i)["transcript"] for i in range(30_000)]
+    assert "" in got and None in got
+    assert reference_transcript(1234) == got[1234]
 
 
 def test_long_one_row_peak_search_is_not_cached():
